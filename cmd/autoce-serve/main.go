@@ -255,6 +255,7 @@ func main() {
 	if app.peers != nil {
 		// Background peer-health probing feeds the proxy's failover
 		// ordering and the /healthz fleet table; it stops with the process.
+		//autoce:ignore barego -- a probe loop that lives as long as ctx, not fan-out work
 		go app.peers.prober.Run(ctx)
 	}
 
@@ -270,6 +271,7 @@ func main() {
 		}
 	}
 	errCh := make(chan error, 1)
+	//autoce:ignore barego -- the accept loop runs until shutdown; its error reaches errCh
 	go func() { errCh <- srv.Serve(ln) }()
 	if shard != nil {
 		log.Printf("serving on %s (shard %d of %d)", ln.Addr(), shard.index, shard.count)

@@ -8,36 +8,29 @@ package main
 // tenant's stored artifacts as cold-loadable stubs — so a crashed shard
 // rejoins the fleet serving estimates with zero client action.
 //
-// The envelope matches ce.Store's artifact format (magic, little-endian
-// payload size, CRC-32C, payload) and the same crash-safety discipline:
-// written to a tempfile in the same directory and renamed over the old
-// manifest, so a crash mid-write leaves the previous generation intact.
+// The file is one internal/envelope frame (magic, little-endian payload
+// size, CRC-32C, payload), like ce.Store's artifacts, with the same
+// crash-safety discipline: written to a tempfile in the same directory
+// and renamed over the old manifest, so a crash mid-write leaves the
+// previous generation intact.
 // A corrupt manifest is quarantined to .corrupt and the shard starts
 // empty — degraded (tenants must re-onboard) but never wrong.
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 
+	"repro/internal/envelope"
 	"repro/internal/resilience"
 )
 
 // manifestMagic begins every manifest file: format name plus version, so
 // a future layout change is detected by prefix, not by decode failure.
 var manifestMagic = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '1', '\n'}
-
-var manifestCRCTable = crc32.MakeTable(crc32.Castagnoli)
-
-// maxManifestPayload bounds the decoded payload — a corrupted size field
-// must not allocate unbounded memory.
-const maxManifestPayload = 1 << 30
 
 // tenantManifest is the on-disk record of onboarded dataset payloads,
 // keyed by dataset name. Values are the canonical JSON of the
@@ -108,12 +101,9 @@ func (m *tenantManifest) saveLocked() error {
 		return fmt.Errorf("encoding tenant manifest: %w", err)
 	}
 	var buf bytes.Buffer
-	buf.Write(manifestMagic[:])
-	var hdr [12]byte
-	binary.LittleEndian.PutUint64(hdr[:8], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(hdr[8:], crc32.Checksum(payload.Bytes(), manifestCRCTable))
-	buf.Write(hdr[:])
-	buf.Write(payload.Bytes())
+	if err := envelope.Write(&buf, manifestMagic, payload.Bytes()); err != nil {
+		return err
+	}
 
 	dir := filepath.Dir(m.path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -139,29 +129,20 @@ func (m *tenantManifest) saveLocked() error {
 	return nil
 }
 
-// decodeManifest verifies the envelope and decodes the entry map.
+// decodeManifest verifies the envelope — the whole file, with no bytes
+// after the frame — and decodes the entry map. The payload cannot be
+// larger than the file, so the file's length caps the declared size.
 func decodeManifest(raw []byte) (map[string][]byte, error) {
-	if len(raw) < len(manifestMagic)+12 {
-		return nil, fmt.Errorf("truncated header (%d bytes)", len(raw))
+	r := bytes.NewReader(raw)
+	payload, err := envelope.Read(r, manifestMagic, uint64(len(raw)))
+	if err != nil {
+		return nil, err
 	}
-	if !bytes.Equal(raw[:len(manifestMagic)], manifestMagic[:]) {
-		return nil, fmt.Errorf("bad magic %q", raw[:len(manifestMagic)])
-	}
-	body := raw[len(manifestMagic):]
-	size := binary.LittleEndian.Uint64(body[:8])
-	sum := binary.LittleEndian.Uint32(body[8:12])
-	payload := body[12:]
-	if size > maxManifestPayload {
-		return nil, fmt.Errorf("implausible payload size %d", size)
-	}
-	if uint64(len(payload)) != size {
-		return nil, fmt.Errorf("payload is %d bytes, header says %d", len(payload), size)
-	}
-	if got := crc32.Checksum(payload, manifestCRCTable); got != sum {
-		return nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", sum, got)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", envelope.ErrCorrupt, r.Len())
 	}
 	var entries map[string][]byte
-	if err := gob.NewDecoder(io.LimitReader(bytes.NewReader(payload), maxManifestPayload)).Decode(&entries); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&entries); err != nil {
 		return nil, fmt.Errorf("decoding entries: %w", err)
 	}
 	if entries == nil {

@@ -587,6 +587,7 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	// cancellation checkpoint; the abandoned goroutine observes in.Ctx at
 	// its epoch boundaries and winds down on its own.
 	done := make(chan error, 1)
+	//autoce:ignore barego -- Fit runs behind resilience.Guard so the handler can answer the deadline first
 	go func() { done <- resilience.Guard("train:"+name, func() error { return m.Fit(in) }) }()
 	select {
 	case err := <-done:
@@ -608,6 +609,7 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		// Keep the single-flight slot held until the abandoned trainer
 		// actually reaches a checkpoint and stops — the next train must
 		// not start while this one is still burning CPU.
+		//autoce:ignore barego -- waits out the abandoned trainer after its request has returned
 		go func() { <-done; release() }()
 		writeDeadline(w, "training "+name, context.Cause(ctx))
 		return

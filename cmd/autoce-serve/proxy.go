@@ -298,6 +298,7 @@ func (ps *peerSet) doHedged(ctx context.Context, peer, next int, r *http.Request
 	}
 	ch := make(chan result, 2)
 	launch := func(p int) {
+		//autoce:ignore barego -- first response wins; the loser is cancelled, not awaited
 		go func() {
 			pr, err := ps.do(hctx, p, r, body, nil)
 			ch <- result{pr, err}

@@ -43,7 +43,6 @@ import (
 	"errors"
 	"log"
 	"net/http"
-	"runtime/debug"
 	"time"
 
 	"repro/internal/resilience"
@@ -178,7 +177,9 @@ func recovered(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
+				// A worker panic re-raised by par.For keeps the worker's stack.
+				pe := resilience.NewPanicError(r.URL.Path, v)
+				log.Printf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, pe.Value, pe.Stack)
 				// Best-effort: if the handler already wrote headers this
 				// write fails silently and the client sees a broken body.
 				writeError(w, http.StatusInternalServerError, "internal error")

@@ -37,11 +37,11 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/latency"
+	"repro/internal/par"
 )
 
 var (
@@ -101,6 +101,7 @@ func runChaos() error {
 	killAt := *stormFor / 3
 	restartAt := 2 * killAt
 	restartErr := make(chan error, 1)
+	//autoce:ignore barego -- the fault timeline runs beside the storm, not as fan-out work
 	go func() {
 		time.Sleep(killAt)
 		fmt.Println("  chaos: SIGKILL shard 1")
@@ -233,43 +234,23 @@ func peerURLs(addrs []string) string {
 // replica-served estimates (post-kill) resolve models by name from the
 // shared store, not from the primary's per-tenant default.
 func chaosSetup(fleet []*serverProc, tenants []*tenant, lat *hists) error {
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < *setupPar; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var onboard, train latency.Histogram
-			defer func() {
-				lat.merge("onboard", &onboard)
-				lat.merge("train", &train)
-			}()
-			for i := range work {
-				tn, front := tenants[i], fleet[i%len(fleet)]
-				t0 := time.Now()
-				if _, err := front.postKey("/datasets", tn.name, datasetBody(tn.d), nil, 20); err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("onboarding %s: %w", tn.name, err))
-					return
-				}
-				onboard.Record(time.Since(t0))
-				t0 = time.Now()
-				if _, err := front.postKey("/train", tn.name, map[string]any{
-					"dataset": tn.name, "model": "Postgres", "queries": 30, "sample_rows": 80,
-				}, nil, 20); err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("training %s: %w", tn.name, err))
-					return
-				}
-				train.Record(time.Since(t0))
-			}
-		}()
-	}
-	for i := range tenants {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok {
+	err := par.For(len(tenants), *setupPar, func(i int) error {
+		tn, front := tenants[i], fleet[i%len(fleet)]
+		t0 := time.Now()
+		if _, err := front.postKey("/datasets", tn.name, datasetBody(tn.d), nil, 20); err != nil {
+			return fmt.Errorf("onboarding %s: %w", tn.name, err)
+		}
+		lat.record("onboard", time.Since(t0))
+		t0 = time.Now()
+		if _, err := front.postKey("/train", tn.name, map[string]any{
+			"dataset": tn.name, "model": "Postgres", "queries": 30, "sample_rows": 80,
+		}, nil, 20); err != nil {
+			return fmt.Errorf("training %s: %w", tn.name, err)
+		}
+		lat.record("train", time.Since(t0))
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	for i, tn := range tenants {
@@ -296,44 +277,39 @@ func chaosSetup(fleet []*serverProc, tenants []*tenant, lat *hists) error {
 // against the tenant's recorded answer.
 func chaosStorm(fronts []*serverProc, tenants []*tenant, lat *hists) (wrong, shed, unavail, requests int64) {
 	stop := time.Now().Add(*stormFor)
-	var wg sync.WaitGroup
-	for w := 0; w < *workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) * 7919))
-			var single latency.Histogram
-			defer lat.merge("estimate", &single)
-			for time.Now().Before(stop) {
-				tn := tenants[rng.Intn(len(tenants))]
-				front := fronts[rng.Intn(len(fronts))]
-				qi := rng.Intn(len(tn.queries))
-				atomic.AddInt64(&requests, 1)
-				var er struct {
-					Estimate float64 `json:"estimate"`
-				}
-				t0 := time.Now()
-				status, err := front.postKey("/estimate", tn.name, map[string]any{
-					"dataset": tn.name, "model": "Postgres", "query": tn.queries[qi],
-				}, &er, 0)
-				switch {
-				case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-					atomic.AddInt64(&shed, 1)
-				case status == http.StatusBadGateway || status == 0:
-					atomic.AddInt64(&unavail, 1)
-				case err != nil || status != http.StatusOK:
-					// Anything else (404, 409, 421...) is a routing or
-					// recovery bug, which the wrong counter surfaces.
-					atomic.AddInt64(&wrong, 1)
-				case er.Estimate != tn.expected[qi]:
-					atomic.AddInt64(&wrong, 1)
-				default:
-					single.Record(time.Since(t0))
-				}
+	par.For(*workers, *workers, func(w int) error {
+		rng := rand.New(rand.NewSource(int64(w) * 7919))
+		var single latency.Histogram
+		defer lat.merge("estimate", &single)
+		for time.Now().Before(stop) {
+			tn := tenants[rng.Intn(len(tenants))]
+			front := fronts[rng.Intn(len(fronts))]
+			qi := rng.Intn(len(tn.queries))
+			atomic.AddInt64(&requests, 1)
+			var er struct {
+				Estimate float64 `json:"estimate"`
 			}
-		}(w)
-	}
-	wg.Wait()
+			t0 := time.Now()
+			status, err := front.postKey("/estimate", tn.name, map[string]any{
+				"dataset": tn.name, "model": "Postgres", "query": tn.queries[qi],
+			}, &er, 0)
+			switch {
+			case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+				atomic.AddInt64(&shed, 1)
+			case status == http.StatusBadGateway || status == 0:
+				atomic.AddInt64(&unavail, 1)
+			case err != nil || status != http.StatusOK:
+				// Anything else (404, 409, 421...) is a routing or
+				// recovery bug, which the wrong counter surfaces.
+				atomic.AddInt64(&wrong, 1)
+			case er.Estimate != tn.expected[qi]:
+				atomic.AddInt64(&wrong, 1)
+			default:
+				single.Record(time.Since(t0))
+			}
+		}
+		return nil
+	})
 	return wrong, shed, unavail, requests
 }
 

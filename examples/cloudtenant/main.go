@@ -56,6 +56,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/gnn"
 	"repro/internal/latency"
+	"repro/internal/par"
 )
 
 var (
@@ -88,10 +89,22 @@ type hists struct {
 func (h *hists) merge(endpoint string, rec *latency.Histogram) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.m[endpoint] == nil {
-		h.m[endpoint] = &latency.Histogram{}
+	h.endpoint(endpoint).Merge(rec)
+}
+
+// record adds one observation; for callers that time one request per call.
+func (h *hists) record(endpoint string, d time.Duration) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.endpoint(endpoint).Record(d)
+}
+
+// endpoint returns the endpoint's histogram, creating it; h.mu is held.
+func (h *hists) endpoint(name string) *latency.Histogram {
+	if h.m[name] == nil {
+		h.m[name] = &latency.Histogram{}
 	}
-	h.m[endpoint].Merge(rec)
+	return h.m[name]
 }
 
 func main() {
@@ -315,6 +328,7 @@ func (sp *serverProc) stop() error {
 	sp.stopped = true
 	sp.cmd.Process.Signal(os.Interrupt)
 	done := make(chan error, 1)
+	//autoce:ignore barego -- reaps the child so the select below can time out on it
 	go func() { done <- sp.cmd.Wait() }()
 	select {
 	case err := <-done:
@@ -476,42 +490,23 @@ func (sp *serverProc) postKey(path, key string, body any, out any, retries int) 
 // onboardAndTrainAll pushes every tenant through /datasets and /train
 // with bounded concurrency, timing both endpoints.
 func onboardAndTrainAll(sp *serverProc, tenants []*tenant, lat *hists) error {
-	var firstErr atomic.Value
-	var wg sync.WaitGroup
-	work := make(chan *tenant)
-	for w := 0; w < *setupPar; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var onboard, train latency.Histogram
-			defer func() {
-				lat.merge("onboard", &onboard)
-				lat.merge("train", &train)
-			}()
-			for tn := range work {
-				t0 := time.Now()
-				if _, err := sp.post("/datasets", datasetBody(tn.d), nil, 20); err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("onboarding %s: %w", tn.name, err))
-					return
-				}
-				onboard.Record(time.Since(t0))
-				t0 = time.Now()
-				if _, err := sp.post("/train", map[string]any{
-					"dataset": tn.name, "model": "Postgres", "queries": 30, "sample_rows": 80,
-				}, nil, 20); err != nil {
-					firstErr.CompareAndSwap(nil, fmt.Errorf("training %s: %w", tn.name, err))
-					return
-				}
-				train.Record(time.Since(t0))
-			}
-		}()
-	}
-	for _, tn := range tenants {
-		work <- tn
-	}
-	close(work)
-	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok {
+	err := par.For(len(tenants), *setupPar, func(i int) error {
+		tn := tenants[i]
+		t0 := time.Now()
+		if _, err := sp.post("/datasets", datasetBody(tn.d), nil, 20); err != nil {
+			return fmt.Errorf("onboarding %s: %w", tn.name, err)
+		}
+		lat.record("onboard", time.Since(t0))
+		t0 = time.Now()
+		if _, err := sp.post("/train", map[string]any{
+			"dataset": tn.name, "model": "Postgres", "queries": 30, "sample_rows": 80,
+		}, nil, 20); err != nil {
+			return fmt.Errorf("training %s: %w", tn.name, err)
+		}
+		lat.record("train", time.Since(t0))
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Printf("  onboarded and trained %d tenants\n", len(tenants))
@@ -553,70 +548,59 @@ func recordGroundTruth(sp *serverProc, tenants []*tenant) error {
 // tenants, mixing coalesced single-query calls with batches, checking
 // every answer against the tenant's recorded expectation.
 func estimateStorm(sp *serverProc, tenants []*tenant, lat *hists) (wrong, shed, requests int64, err error) {
-	var firstErr atomic.Value
 	stop := time.Now().Add(*stormFor)
-	var wg sync.WaitGroup
-	for w := 0; w < *workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w) * 7919))
-			var single, batch latency.Histogram
-			defer func() {
-				lat.merge("estimate", &single)
-				lat.merge("estimate-batch", &batch)
-			}()
-			for time.Now().Before(stop) {
-				tn := tenants[rng.Intn(len(tenants))]
-				atomic.AddInt64(&requests, 1)
-				if rng.Intn(4) > 0 { // 3:1 single-to-batch mix
-					qi := rng.Intn(len(tn.queries))
-					var er struct {
-						Estimate float64 `json:"estimate"`
-					}
-					t0 := time.Now()
-					status, err := sp.post("/estimate", map[string]any{"dataset": tn.name, "query": tn.queries[qi]}, &er, 0)
-					if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-						atomic.AddInt64(&shed, 1)
-						continue
-					}
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					single.Record(time.Since(t0))
-					if er.Estimate != tn.expected[qi] {
+	err = par.For(*workers, *workers, func(w int) error {
+		rng := rand.New(rand.NewSource(int64(w) * 7919))
+		var single, batch latency.Histogram
+		defer func() {
+			lat.merge("estimate", &single)
+			lat.merge("estimate-batch", &batch)
+		}()
+		for time.Now().Before(stop) {
+			tn := tenants[rng.Intn(len(tenants))]
+			atomic.AddInt64(&requests, 1)
+			if rng.Intn(4) > 0 { // 3:1 single-to-batch mix
+				qi := rng.Intn(len(tn.queries))
+				var er struct {
+					Estimate float64 `json:"estimate"`
+				}
+				t0 := time.Now()
+				status, err := sp.post("/estimate", map[string]any{"dataset": tn.name, "query": tn.queries[qi]}, &er, 0)
+				if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+					atomic.AddInt64(&shed, 1)
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				single.Record(time.Since(t0))
+				if er.Estimate != tn.expected[qi] {
+					atomic.AddInt64(&wrong, 1)
+				}
+			} else {
+				var er struct {
+					Estimates []float64 `json:"estimates"`
+				}
+				t0 := time.Now()
+				status, err := sp.post("/estimate", map[string]any{"dataset": tn.name, "queries": tn.queries}, &er, 0)
+				if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
+					atomic.AddInt64(&shed, 1)
+					continue
+				}
+				if err != nil {
+					return err
+				}
+				batch.Record(time.Since(t0))
+				for i, est := range er.Estimates {
+					if est != tn.expected[i] {
 						atomic.AddInt64(&wrong, 1)
-					}
-				} else {
-					var er struct {
-						Estimates []float64 `json:"estimates"`
-					}
-					t0 := time.Now()
-					status, err := sp.post("/estimate", map[string]any{"dataset": tn.name, "queries": tn.queries}, &er, 0)
-					if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-						atomic.AddInt64(&shed, 1)
-						continue
-					}
-					if err != nil {
-						firstErr.CompareAndSwap(nil, err)
-						return
-					}
-					batch.Record(time.Since(t0))
-					for i, est := range er.Estimates {
-						if est != tn.expected[i] {
-							atomic.AddInt64(&wrong, 1)
-						}
 					}
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
-	if e, ok := firstErr.Load().(error); ok {
-		return wrong, shed, requests, e
-	}
-	return wrong, shed, requests, nil
+		}
+		return nil
+	})
+	return wrong, shed, requests, err
 }
 
 // cacheStatsOf reads the model cache counters from /models.

@@ -132,7 +132,7 @@ func TestFindingString(t *testing.T) {
 	}
 }
 
-// TestRuleRegistry pins the suite: exactly the five documented rules, each
+// TestRuleRegistry pins the suite: exactly the six documented rules, each
 // with a doc line, resolvable by name.
 func TestRuleRegistry(t *testing.T) {
 	names := []string{}
@@ -145,7 +145,7 @@ func TestRuleRegistry(t *testing.T) {
 			t.Errorf("RuleByName(%s) does not round-trip", r.Name)
 		}
 	}
-	wantNames := []string{"ctxloop", "detpath", "failpointlit", "pinpair", "snapshotonce"}
+	wantNames := []string{"barego", "ctxloop", "detpath", "failpointlit", "pinpair", "snapshotonce"}
 	if fmt.Sprint(names) != fmt.Sprint(wantNames) {
 		t.Fatalf("registered rules %v, want %v", names, wantNames)
 	}

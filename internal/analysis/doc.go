@@ -1,8 +1,8 @@
 // Package analysis is the project-invariant analyzer suite behind
 // cmd/autoce-vet: a stdlib-only (go/parser, go/types, go/importer) driver
-// that loads every package in the module and machine-checks the
-// concurrency, determinism, and lifecycle rules the serving stack is
-// built on. The rules exist because the invariants they pin are enforced
+// that loads every package in the module (nested modules excluded) and
+// machine-checks the concurrency, determinism, and lifecycle rules the
+// serving stack is built on. The rules exist because the invariants they pin are enforced
 // nowhere at compile time — they live in package docs and -race tests,
 // and a violation otherwise surfaces as a 1-in-1000 soak flake instead
 // of a red lint job.
@@ -38,6 +38,9 @@
 //	              registered site must exist in the tree — so
 //	              AUTOCE_FAILPOINTS specs can never silently name
 //	              nothing.
+//	barego        No go statement outside internal/par: parallel work
+//	              fans out through par.For, which re-raises a worker's
+//	              panic on the caller, where the panic fences catch it.
 //
 // # Suppression
 //

@@ -56,7 +56,7 @@ func Load(dir string) (*Module, error) {
 	m := &Module{Path: modPath, Root: root, Fset: token.NewFileSet()}
 
 	// Discover package directories (skip hidden, _-prefixed, testdata, and
-	// vendor trees — the same set the go tool ignores).
+	// vendor trees, and nested modules — the same set the go tool ignores).
 	dirs := map[string]string{} // import path -> dir
 	err = filepath.WalkDir(root, func(p string, d os.DirEntry, werr error) error {
 		if werr != nil {
@@ -66,6 +66,9 @@ func Load(dir string) (*Module, error) {
 			name := d.Name()
 			if p != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
 				name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(p, "go.mod")); p != root && err == nil {
 				return filepath.SkipDir
 			}
 			return nil

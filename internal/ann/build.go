@@ -2,8 +2,9 @@ package ann
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // splitSampleCap bounds the number of vectors a 2-means split trains on;
@@ -21,7 +22,7 @@ const maxSplitDepth = 48
 // negative one) — the caller keeps its exact scan. The quantizer is
 // recursive bisecting k-means: nodes split with a deterministic seeded
 // 2-means until cells reach ~n/Nlist vectors, subtrees building in
-// parallel over a bounded worker pool. Equal (vecs, p) always produce
+// parallel through par.For. Equal (vecs, p) always produce
 // an identical index regardless of scheduling: every node's split
 // depends only on its own members, and all reductions run in fixed
 // order.
@@ -45,8 +46,9 @@ func Build(vecs [][]float64, p Params) *Index {
 	}
 	lists := b.split(ids, 0)
 	centroids := make([][]float64, len(lists))
-	parallelFor(len(lists), func(c int) {
+	par.For(len(lists), runtime.GOMAXPROCS(0), func(c int) error {
 		centroids[c] = meanOf(vecs, lists[c], dim)
+		return nil
 	})
 	ix := &Index{
 		params:    rp,
@@ -66,12 +68,12 @@ type builder struct {
 	dim     int
 	p       Params
 	maxLeaf int
-	tokens  chan struct{} // parallel-subtree budget (PR 2-style pool)
+	tokens  chan struct{} // parallel-subtree budget: one token per extra goroutine
 }
 
 // split recursively bisects ids until nodes fit maxLeaf, returning the
 // cells in deterministic left-to-right tree order. When a worker token
-// is free the left subtree builds on its own goroutine.
+// is free the two subtrees build in parallel.
 func (b *builder) split(ids []int32, depth int) [][]int32 {
 	if len(ids) <= b.maxLeaf || depth >= maxSplitDepth {
 		return [][]int32{ids}
@@ -96,14 +98,18 @@ func (b *builder) split(ids []int32, depth int) [][]int32 {
 	var ll, rr [][]int32
 	select {
 	case b.tokens <- struct{}{}:
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			ll = b.split(left, depth+1)
-			<-b.tokens
-		}()
-		rr = b.split(right, depth+1)
-		<-done
+		var finished atomic.Int32
+		par.For(2, 2, func(half int) error {
+			if half == 0 {
+				ll = b.split(left, depth+1)
+			} else {
+				rr = b.split(right, depth+1)
+			}
+			if finished.Add(1) == 1 {
+				<-b.tokens // one half left running: the extra goroutine is done
+			}
+			return nil
+		})
 	default:
 		ll = b.split(left, depth+1)
 		rr = b.split(right, depth+1)
@@ -213,37 +219,4 @@ func scaleInto(dst, sum []float64, s float64) {
 	for i := range dst {
 		dst[i] = sum[i] * s
 	}
-}
-
-// parallelFor runs f(0..n) over a GOMAXPROCS worker pool with an atomic
-// work counter (the RecommendBatch/CardinalityBatch idiom). Each i is
-// processed exactly once and writes only its own slot, so results are
-// deterministic regardless of scheduling.
-func parallelFor(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

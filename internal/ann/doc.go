@@ -13,8 +13,8 @@
 // (farthest-point init over a strided sample, a fixed Lloyd iteration
 // budget) and splits until cells reach their target size — so a full
 // build costs O(n·d·log Nlist) instead of the O(n·d·Nlist) of flat
-// Lloyd assignment, and subtrees build in parallel over a bounded
-// worker pool. Nothing in the build reads wall-clock time, the global
+// Lloyd assignment, and subtrees build in parallel through par.For,
+// bounded by a GOMAXPROCS token budget. Nothing in the build reads wall-clock time, the global
 // rand stream, or map order: the same vectors and Params always produce
 // the same index (the package is in the autoce-vet detpath scope).
 //
@@ -27,12 +27,13 @@
 // path incremental learning and online adapting take — and refuses
 // (returns nil, signaling "rebuild") once appended vectors exceed
 // Params.RebuildFraction of the total. MarshalBinary/Unmarshal move the
-// quantizer and posting lists through a CRC-32C-enveloped gob so a
-// persisted advisor never pays the build twice; Attach re-binds a
-// decoded index to its (recomputed) vector set, validating shape
-// strictly. Corrupt bytes fail loudly: any bit flip in the envelope is
-// caught by the checksum, and structural invariants (every id exactly
-// once, in range, finite centroids) are re-validated on decode.
+// quantizer and posting lists as a gob inside the shared CRC-32C
+// envelope (internal/envelope) so a persisted advisor never pays the
+// build twice; Attach re-binds a decoded index to its (recomputed)
+// vector set, validating shape strictly. Corrupt bytes fail loudly: any
+// bit flip in the envelope is caught by the checksum or the size field,
+// and structural invariants (every id exactly once, in range, finite
+// centroids) are re-validated on decode.
 //
 // # Search
 //

@@ -2,29 +2,31 @@ package ann
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"repro/internal/envelope"
 )
 
-// Persistence: the quantizer and posting lists travel as a CRC-32C
-// enveloped gob, embedded in the advisor artifact, so a served fleet
-// never pays the build twice. Vectors are NOT serialized — they are
-// derived state (the advisor re-embeds its candidate set on load) and
-// the decoded index is re-bound to them with Attach, which re-validates
-// shape strictly. Corruption fails loudly on two independent layers:
-// any bit flip in the envelope breaks the checksum (CRC-32C is linear,
-// so a single corrupted byte can never cancel out), and a decoded state
+// Persistence: the quantizer and posting lists travel as a gob framed by
+// the checksummed envelope (internal/envelope), embedded in the advisor
+// artifact, so a served fleet never pays the build twice. Vectors are
+// NOT serialized — they are derived state (the advisor re-embeds its
+// candidate set on load) and the decoded index is re-bound to them with
+// Attach, which re-validates shape strictly. Corruption fails loudly on
+// two independent layers: any bit flip in the envelope breaks the
+// checksum (CRC-32C is linear, so a single corrupted byte can never
+// cancel out) or the declared size (leaving bytes over, or too few),
+// and a decoded state
 // must still satisfy the structural invariants — every id exactly once
 // and in range, centroid/list counts equal, finite centroid
 // coordinates — before an Index is returned.
 
 // indexMagic versions the envelope; bump on incompatible state changes.
-const indexMagic = "autoce-ann-v1\n"
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+// v2 moved the index onto the shared envelope layout (v1 had no size
+// field), so v1 blobs fail the magic check.
+var indexMagic = [8]byte{'C', 'E', 'A', 'N', 'N', 'v', '2', '\n'}
 
 // indexState is the gob-serializable mirror of an Index.
 type indexState struct {
@@ -37,8 +39,8 @@ type indexState struct {
 	Lists     [][]int32
 }
 
-// MarshalBinary encodes the index (without its attached vectors) as
-// magic || crc32c(payload) || payload.
+// MarshalBinary encodes the index (without its attached vectors) as one
+// envelope frame.
 func (ix *Index) MarshalBinary() ([]byte, error) {
 	st := indexState{
 		Params:    ix.params,
@@ -53,25 +55,26 @@ func (ix *Index) MarshalBinary() ([]byte, error) {
 	if err := gob.NewEncoder(&payload).Encode(&st); err != nil {
 		return nil, fmt.Errorf("ann: encoding index: %w", err)
 	}
-	out := make([]byte, 0, len(indexMagic)+4+payload.Len())
-	out = append(out, indexMagic...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload.Bytes(), crcTable))
-	return append(out, payload.Bytes()...), nil
+	var out bytes.Buffer
+	if err := envelope.Write(&out, indexMagic, payload.Bytes()); err != nil {
+		return nil, fmt.Errorf("ann: encoding index: %w", err)
+	}
+	return out.Bytes(), nil
 }
 
 // Unmarshal decodes an index previously written by MarshalBinary. The
 // result is detached: bind it to its vector set with Attach before
-// searching. Corrupt input — bad magic, checksum mismatch, or a decoded
-// state violating the index invariants — returns an error rather than
-// an index that would silently return wrong neighbors.
+// searching. Corrupt input — a broken envelope, bytes after it, or a
+// decoded state violating the index invariants — returns an error rather
+// than an index that would silently return wrong neighbors.
 func Unmarshal(b []byte) (*Index, error) {
-	if len(b) < len(indexMagic)+4 || string(b[:len(indexMagic)]) != indexMagic {
-		return nil, fmt.Errorf("ann: not an index envelope")
+	r := bytes.NewReader(b)
+	payload, err := envelope.Read(r, indexMagic, uint64(len(b)))
+	if err != nil {
+		return nil, fmt.Errorf("ann: index: %w", err)
 	}
-	want := binary.LittleEndian.Uint32(b[len(indexMagic):])
-	payload := b[len(indexMagic)+4:]
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return nil, fmt.Errorf("ann: index checksum mismatch (%08x != %08x)", got, want)
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("ann: index: %w: %d trailing bytes", envelope.ErrCorrupt, r.Len())
 	}
 	var st indexState
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&st); err != nil {

@@ -3,8 +3,8 @@ package ce
 import (
 	"context"
 	"runtime"
-	"sync"
 
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -59,60 +59,18 @@ func EstimateBatchContext(ctx context.Context, est Estimator, qs []*workload.Que
 	return out, nil
 }
 
-// ParallelEstimates implements EstimateBatch by fanning Estimate over a
-// GOMAXPROCS-wide worker pool. Each query's estimate is computed by the
-// unchanged per-query path, so values are bit-identical to a serial loop
-// regardless of scheduling; only models whose Estimate is safe for
-// concurrent use (Spec.Concurrent) may use it.
+// ParallelEstimates implements EstimateBatch by fanning Estimate over
+// par.For with GOMAXPROCS workers. Each query's estimate is computed by
+// the unchanged per-query path, so values are bit-identical to a serial
+// loop regardless of scheduling; only models whose Estimate is safe for
+// concurrent use (Spec.Concurrent) may use it. A panicking Estimate
+// reaches the caller as a *resilience.PanicError, where the serving
+// layer's panic fence quarantines the model.
 func ParallelEstimates(e singleEstimator, qs []*workload.Query) []float64 {
 	out := make([]float64, len(qs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
-		for i, q := range qs {
-			out[i] = e.Estimate(q)
-		}
-		return out
-	}
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	// A panic inside a worker would escape any recover on the calling
-	// goroutine and kill the process; capture the first one and re-panic
-	// it from the caller, where the serving layer's panic fences can
-	// quarantine the model instead. The panicking worker exits; surviving
-	// workers drain the remaining queries before the re-panic.
-	var panicked any
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = v
-					}
-					mu.Unlock()
-				}
-			}()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(qs) {
-					return
-				}
-				out[i] = e.Estimate(qs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
+	par.For(len(qs), runtime.GOMAXPROCS(0), func(i int) error {
+		out[i] = e.Estimate(qs[i])
+		return nil
+	})
 	return out
 }

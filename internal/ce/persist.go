@@ -2,11 +2,9 @@ package ce
 
 import (
 	"bytes"
-	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/url"
 	"os"
@@ -14,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/envelope"
 	"repro/internal/resilience"
 )
 
@@ -45,22 +44,11 @@ type artifact struct {
 // from transient I/O errors to quarantine the file instead of retrying.
 var ErrCorruptArtifact = errors.New("ce: corrupt model artifact")
 
-// Artifact envelope: gob is a stream format with no integrity protection —
-// a truncated or bit-flipped artifact can decode into a silently wrong
-// model or drive the decoder into pathological states. Every artifact is
-// therefore framed as
-//
-//	magic [8]byte  "CEARTv2\n"
-//	size  uint64   little-endian payload length
-//	crc   uint32   little-endian CRC-32C (Castagnoli) of the payload
-//	payload        gob(artifact)
-//
-// and LoadModelSchema verifies the frame before any gob decoding happens:
-// wrong magic, short payload, or CRC mismatch all surface as
-// ErrCorruptArtifact without touching the decoder.
+// Every artifact is framed by the checksummed envelope (internal/envelope)
+// under this magic, and LoadModelSchema verifies the frame before any gob
+// decoding happens: wrong magic, short payload, or CRC mismatch all
+// surface as ErrCorruptArtifact without touching the decoder.
 var artifactMagic = [8]byte{'C', 'E', 'A', 'R', 'T', 'v', '2', '\n'}
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // SaveModel writes a trained model to w as a self-describing artifact with
 // no schema fingerprint; see SaveModelSchema.
@@ -85,14 +73,7 @@ func SaveModelSchema(w io.Writer, m Model, schema string) error {
 	if err := gob.NewEncoder(&payload).Encode(&artifact{Name: m.Name(), Schema: schema, Blob: blob}); err != nil {
 		return fmt.Errorf("ce: writing %s artifact: %w", m.Name(), err)
 	}
-	header := make([]byte, len(artifactMagic)+12)
-	copy(header, artifactMagic[:])
-	binary.LittleEndian.PutUint64(header[8:], uint64(payload.Len()))
-	binary.LittleEndian.PutUint32(header[16:], crc32.Checksum(payload.Bytes(), crcTable))
-	if _, err := w.Write(header); err != nil {
-		return fmt.Errorf("ce: writing %s artifact: %w", m.Name(), err)
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if err := envelope.Write(w, artifactMagic, payload.Bytes()); err != nil {
 		return fmt.Errorf("ce: writing %s artifact: %w", m.Name(), err)
 	}
 	return nil
@@ -115,24 +96,12 @@ const maxArtifactPayload = 1 << 30
 // state — the cheap half of a load, shared by LoadModelSchema and
 // LoadModelInfo.
 func readArtifact(r io.Reader) (*artifact, error) {
-	header := make([]byte, len(artifactMagic)+12)
-	if _, err := io.ReadFull(r, header); err != nil {
-		return nil, fmt.Errorf("%w: short header: %v", ErrCorruptArtifact, err)
+	payload, err := envelope.Read(r, artifactMagic, maxArtifactPayload)
+	if errors.Is(err, envelope.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %w", ErrCorruptArtifact, err)
 	}
-	if !bytes.Equal(header[:8], artifactMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptArtifact, header[:8])
-	}
-	size := binary.LittleEndian.Uint64(header[8:])
-	wantCRC := binary.LittleEndian.Uint32(header[16:])
-	if size > maxArtifactPayload {
-		return nil, fmt.Errorf("%w: declared payload size %d exceeds %d", ErrCorruptArtifact, size, maxArtifactPayload)
-	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, fmt.Errorf("%w: truncated payload: %v", ErrCorruptArtifact, err)
-	}
-	if got := crc32.Checksum(payload, crcTable); got != wantCRC {
-		return nil, fmt.Errorf("%w: checksum mismatch (recorded %08x, computed %08x)", ErrCorruptArtifact, wantCRC, got)
+	if err != nil {
+		return nil, fmt.Errorf("ce: reading artifact: %w", err)
 	}
 	var a artifact
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&a); err != nil {

@@ -226,12 +226,13 @@ func TestSaveLoadReusesPersistedIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf2.Bytes()
-	// Flip a byte inside the embedded ANN envelope (locate it by magic).
-	at := bytes.Index(raw, []byte("autoce-ann-v1\n"))
+	// Flip a payload byte inside the embedded ANN envelope (locate it by
+	// magic; the envelope header is 20 bytes).
+	at := bytes.Index(raw, []byte("CEANNv2\n"))
 	if at < 0 {
 		t.Fatal("ANN envelope not found in artifact")
 	}
-	raw[at+len("autoce-ann-v1\n")+6] ^= 0x20
+	raw[at+20+6] ^= 0x20
 	if _, err := Load(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted ANN index loaded silently")
 	}

@@ -4,13 +4,12 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/ann"
 	"repro/internal/feature"
 	"repro/internal/gnn"
 	"repro/internal/metrics"
+	"repro/internal/par"
 )
 
 // Snapshot is an immutable serving view of a trained advisor: a frozen
@@ -176,40 +175,14 @@ func (s *Snapshot) nearest(x []float64, k int, skip map[int]bool) []int {
 
 // RecommendBatch recommends a model for every graph against this one
 // snapshot — the whole batch sees a single consistent RCS even while
-// mutators publish new snapshots. Graphs are distributed over
-// runtime.NumCPU() workers, mirroring engine.CardinalityBatch; results are
-// returned in input order.
+// mutators publish new snapshots. Graphs fan out over par.For; results
+// are returned in input order.
 func (s *Snapshot) RecommendBatch(gs []*feature.Graph, wa float64) []Recommendation {
 	out := make([]Recommendation, len(gs))
-	if len(gs) == 0 {
-		return out
-	}
-	workers := runtime.NumCPU()
-	if workers > len(gs) {
-		workers = len(gs)
-	}
-	if workers <= 1 {
-		for i, g := range gs {
-			out[i] = s.Recommend(g, wa)
-		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(gs) {
-					return
-				}
-				out[i] = s.Recommend(gs[i], wa)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(gs), runtime.GOMAXPROCS(0), func(i int) error {
+		out[i] = s.Recommend(gs[i], wa)
+		return nil
+	})
 	return out
 }
 
@@ -372,8 +345,8 @@ const driftSampleCap = 2048
 
 // driftThresholdIndexed estimates the drift threshold through the ANN
 // index: a deterministic strided sample of members, each asking the
-// index for its nearest other member, fanned over the worker pool
-// (every sample position writes only its own slot, so the result is
+// index for its nearest other member, fanned over par.For (every sample
+// position writes only its own slot, so the result is
 // schedule-independent). A member whose probed cells are empty after
 // filtering itself out — possible only under pathological filtering —
 // falls back to its exact leave-one-out scan.
@@ -388,31 +361,15 @@ func driftThresholdIndexed(ix *ann.Index, emb [][]float64) float64 {
 		sample = append(sample, i)
 	}
 	dists := make([]float64, len(sample))
-	workers := runtime.NumCPU()
-	if workers > len(sample) {
-		workers = len(sample)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				pos := int(next.Add(1)) - 1
-				if pos >= len(sample) {
-					return
-				}
-				i := sample[pos]
-				if nbrs := ix.SearchFiltered(emb[i], 1, func(j int) bool { return j != i }); len(nbrs) == 1 {
-					dists[pos] = nbrs[0].Dist
-				} else {
-					dists[pos] = looNearest(emb, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(sample), runtime.GOMAXPROCS(0), func(pos int) error {
+		i := sample[pos]
+		if nbrs := ix.SearchFiltered(emb[i], 1, func(j int) bool { return j != i }); len(nbrs) == 1 {
+			dists[pos] = nbrs[0].Dist
+		} else {
+			dists[pos] = looNearest(emb, i)
+		}
+		return nil
+	})
 	return metrics.Percentile(dists, 90)
 }
 

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/par"
 )
 
 // This file is the fused dataset-statistics engine — the fast path under
@@ -31,7 +33,7 @@ import (
 //     16 bits (always, for this repository's bounded domains), and a
 //     16-bit fingerprint screen with value verification beyond that — so
 //     every count is exact. On multi-core hosts large builds fan columns
-//     and pair rows over GOMAXPROCS goroutines.
+//     and pair rows over par.For with GOMAXPROCS workers.
 //
 //   - Stats is a per-dataset view: lazily built per-table Summaries plus
 //     every FK edge's join correlation, derived from one distinct-value
@@ -414,7 +416,7 @@ func (o SummaryOpts) kmvSize() int {
 
 // NewSummary computes one table's fused statistics block. Large exact
 // builds on multi-core hosts fan their per-column kernels and pair-sweep
-// rows over GOMAXPROCS goroutines; the result is identical to the serial
+// rows over par.For with GOMAXPROCS workers; the result is identical to the serial
 // build (columns and pairs are independent).
 func NewSummary(t *Table, opts SummaryOpts) *Summary {
 	if opts.SampleRows > 0 && t.Rows() > opts.SampleRows {
@@ -424,7 +426,7 @@ func NewSummary(t *Table, opts SummaryOpts) *Summary {
 	}
 	// One parallel build at a time: when a worker pool (ExtractBatch,
 	// corpus labeling) is already running summary builds concurrently,
-	// nesting per-column goroutines under every worker would oversubscribe
+	// nesting a per-column fan-out under every worker would oversubscribe
 	// the CPUs — the CAS lets exactly one build fan out and sends the
 	// rest down the serial path.
 	if runtime.GOMAXPROCS(0) > 1 && t.NumCols() > 1 && t.Rows() >= 32<<10 &&
@@ -440,39 +442,31 @@ func NewSummary(t *Table, opts SummaryOpts) *Summary {
 // parallelBuild is true while some exactSummaryParallel is in flight.
 var parallelBuild atomic.Bool
 
-// exactSummaryParallel is exactSummary with one goroutine per column
+// exactSummaryParallel is exactSummary with the per-column kernels
 // (each borrowing its own pooled scratch, writing disjoint code planes)
-// and the pair triangle split by row.
+// and then the rows of the pair triangle fanned over par.For.
 func exactSummaryParallel(t *Table) *Summary {
 	n := t.Rows()
 	ncols := t.NumCols()
+	workers := runtime.GOMAXPROCS(0)
 	s := &Summary{Rows: n, ncols: ncols, Cols: make([]ColStats, ncols), eq: make([]float64, ncols*ncols)}
 	codes := make([]byte, 2*ncols*n)
-	var wg sync.WaitGroup
-	for ci := range t.Cols {
-		wg.Add(1)
-		go func(ci int) {
-			defer wg.Done()
-			sc := scratchPool.Get().(*summaryScratch)
-			defer scratchPool.Put(sc)
-			s.Cols[ci] = sc.colStatsKernel(t.Cols[ci].Data, codes[2*ci*n:(2*ci+2)*n])
-		}(ci)
-	}
-	wg.Wait()
+	par.For(ncols, workers, func(ci int) error {
+		sc := scratchPool.Get().(*summaryScratch)
+		s.Cols[ci] = sc.colStatsKernel(t.Cols[ci].Data, codes[2*ci*n:(2*ci+2)*n])
+		scratchPool.Put(sc)
+		return nil
+	})
 	counts := make([]int, ncols*ncols)
-	for a := 0; a < ncols-1; a++ {
-		wg.Add(1)
-		go func(a int) {
-			defer wg.Done()
-			for b := a + 1; b < ncols; b++ {
-				counts[a*ncols+b] = equalCount(
-					t.Cols[a].Data, t.Cols[b].Data,
-					codes[2*a*n:(2*a+2)*n], codes[2*b*n:(2*b+2)*n],
-					&s.Cols[a], &s.Cols[b])
-			}
-		}(a)
-	}
-	wg.Wait()
+	par.For(ncols-1, workers, func(a int) error {
+		for b := a + 1; b < ncols; b++ {
+			counts[a*ncols+b] = equalCount(
+				t.Cols[a].Data, t.Cols[b].Data,
+				codes[2*a*n:(2*a+2)*n], codes[2*b*n:(2*b+2)*n],
+				&s.Cols[a], &s.Cols[b])
+		}
+		return nil
+	})
 	fillEqualFrac(s, counts, n)
 	return s
 }

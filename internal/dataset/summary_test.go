@@ -3,6 +3,7 @@ package dataset
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -516,5 +517,62 @@ func TestSummaryInt64ExtremeValues(t *testing.T) {
 	}
 	if got, wantEq := sum.EqualFrac(0, 1), EqualFraction(tb.Col(0), tb.Col(1)); got != wantEq {
 		t.Fatalf("extreme pair: fused %g != naive %g", got, wantEq)
+	}
+}
+
+// TestExactSummaryParallelMatchesSerial pins the parallel build bit for
+// bit against the serial sweep — every ColStats field and every
+// equal-fraction — on a table large enough for NewSummary to take the
+// parallel path, with one column per kernel regime.
+func TestExactSummaryParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const rows = 40 << 10
+	rng := rand.New(rand.NewSource(11))
+	gens := []func(r int) int64{
+		func(int) int64 { return 7 },                          // constant
+		func(r int) int64 { return int64(r + 1) },             // sorted key
+		func(int) int64 { return int64(1 + rng.Intn(16)) },    // narrow
+		func(int) int64 { return int64(rng.Intn(50) - 1000) }, // narrow, negative
+		func(int) int64 { return rng.Int63n(1 << 40) },        // wide
+		func(int) int64 { return int64(rng.Intn(3000)) },      // moderate
+		func(int) int64 { return int64(rng.Intn(3000)) },      // moderate, pairs with the above
+	}
+	cols := make([]*Column, len(gens))
+	for c, gen := range gens {
+		data := make([]int64, rows)
+		for r := range data {
+			data[r] = gen(r)
+		}
+		cols[c] = NewColumn(string(rune('a'+c)), data)
+	}
+	tb := NewTable("big", cols...)
+
+	want := exactSummary(tb, new(summaryScratch))
+	got := exactSummaryParallel(tb)
+	if got.Rows != want.Rows || len(got.Cols) != len(want.Cols) || len(got.eq) != len(want.eq) {
+		t.Fatalf("shape: parallel %d rows/%d cols/%d eq, serial %d/%d/%d",
+			got.Rows, len(got.Cols), len(got.eq), want.Rows, len(want.Cols), len(want.eq))
+	}
+	for c := range want.Cols {
+		g, w := got.Cols[c], want.Cols[c]
+		if g.Count != w.Count || g.Min != w.Min || g.Max != w.Max || g.DomainSize != w.DomainSize {
+			t.Fatalf("col %d: parallel %+v, serial %+v", c, g, w)
+		}
+		for _, f := range [][2]float64{
+			{g.Mean, w.Mean}, {g.Std, w.Std}, {g.MeanDev, w.MeanDev},
+			{g.Skewness, w.Skewness}, {g.Kurtosis, w.Kurtosis}, {g.Range, w.Range},
+		} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("col %d: parallel %+v, serial %+v", c, g, w)
+			}
+		}
+	}
+	for i := range want.eq {
+		if math.Float64bits(got.eq[i]) != math.Float64bits(want.eq[i]) {
+			t.Fatalf("EqualFrac(%d, %d): parallel %g, serial %g", i/tb.NumCols(), i%tb.NumCols(), got.eq[i], want.eq[i])
+		}
+	}
+	if got.EqualFrac(5, 6) == 0 {
+		t.Fatal("fixture has no equal pairs; the pair sweep went untested")
 	}
 }

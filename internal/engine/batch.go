@@ -2,54 +2,28 @@ package engine
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // CardinalityBatch labels every query in qs with its exact cardinality
 // over d and returns the counts in query order. All workers share the
 // dataset's cached Index (each join-key column is hashed once, not once
-// per query) and each owns a pooled Evaluator, so the whole batch runs
-// without per-query allocation. Queries are distributed over
-// runtime.NumCPU() workers; this is the Stage-1 labeling fast path the
-// testbed and the corpus builder run on.
+// per query) and draw pooled Evaluators from it, so the whole batch runs
+// without per-query allocation. Queries fan out over par.For; this is the
+// Stage-1 labeling fast path the testbed and the corpus builder run on.
 func CardinalityBatch(d *dataset.Dataset, qs []*Query) []int64 {
 	out := make([]int64, len(qs))
 	if len(qs) == 0 {
 		return out
 	}
 	ix := IndexFor(d)
-	workers := runtime.NumCPU()
-	if workers > len(qs) {
-		workers = len(qs)
-	}
-	if workers <= 1 {
+	par.For(len(qs), runtime.GOMAXPROCS(0), func(i int) error {
 		e := ix.acquire()
-		for i, q := range qs {
-			out[i] = e.Cardinality(q)
-		}
+		out[i] = e.Cardinality(qs[i])
 		ix.release(e)
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			e := ix.acquire()
-			defer ix.release(e)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(qs) {
-					return
-				}
-				out[i] = e.Cardinality(qs[i])
-			}
-		}()
-	}
-	wg.Wait()
+		return nil
+	})
 	return out
 }

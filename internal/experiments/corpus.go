@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/advisor"
 	"repro/internal/core"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/feature"
 	"repro/internal/metrics"
+	"repro/internal/par"
 	"repro/internal/testbed"
 )
 
@@ -47,7 +47,7 @@ func DefaultScale() Scale {
 		SampleRows:    1000,
 		Fast:          false,
 		AdvisorEpochs: 30,
-		Workers:       runtime.NumCPU(),
+		Workers:       runtime.GOMAXPROCS(0),
 		Seed:          1,
 	}
 }
@@ -61,7 +61,7 @@ func QuickScale() Scale {
 		SampleRows:    400,
 		Fast:          true,
 		AdvisorEpochs: 10,
-		Workers:       runtime.NumCPU(),
+		Workers:       runtime.GOMAXPROCS(0),
 		Seed:          1,
 	}
 }
@@ -117,34 +117,6 @@ type Corpus struct {
 	Scale       Scale
 }
 
-// forEach runs fn(i) for i in [0, n) over a pool of workers goroutines
-// and returns the per-index errors.
-func forEach(n, workers int, fn func(i int) error) []error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, maxInt(1, workers))
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			errs[i] = fn(i)
-		}(i)
-	}
-	wg.Wait()
-	return errs
-}
-
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // LabelDatasets labels a slice of datasets and pairs them with feature
 // graphs. It is the parallel Stage-1 corpus driver: labeling runs in three
 // phases — workload generation + oracle labeling per dataset, then every
@@ -172,7 +144,7 @@ func LabelDatasets(ds []*dataset.Dataset, sc Scale, featCfg feature.Config, seed
 
 	// Phase 1: workload + oracle truths + join sample + untrained models.
 	preps := make([]*testbed.Prepared, len(ds))
-	errs := forEach(len(ds), workers, func(i int) error {
+	err = par.For(len(ds), workers, func(i int) error {
 		// Preparation runs thousands of oracle queries against ds[i]
 		// through its cached join index; drop the cache as soon as the
 		// truths are acquired (training and measurement never consult the
@@ -186,7 +158,7 @@ func LabelDatasets(ds []*dataset.Dataset, sc Scale, featCfg feature.Config, seed
 		preps[i] = p
 		return nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -279,7 +251,7 @@ func (c *Corpus) TrainAutoCE() (*core.Advisor, error) {
 // (one full sampled run per dataset).
 func (c *Corpus) SamplingLabels(test []*LabeledDataset) ([]*testbed.Label, error) {
 	out := make([]*testbed.Label, len(test))
-	errs := forEach(len(test), c.Scale.Workers, func(i int) error {
+	err := par.For(len(test), c.Scale.Workers, func(i int) error {
 		sampled := advisor.SampleDataset(test[i].D, 0.25, c.Scale.Seed+int64(i))
 		cfg := c.Scale.TestbedConfig(c.Scale.Seed + 31 + int64(i)*13)
 		cfg.NumQueries = maxInt(30, c.Scale.Queries/3)
@@ -294,7 +266,7 @@ func (c *Corpus) SamplingLabels(test []*LabeledDataset) ([]*testbed.Label, error
 		out[i] = label
 		return nil
 	})
-	if err := firstError(errs); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -16,7 +16,7 @@
 // per-feature passes, per-dataset distinct-set reuse for the edge
 // weights, and a shared exact-mode cache (dataset.StatsFor) so repeated
 // extraction of the same dataset is nearly free. ExtractBatch fans the
-// per-table summary builds of many datasets over a worker pool, and
+// per-table summary builds of many datasets over par.For, and
 // Config.SampleRows gates the sampled mode (reservoir row sample + KMV
 // distinct sketches) that bounds extraction cost on user-scale tables.
 package feature
@@ -25,9 +25,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
 
 	"repro/internal/dataset"
+	"repro/internal/par"
 )
 
 // K is the number of per-column distribution features.
@@ -170,9 +170,9 @@ func vertexFeatures(t *dataset.Table, sum *dataset.Summary, m int) []float64 {
 
 // ExtractBatch extracts the feature graphs of many datasets with every
 // per-table summary build (and per-dataset FK-correlation pass) fanned
-// over a pool of workers goroutines (NumCPU when workers <= 0). The
-// result is byte-identical to calling Extract per dataset, in order. In
-// exact mode the shared dataset.StatsFor cache is populated as a side
+// over par.For with the given worker count (GOMAXPROCS when workers <= 0).
+// The result is byte-identical to calling Extract per dataset, in order.
+// In exact mode the shared dataset.StatsFor cache is populated as a side
 // effect — transient-corpus callers should dataset.InvalidateStats each
 // dataset once its graph is in hand.
 func ExtractBatch(ds []*dataset.Dataset, cfg Config, workers int) ([]*Graph, error) {
@@ -180,34 +180,26 @@ func ExtractBatch(ds []*dataset.Dataset, cfg Config, workers int) ([]*Graph, err
 		return nil, fmt.Errorf("feature: MaxCols must be positive")
 	}
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	sts := make([]*dataset.Stats, len(ds))
 	type job struct{ di, ti int } // ti == -1: FK correlations
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if j.ti < 0 {
-					sts[j.di].FKCorrelations()
-				} else {
-					sts[j.di].Summary(j.ti)
-				}
-			}
-		}()
-	}
+	var jobs []job
 	for di, d := range ds {
 		sts[di] = statsOf(d, cfg)
 		for ti := range d.Tables {
-			jobs <- job{di, ti}
+			jobs = append(jobs, job{di, ti})
 		}
-		jobs <- job{di, -1}
+		jobs = append(jobs, job{di, -1})
 	}
-	close(jobs)
-	wg.Wait()
+	par.For(len(jobs), workers, func(i int) error {
+		if j := jobs[i]; j.ti < 0 {
+			sts[j.di].FKCorrelations()
+		} else {
+			sts[j.di].Summary(j.ti)
+		}
+		return nil
+	})
 
 	out := make([]*Graph, len(ds))
 	for di, d := range ds {

@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"fmt"
-	"runtime/debug"
 	"sync"
 )
 
@@ -119,7 +118,7 @@ func (c *Coalescer[T, R]) execute(key string, b *coalesceBatch[T, R]) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				b.err = &PanicError{Name: "coalesce:" + key, Value: r, Stack: debug.Stack()}
+				b.err = NewPanicError("coalesce:"+key, r)
 			}
 		}()
 		b.out, b.err = b.run(b.items)

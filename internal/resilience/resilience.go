@@ -54,6 +54,18 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("resilience: panic in %s: %v", e.Name, e.Value)
 }
 
+// NewPanicError converts a value recovered at the fence name into a
+// *PanicError; call it from the deferred function that recovered v, so
+// the captured stack still shows the panicking frames. A value that is
+// already a *PanicError — a worker panic re-raised on its caller by
+// par.For — keeps its original value and stack under the new name.
+func NewPanicError(name string, v any) *PanicError {
+	if pe, ok := v.(*PanicError); ok {
+		return &PanicError{Name: name, Value: pe.Value, Stack: pe.Stack}
+	}
+	return &PanicError{Name: name, Value: v, Stack: debug.Stack()}
+}
+
 // Guard runs fn behind a panic fence: a panic inside fn is recovered and
 // returned as a *PanicError (detectable with errors.As) instead of
 // unwinding into the caller. Use it to isolate calls into code that may
@@ -62,7 +74,7 @@ func (e *PanicError) Error() string {
 func Guard(name string, fn func() error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = &PanicError{Name: name, Value: r, Stack: debug.Stack()}
+			err = NewPanicError(name, r)
 		}
 	}()
 	return fn()

@@ -1,13 +1,18 @@
 package testbed
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/par"
+)
 
 // TrainAll fans the (dataset, model) training jobs of the prepared runs
-// over a pool of workers goroutines and returns the first error. Jobs are
-// independent (see Prepared.TrainModel) and each model seeds its own RNG
-// from the run configuration, so the trained models — and therefore the
-// labels Finish produces — are identical to the serial path regardless of
-// scheduling order.
+// over par.For with the given worker count and returns the error of the
+// first failing job in job order. Jobs are independent (see
+// Prepared.TrainModel) and each model seeds its own RNG from the run
+// configuration, so the trained models — and therefore the labels Finish
+// produces — are identical to the serial path regardless of scheduling
+// order.
 //
 // onDone, when non-nil, is invoked (from a worker goroutine) with a run's
 // index as soon as that run's last training job completes; runs complete
@@ -16,34 +21,20 @@ import "sync"
 // the rest of the corpus is still training, keeping peak memory bounded
 // by the in-flight window instead of the whole corpus.
 func TrainAll(preps []*Prepared, workers int, onDone func(i int) error) error {
-	type job struct {
-		p  *Prepared
-		di int
-		mi int
-	}
+	type job struct{ di, mi int }
 	var jobs []job
 	remaining := make([]int, len(preps))
 	for di, p := range preps {
 		remaining[di] = p.NumModels()
 		for mi := 0; mi < p.NumModels(); mi++ {
-			jobs = append(jobs, job{p, di, mi})
+			jobs = append(jobs, job{di, mi})
 		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	var (
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		next int
-		err  error
-	)
-	runJob := func(j job) error {
-		if e := j.p.TrainModel(j.mi); e != nil {
-			return e
+	var mu sync.Mutex
+	return par.For(len(jobs), workers, func(i int) error {
+		j := jobs[i]
+		if err := preps[j.di].TrainModel(j.mi); err != nil {
+			return err
 		}
 		mu.Lock()
 		remaining[j.di]--
@@ -53,39 +44,5 @@ func TrainAll(preps []*Prepared, workers int, onDone func(i int) error) error {
 			return onDone(j.di)
 		}
 		return nil
-	}
-	if workers <= 1 {
-		for _, j := range jobs {
-			if e := runJob(j); e != nil {
-				return e
-			}
-		}
-		return nil
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				if err != nil || next >= len(jobs) {
-					mu.Unlock()
-					return
-				}
-				j := jobs[next]
-				next++
-				mu.Unlock()
-				if e := runJob(j); e != nil {
-					mu.Lock()
-					if err == nil {
-						err = e
-					}
-					mu.Unlock()
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	return err
+	})
 }
