@@ -5,14 +5,17 @@ package main
 // and validation) and the /estimate payload (drives query validation
 // against an onboarded schema). Neither may panic on any input, and
 // anything they accept must satisfy the invariants the handlers rely on.
-// Corpus seeds live in testdata/fuzz; CI fuzzes each briefly.
+// FuzzTenantRecord covers the persisted tenant-manifest record the same
+// way. Corpus seeds live in testdata/fuzz; CI fuzzes each briefly.
 
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/envelope"
 )
 
 // FuzzDatasetPayload: arbitrary JSON through the strict decoder and
@@ -117,6 +120,41 @@ func FuzzEstimatePayload(f *testing.F) {
 					t.Fatalf("toQuery accepted out-of-range predicate %+v: %s", pr, raw)
 				}
 			}
+		}
+	})
+}
+
+// FuzzTenantRecord: the manifest record decoder never panics; it either
+// rejects its input as corrupt or returns a name and payload that encode
+// back to exactly the input bytes.
+func FuzzTenantRecord(f *testing.F) {
+	for _, rec := range []struct{ name, payload string }{
+		{"db1", `{"name":"db1","tables":[{"cols":[{"data":[1,2,3]}]}]}`},
+		{"", ""},
+		{"beta/γ", "{}"},
+	} {
+		var buf bytes.Buffer
+		if err := encodeTenantRecord(&buf, rec.name, []byte(rec.payload)); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+		f.Add(buf.Bytes()[:buf.Len()-1])
+	}
+	f.Add([]byte("CETENv2\n"))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		name, payload, err := decodeTenantRecord(raw)
+		if err != nil {
+			if !errors.Is(err, envelope.ErrCorrupt) {
+				t.Fatalf("rejection %v does not match ErrCorrupt", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := encodeTenantRecord(&buf, name, payload); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("record (%q, %q) re-encodes as\n%x\nnot\n%x", name, payload, buf.Bytes(), raw)
 		}
 	})
 }

@@ -100,10 +100,11 @@
 // backoff; writes are forwarded exactly once and never replayed. A
 // forward that exhausts every option answers a JSON 502.
 //
-// Each shard also records every dataset payload it accepts in a
-// CRC-enveloped tenant manifest (-manifest, defaulting into -model-dir)
-// written tempfile+rename like the model artifacts; on restart the shard
-// replays it through onboarding and resumes serving from stored
+// Each shard also records every dataset payload it accepts in a tenant
+// manifest (-manifest, defaulting into -model-dir): a directory with one
+// CRC-enveloped, fsynced record per tenant (manifest.go), so onboarding
+// rewrites one tenant's record, not the fleet's. On restart the shard
+// replays the records through onboarding and resumes serving from stored
 // artifacts with zero client action.
 //
 // # Resilience
@@ -128,11 +129,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
@@ -176,7 +179,7 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", 0, "peer /healthz probe interval (0 = default 2s)")
 	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = default 1s)")
 	noHedge := flag.Bool("no-hedge", false, "disable the hedged second /estimate forward (fired at the observed forward-latency p90)")
-	manifestPath := flag.String("manifest", "", "crash-safe tenant manifest for restart recovery (default: <model-dir>/shard-<i>.manifest, or tenants.manifest unsharded; \"none\" disables)")
+	manifestPath := flag.String("manifest", "", "tenant manifest for restart recovery: a directory of per-tenant records, fsynced on write (default: <model-dir>/shard-<i>.manifest, or tenants.manifest unsharded; a v1 manifest file there is migrated; \"none\" disables)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (useful with -addr :0)")
 	flag.Parse()
 	if *advisorPath == "" {
@@ -311,7 +314,7 @@ type server struct {
 	coalesce *resilience.Coalescer[*workload.Query, float64]
 	shard    *sharder
 	// peers is the fleet proxy — breakers, prober, retry/hedge — when
-	// shard peers are configured (proxy.go); manifest is the crash-safe
+	// shard peers are configured (proxy.go); manifest is the durable
 	// record of onboarded datasets replayed on restart (manifest.go).
 	// Either may be nil.
 	peers    *peerSet
@@ -366,7 +369,9 @@ func newServerOpts(adv *core.Advisor, store *ce.Store, opts serveOptions) *serve
 	mux.HandleFunc("/recommend", s.cheap(s.opts.QuickDeadline, s.handleRecommend))
 	mux.HandleFunc("/drift", s.cheap(s.opts.QuickDeadline, s.handleDrift))
 	mux.HandleFunc("/adapt", s.heavy(s.opts.OnboardDeadline, s.handleAdapt))
-	mux.HandleFunc("/datasets", s.heavy(s.opts.OnboardDeadline, s.handleDatasets))
+	// /datasets admits itself: it leaves the heavy class before its
+	// replica fan-out.
+	mux.HandleFunc("/datasets", withDeadline(s.opts.OnboardDeadline, s.handleDatasets))
 	mux.HandleFunc("/train", withDeadline(s.opts.TrainDeadline, s.handleTrain))
 	// /estimate admits itself: the weight is the decoded batch size.
 	mux.HandleFunc("/estimate", withDeadline(s.opts.EstimateDeadline, s.handleEstimate))
@@ -629,20 +634,53 @@ func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeOK(w, decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst))
+}
+
+// decodePostBody is decodePost that first reads the body, once and under
+// the same cap, and returns it for handlers that persist or forward it.
+func decodePostBody(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "use POST")
+		return nil, false
+	}
+	// Size the buffer from the declared length when there is one, so a
+	// large onboarding body is not regrown and copied on its way in.
+	var buf bytes.Buffer
+	if r.ContentLength > 0 && r.ContentLength <= maxBodyBytes {
+		buf.Grow(int(r.ContentLength) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = decodeStrict(bytes.NewReader(buf.Bytes()), dst)
+	}
+	return buf.Bytes(), decodeOK(w, err)
+}
+
+// decodeStrict decodes the first JSON value from r into dst, rejecting
+// unknown fields; anything after that value is ignored. Live requests
+// and manifest replay both decode through it, so a recorded body
+// replays exactly as it was accepted.
+func decodeStrict(r io.Reader, dst any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", int64(maxBodyBytes)))
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "malformed JSON payload: "+err.Error())
+	return dec.Decode(dst)
+}
+
+// decodeOK answers a failed body read or decode — 413 past the size cap,
+// 400 otherwise — and reports whether err was nil.
+func decodeOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", int64(maxBodyBytes)))
 		return false
 	}
-	return true
+	writeError(w, http.StatusBadRequest, "malformed JSON payload: "+err.Error())
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

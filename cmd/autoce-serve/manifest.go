@@ -2,139 +2,287 @@ package main
 
 // The tenant manifest: restart recovery for onboarded datasets. Each
 // shard records every dataset payload it accepts (its own primaries and
-// the replication fan-ins it backs) in one small CRC-enveloped file next
-// to the model artifacts. A restarted shard replays the manifest through
-// the normal onboarding path before serving, re-registering each
-// tenant's stored artifacts as cold-loadable stubs — so a crashed shard
-// rejoins the fleet serving estimates with zero client action.
+// the replication fan-ins it backs) next to the model artifacts. A
+// restarted shard replays the records through the normal onboarding path
+// before serving, re-registering each tenant's stored artifacts as
+// cold-loadable stubs — so a crashed shard rejoins the fleet serving
+// estimates with zero client action.
 //
-// The file is one internal/envelope frame (magic, little-endian payload
-// size, CRC-32C, payload), like ce.Store's artifacts, with the same
-// crash-safety discipline: written to a tempfile in the same directory
-// and renamed over the old manifest, so a crash mid-write leaves the
-// previous generation intact.
-// A corrupt manifest is quarantined to .corrupt and the shard starts
-// empty — degraded (tenants must re-onboard) but never wrong.
+// The manifest is a directory holding one record per tenant, in a file
+// named url.PathEscape(dataset name) — ce.Store's escaping, so no name can
+// traverse. A record is one internal/envelope frame under magic CETENv2
+// whose payload is the dataset name (le32 length, then the bytes)
+// followed by the /datasets request body exactly as the client sent it;
+// replay decodes that body with the live path's strict decoder.
+// Onboarding writes only its own tenant's record: tempfile, fsync, rename
+// over the old record, fsync of the directory. A re-onboarding therefore
+// costs one tenant's payload, not the fleet's.
+//
+// Durability: a record that put reported as written survives power
+// loss. ce.Store artifacts are written tempfile+rename without fsync, so
+// they are process-crash-safe only; a torn artifact fails its envelope
+// check and Store.Info skips it at onboarding, so the tenant recovers
+// without that model rather than with a wrong one.
+//
+// The manifest keeps no payload in memory except records whose write
+// failed; the next successful put retries them. The directory is read
+// only by load, once at startup. A corrupt record is quarantined on its
+// own (renamed with the "#.corrupt" suffix) and every other tenant still
+// recovers. PathEscape always escapes '#', so temp files and quarantined
+// records, which both carry one, never collide with a tenant's record.
+//
+// The v1 manifest was a single file at the same path holding every
+// tenant's payload (gob-encoded, under magic CETENv1);
+// newTenantManifest migrates it to records once.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 
 	"repro/internal/envelope"
 	"repro/internal/resilience"
 )
 
-// manifestMagic begins every manifest file: format name plus version, so
-// a future layout change is detected by prefix, not by decode failure.
-var manifestMagic = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '1', '\n'}
+// The magics begin every manifest file: format name plus version, so a
+// layout change is detected by prefix, not by decode failure.
+var (
+	manifestV1Magic   = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '1', '\n'}
+	tenantRecordMagic = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '2', '\n'}
+)
+
+// recordTmpPattern and quarantineExt name the manifest directory's
+// non-record files; both contain '#', which no record name does.
+const (
+	recordTmpPattern = "#tmp-*"
+	quarantineExt    = "#.corrupt"
+)
 
 // tenantManifest is the on-disk record of onboarded dataset payloads,
-// keyed by dataset name. Values are the canonical JSON of the
-// datasetRequest, replayable through the onboarding path verbatim.
+// one file per dataset name.
 type tenantManifest struct {
-	path string
+	dir string
 
-	mu      sync.Mutex
-	entries map[string][]byte
+	mu sync.Mutex
+	// pending holds the payloads whose last write failed, by name.
+	pending map[string][]byte
 }
 
-// newTenantManifest opens (or initializes) the manifest at path, loading
-// any existing entries. A corrupt file is quarantined to path+".corrupt"
-// and an empty manifest takes over; the error reports the quarantine but
-// the manifest is usable either way.
+// newTenantManifest opens (or initializes) the manifest directory at
+// path, first migrating a v1 manifest file found there. A corrupt v1 file
+// is quarantined to path+".corrupt" and the manifest starts empty; the
+// error reports that, but the manifest is usable either way.
 func newTenantManifest(path string) (*tenantManifest, error) {
-	m := &tenantManifest{path: path, entries: map[string][]byte{}}
-	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return m, nil
+	m := &tenantManifest{dir: path, pending: map[string][]byte{}}
+	err := migrateManifestV1(path)
+	if mkErr := os.MkdirAll(path, 0o755); mkErr != nil {
+		err = errors.Join(err, fmt.Errorf("creating tenant manifest %s: %w", path, mkErr))
 	}
+	return m, err
+}
+
+// put records (or replaces) one dataset's onboarding payload. On failure
+// the payload is kept as pending — the running process serves the tenant
+// either way; only restart durability degrades — and the next successful
+// put writes it too.
+func (m *tenantManifest) put(name string, payload []byte) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if err := m.save(name, payload); err != nil {
+		m.pending[name] = payload
+		return err
+	}
+	delete(m.pending, name)
+	for n, p := range m.pending {
+		if m.save(n, p) == nil {
+			delete(m.pending, n)
+		}
+	}
+	return nil
+}
+
+// save writes one record. Failpoint "serve.manifest.save" injects write
+// faults here (the chaos harness verifies a failed manifest write
+// degrades durability, not serving).
+func (m *tenantManifest) save(name string, payload []byte) error {
+	if err := resilience.Failpoint("serve.manifest.save"); err != nil {
+		return err
+	}
+	return writeTenantRecord(m.dir, name, payload)
+}
+
+// load calls fn with every record in the manifest, in file-name order. A
+// record that fails its integrity check, or whose name does not match
+// its file name, is quarantined on its own and reported in the returned
+// error; the other records still load.
+func (m *tenantManifest) load(fn func(name string, payload []byte)) error {
+	files, err := os.ReadDir(m.dir)
 	if err != nil {
-		return m, fmt.Errorf("reading tenant manifest %s: %w", path, err)
+		return fmt.Errorf("reading tenant manifest %s: %w", m.dir, err)
+	}
+	var errs []error
+	for _, f := range files {
+		file := f.Name()
+		if !f.Type().IsRegular() || strings.Contains(file, "#") {
+			continue
+		}
+		path := filepath.Join(m.dir, file)
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		name, payload, err := decodeTenantRecord(raw)
+		if err == nil && url.PathEscape(name) != file {
+			err = fmt.Errorf("%w: record for %q stored as %q", envelope.ErrCorrupt, name, file)
+		}
+		if err != nil {
+			quarantine := path + quarantineExt
+			if rerr := os.Rename(path, quarantine); rerr == nil {
+				err = fmt.Errorf("tenant record %s is corrupt (%v); quarantined to %s", path, err, quarantine)
+			} else {
+				err = fmt.Errorf("tenant record %s is corrupt (%v); skipped", path, err)
+			}
+			errs = append(errs, err)
+			continue
+		}
+		fn(name, payload)
+	}
+	return errors.Join(errs...)
+}
+
+// writeTenantRecord atomically replaces name's record in dir: tempfile,
+// fsync, rename, then fsync of dir so the rename itself is durable.
+func writeTenantRecord(dir, name string, payload []byte) error {
+	tmp, err := os.CreateTemp(dir, recordTmpPattern)
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name()) // no-op once renamed
+	err = encodeTenantRecord(tmp, name, payload)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, url.PathEscape(name)))
+	}
+	if err == nil {
+		err = syncDir(dir)
+	}
+	return err
+}
+
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// encodeTenantRecord writes one record frame. The payload is framed in
+// place, not copied behind the name.
+func encodeTenantRecord(w io.Writer, name string, payload []byte) error {
+	head := binary.LittleEndian.AppendUint32(make([]byte, 0, 4+len(name)), uint32(len(name)))
+	head = append(head, name...)
+	return envelope.Write(w, tenantRecordMagic, head, payload)
+}
+
+// decodeTenantRecord verifies one record — the whole file, with no bytes
+// after the frame — and splits it into name and payload. Every failure
+// matches envelope.ErrCorrupt.
+func decodeTenantRecord(raw []byte) (name string, payload []byte, err error) {
+	r := bytes.NewReader(raw)
+	body, err := envelope.Read(r, tenantRecordMagic, uint64(len(raw)))
+	if err != nil {
+		return "", nil, err
+	}
+	if r.Len() != 0 {
+		return "", nil, fmt.Errorf("%w: %d trailing bytes", envelope.ErrCorrupt, r.Len())
+	}
+	if len(body) < 4 {
+		return "", nil, fmt.Errorf("%w: record of %d bytes has no name header", envelope.ErrCorrupt, len(body))
+	}
+	n := binary.LittleEndian.Uint32(body)
+	if uint64(n) > uint64(len(body)-4) {
+		return "", nil, fmt.Errorf("%w: name length %d exceeds the %d-byte record", envelope.ErrCorrupt, n, len(body)-4)
+	}
+	return string(body[4 : 4+n]), body[4+n:], nil
+}
+
+// migrateManifestV1 converts a v1 manifest file at path into a directory
+// of records at the same path. Records are written to path+".migrating"
+// first, and that directory is renamed into place only after the v1 file
+// is removed: a crash before the removal reruns the migration from the
+// v1 file; a crash after it finds only the complete migrated directory,
+// which is then renamed into place.
+func migrateManifestV1(path string) error {
+	migrating := path + ".migrating"
+	fi, err := os.Stat(path)
+	switch {
+	case os.IsNotExist(err):
+		if _, err := os.Stat(migrating); err == nil {
+			return os.Rename(migrating, path)
+		}
+		return nil
+	case err != nil:
+		return fmt.Errorf("reading tenant manifest %s: %w", path, err)
+	case fi.IsDir():
+		return nil
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("reading tenant manifest %s: %w", path, err)
 	}
 	entries, err := decodeManifest(raw)
 	if err != nil {
 		quarantine := path + ".corrupt"
 		if rerr := os.Rename(path, quarantine); rerr == nil {
-			return m, fmt.Errorf("tenant manifest %s is corrupt (%v); quarantined to %s, starting empty", path, err, quarantine)
+			return fmt.Errorf("tenant manifest %s is corrupt (%v); quarantined to %s, starting empty", path, err, quarantine)
 		}
-		return m, fmt.Errorf("tenant manifest %s is corrupt (%v); starting empty", path, err)
+		return fmt.Errorf("tenant manifest %s is corrupt (%v); starting empty", path, err)
 	}
-	m.entries = entries
-	return m, nil
+	if err := os.RemoveAll(migrating); err != nil {
+		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
+	}
+	if err := os.Mkdir(migrating, 0o755); err != nil {
+		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
+	}
+	for name, payload := range entries {
+		if err := writeTenantRecord(migrating, name, payload); err != nil {
+			return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
+		}
+	}
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
+	}
+	if err := os.Rename(migrating, path); err != nil {
+		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
+	}
+	return syncDir(filepath.Dir(path))
 }
 
-// snapshot returns a copy of the current entries for replay.
-func (m *tenantManifest) snapshot() map[string][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string][]byte, len(m.entries))
-	for k, v := range m.entries {
-		out[k] = v
-	}
-	return out
-}
-
-// put records (or replaces) one dataset's onboarding payload and persists
-// the manifest. On failure the in-memory entry is kept — the running
-// process serves the tenant either way; only restart durability degrades,
-// and the next successful put rewrites everything.
-func (m *tenantManifest) put(name string, payload []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries[name] = payload
-	return m.saveLocked()
-}
-
-// saveLocked writes the envelope via tempfile+rename. Failpoint
-// "serve.manifest.save" injects write faults here (the chaos harness
-// verifies a failed manifest write degrades durability, not serving).
-func (m *tenantManifest) saveLocked() error {
-	if err := resilience.Failpoint("serve.manifest.save"); err != nil {
-		return err
-	}
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(m.entries); err != nil {
-		return fmt.Errorf("encoding tenant manifest: %w", err)
-	}
-	var buf bytes.Buffer
-	if err := envelope.Write(&buf, manifestMagic, payload.Bytes()); err != nil {
-		return err
-	}
-
-	dir := filepath.Dir(m.path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, "tmp-manifest-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), m.path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// decodeManifest verifies the envelope — the whole file, with no bytes
-// after the frame — and decodes the entry map. The payload cannot be
+// decodeManifest verifies a v1 manifest — the whole file, with no bytes
+// after the frame — and decodes its entry map. The payload cannot be
 // larger than the file, so the file's length caps the declared size.
 func decodeManifest(raw []byte) (map[string][]byte, error) {
 	r := bytes.NewReader(raw)
-	payload, err := envelope.Read(r, manifestMagic, uint64(len(raw)))
+	payload, err := envelope.Read(r, manifestV1Magic, uint64(len(raw)))
 	if err != nil {
 		return nil, err
 	}
@@ -144,9 +292,6 @@ func decodeManifest(raw []byte) (map[string][]byte, error) {
 	var entries map[string][]byte
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&entries); err != nil {
 		return nil, fmt.Errorf("decoding entries: %w", err)
-	}
-	if entries == nil {
-		entries = map[string][]byte{}
 	}
 	return entries, nil
 }

@@ -18,6 +18,7 @@ package main
 // that survive eviction.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -122,6 +123,20 @@ func (f *fleet) tenant(name string) *tenant {
 		return nil
 	}
 	return h.snap.Load()
+}
+
+// settle waits out a republish of name in progress. Mutators mark a
+// served model superseded under the handle lock before they store its
+// successor snapshot, so a snapshot loaded after settle returns is at
+// least that successor.
+func (f *fleet) settle(name string) {
+	f.mu.RLock()
+	h := f.m[name]
+	f.mu.RUnlock()
+	if h != nil {
+		h.mu.Lock() // empty critical section: a barrier, not a guard
+		h.mu.Unlock()
+	}
 }
 
 // getOrCreate returns name's handle, creating the empty slot on first
@@ -269,59 +284,75 @@ func hasPredicableColumn(d *dataset.Dataset) bool {
 // handleDatasets onboards (or replaces) a dataset: validate, extract the
 // feature graph, register any stored artifacts as cold-loadable models,
 // publish the new tenant snapshot, record it in the tenant manifest, and
-// (as primary) fan the payload out to the dataset's replica set.
+// (as primary) fan the request body out to the dataset's replica set.
 func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
-	var req datasetRequest
-	if !decodePost(w, r, &req) {
+	name, body, resp := s.onboardHeavy(w, r)
+	if resp == nil {
 		return
 	}
+	s.replicate(r, name, body)
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// onboardHeavy is handleDatasets up to the replica fan-out, run inside
+// the heavy admission class. The slot is released before the fan-out,
+// which only waits on peers: a primary holding its slot while its
+// replicas' slots are held by onboardings waiting on their own replicas
+// convoys the fleet into shedding its replication. It answers failures
+// itself and returns a nil response for them.
+func (s *server) onboardHeavy(w http.ResponseWriter, r *http.Request) (string, []byte, *datasetResponse) {
+	release, err := s.adm.AdmitHeavy()
+	if err != nil {
+		writeOverload(w, err)
+		return "", nil, nil
+	}
+	defer release()
+	var req datasetRequest
+	body, ok := decodePostBody(w, r, &req)
+	if !ok {
+		return "", nil, nil
+	}
 	if !s.shardWriteOK(w, r, req.Name) {
-		return
+		return "", nil, nil
 	}
 	// Failpoint "serve.onboard" injects an onboarding failure after decode
 	// and before any state changes (the soak harness exercises it; panic
 	// mode lands in the recovery middleware).
 	if err := resilience.Failpoint("serve.onboard"); err != nil {
 		writeError(w, http.StatusInternalServerError, "onboarding: "+err.Error())
-		return
+		return "", nil, nil
 	}
 	resp, status, err := s.onboard(&req)
 	if err != nil {
 		writeError(w, status, err.Error())
-		return
+		return "", nil, nil
 	}
-	s.recordAndReplicate(r, &req)
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// recordAndReplicate is the durability/fan-out tail of a successful
-// onboarding: persist the payload to the tenant manifest (best-effort —
-// a failed write degrades restart durability, not serving) and, when this
-// shard is the dataset's primary, replicate the payload to the rest of
-// its replica set so they can serve reads. Replication fan-ins (requests
-// already carrying X-Shard-Replicate) are recorded but never re-fanned.
-func (s *server) recordAndReplicate(r *http.Request, req *datasetRequest) {
-	payload, err := json.Marshal(req)
-	if err != nil {
-		log.Printf("onboarding %q: encoding manifest entry: %v", req.Name, err)
-		return
-	}
+	// Best-effort: a failed write degrades restart durability, not
+	// serving.
 	if s.manifest != nil {
-		if err := s.manifest.put(req.Name, payload); err != nil {
+		if err := s.manifest.put(req.Name, body); err != nil {
 			log.Printf("onboarding %q: manifest write failed (restart recovery degraded): %v", req.Name, err)
 		}
 	}
-	if s.peers == nil || s.shard == nil || r.Header.Get(headerReplicate) != "" || !s.shard.owns(req.Name) {
+	return req.Name, body, resp
+}
+
+// replicate is the fan-out tail of a successful onboarding: when this
+// shard is the dataset's primary, it sends the same request body to the
+// rest of the replica set so they can serve reads. Replication fan-ins
+// (requests already carrying X-Shard-Replicate) are never re-fanned.
+func (s *server) replicate(r *http.Request, name string, body []byte) {
+	if s.peers == nil || s.shard == nil || r.Header.Get(headerReplicate) != "" || !s.shard.owns(name) {
 		return
 	}
-	for _, peer := range s.shard.replicasOf(req.Name) {
+	for _, peer := range s.shard.replicasOf(name) {
 		if peer == s.shard.index {
 			continue
 		}
-		if err := s.peers.replicate(r.Context(), peer, req.Name, payload); err != nil {
+		if err := s.peers.replicate(r.Context(), peer, name, body); err != nil {
 			// Best-effort: the replica serves 404s for this tenant until a
 			// later onboarding reaches it; reads fail over to the primary.
-			log.Printf("onboarding %q: replicating to shard %d failed: %v", req.Name, peer, err)
+			log.Printf("onboarding %q: replicating to shard %d failed: %v", name, peer, err)
 		}
 	}
 }
@@ -451,28 +482,32 @@ func (s *server) onboard(req *datasetRequest) (*datasetResponse, int, error) {
 // its stored artifacts as cold-loadable stubs), so a restarted shard
 // resumes serving estimates with zero client action. Entries the shard no
 // longer backs (a topology change between runs) are skipped but kept in
-// the manifest. Failures are logged, not fatal: one bad entry must not
-// keep the rest of the fleet's tenants down.
+// the manifest. Records are read one at a time, so replay holds one
+// tenant's payload at once. Failures are logged, not fatal: one bad
+// record must not keep the rest of the fleet's tenants down.
 func (s *server) recoverTenants() {
-	entries := s.manifest.snapshot()
-	recovered := 0
-	for name, payload := range entries {
+	recorded, recovered := 0, 0
+	err := s.manifest.load(func(name string, payload []byte) {
+		recorded++
 		if s.shard != nil && !s.shard.backs(name) {
-			continue
+			return
 		}
 		var req datasetRequest
-		if err := json.Unmarshal(payload, &req); err != nil {
+		if err := decodeStrict(bytes.NewReader(payload), &req); err != nil {
 			log.Printf("manifest recovery: decoding %q: %v", name, err)
-			continue
+			return
 		}
 		if _, _, err := s.onboard(&req); err != nil {
 			log.Printf("manifest recovery: onboarding %q: %v", name, err)
-			continue
+			return
 		}
 		recovered++
+	})
+	if err != nil {
+		log.Printf("WARNING: manifest recovery: %v", err)
 	}
-	if len(entries) > 0 {
-		log.Printf("manifest recovery: re-onboarded %d of %d recorded tenants", recovered, len(entries))
+	if recorded > 0 {
+		log.Printf("manifest recovery: re-onboarded %d of %d recorded tenants", recovered, recorded)
 	}
 }
 
@@ -742,17 +777,33 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if !s.shardReadOK(w, req.Dataset) {
 		return
 	}
+	if s.estimateSnapshot(w, r, &req, true) {
+		// The resolved model was retrained or re-onboarded before its
+		// estimate ran: wait for that republish to land, then resolve the
+		// snapshot that replaced it and try once more, validating the
+		// queries against its dataset.
+		s.fleet.settle(req.Dataset)
+		s.estimateSnapshot(w, r, &req, false)
+	}
+}
+
+// estimateSnapshot resolves req's tenant snapshot and served model once,
+// validates the queries against that snapshot's dataset, estimates them
+// and answers. The one exception: when the model was superseded
+// mid-request and retry is set, it answers nothing and reports true, so
+// the caller can run it again against the current snapshot.
+func (s *server) estimateSnapshot(w http.ResponseWriter, r *http.Request, req *estimateRequest, retry bool) (superseded bool) {
 	tn := s.fleet.tenant(req.Dataset)
 	if tn == nil {
-		if s.readRepair(w, r, req.Dataset, &req) {
-			return
+		if s.readRepair(w, r, req.Dataset, req) {
+			return false
 		}
 		writeError(w, http.StatusNotFound, fmt.Sprintf("dataset %q is not onboarded", req.Dataset))
-		return
+		return false
 	}
 	if (req.Query == nil) == (len(req.Queries) == 0) {
 		writeError(w, http.StatusBadRequest, "provide exactly one of \"query\" or \"queries\"")
-		return
+		return false
 	}
 	name := req.Model
 	if name == "" {
@@ -760,7 +811,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if name == "" {
 		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q has no trained model (POST /train first)", req.Dataset))
-		return
+		return false
 	}
 	sm, ok := tn.models[name]
 	if !ok {
@@ -769,7 +820,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		// store and register a cold-loadable stub on the fly.
 		if sm = s.discoverStored(req.Dataset, name); sm == nil {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("no trained %q model for dataset %q", name, req.Dataset))
-			return
+			return false
 		}
 	}
 
@@ -779,18 +830,18 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	if len(payloads) > maxBatchQueries {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds %d queries", len(payloads), maxBatchQueries))
-		return
+		return false
 	}
 	qs := make([]*workload.Query, len(payloads))
 	for i, p := range payloads {
 		if p == nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d is null", i))
-			return
+			return false
 		}
 		q, err := p.toQuery(tn.d)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return
+			return false
 		}
 		qs[i] = q
 	}
@@ -825,7 +876,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		release, aerr := s.adm.AdmitCheap(r.Context(), int64(len(qs)))
 		if aerr != nil {
 			writeOverload(w, aerr)
-			return
+			return false
 		}
 		ests, err = sm.estimate(r.Context(), s.cache, qs)
 		release()
@@ -834,21 +885,24 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, errModelQuarantined):
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("model %q for dataset %q is quarantined after an inference panic; POST /train to restore it", name, req.Dataset))
-		return
+		return false
+	case errors.Is(err, errModelSuperseded) && retry:
+		return true
 	case errors.Is(err, errModelSuperseded):
 		w.Header().Set("Retry-After", "0")
 		writeError(w, http.StatusServiceUnavailable,
 			fmt.Sprintf("model %q for dataset %q was retrained mid-request; retry against the new model", name, req.Dataset))
-		return
+		return false
 	case err != nil:
 		writeDeadline(w, "estimate", err)
-		return
+		return false
 	}
 	resp := estimateResponse{Dataset: req.Dataset, Model: name, Estimates: ests}
 	if req.Query != nil {
 		resp.Estimate = ests[0]
 	}
 	writeJSON(w, http.StatusOK, resp)
+	return false
 }
 
 // discoverStored registers a cold-loadable stub for an artifact another

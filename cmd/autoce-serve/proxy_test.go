@@ -5,18 +5,31 @@ package main
 // exhausted, tenant-manifest round-trips, and restart recovery.
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ce"
+	"repro/internal/envelope"
 	"repro/internal/resilience"
 )
+
+// snapshot reads every record in the manifest directory, by name.
+func (m *tenantManifest) snapshot() map[string][]byte {
+	out := map[string][]byte{}
+	m.load(func(name string, payload []byte) { out[name] = payload })
+	return out
+}
 
 func TestManifestRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "tenants.manifest")
@@ -43,35 +56,118 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("reloaded entries = %q", got)
 	}
 
-	// A flipped payload byte is detected by the CRC, the file quarantined,
-	// and an empty manifest takes over — which then persists normally.
-	raw, err := os.ReadFile(path)
+	// A flipped payload byte in one tenant's record is detected by the
+	// CRC: that record alone is quarantined and the other still loads.
+	rec := filepath.Join(path, "a")
+	raw, err := os.ReadFile(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw[len(raw)-1] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(rec, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	m3, err := newTenantManifest(path)
-	if err == nil {
-		t.Fatal("corrupt manifest loaded without complaint")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := len(m3.snapshot()); n != 0 {
-		t.Fatalf("corrupt manifest yielded %d entries, want 0", n)
+	got = map[string][]byte{}
+	if err := m3.load(func(name string, payload []byte) { got[name] = payload }); err == nil {
+		t.Fatal("corrupt record loaded without complaint")
 	}
-	if _, err := os.Stat(path + ".corrupt"); err != nil {
-		t.Fatalf("corrupt manifest not quarantined: %v", err)
+	if len(got) != 1 || string(got["b"]) != `{"gen":1}` {
+		t.Fatalf("after corrupting a's record, loaded %q, want just b", got)
 	}
-	if err := m3.put("c", []byte(`{}`)); err != nil {
+	if _, err := os.Stat(rec + quarantineExt); err != nil {
+		t.Fatalf("corrupt record not quarantined: %v", err)
+	}
+	// The quarantined tenant re-onboards normally.
+	if err := m3.put("a", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
 	m4, err := newTenantManifest(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m4.snapshot(); len(got) != 1 || got["c"] == nil {
-		t.Fatalf("post-quarantine manifest = %q, want just c", got)
+	if got := m4.snapshot(); len(got) != 2 || string(got["a"]) != `{}` || string(got["b"]) != `{"gen":1}` {
+		t.Fatalf("post-quarantine manifest = %q, want a and b", got)
+	}
+}
+
+// TestManifestReonboardWritesOneRecord pins the O(1)-per-onboarding
+// property: re-onboarding tenant a leaves b's record byte-identical and
+// unrewritten (same inode, same mtime).
+func TestManifestReonboardWritesOneRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.manifest")
+	m, err := newTenantManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if err := m.put(name, []byte(`{"gen":1}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bPath := filepath.Join(path, "b")
+	before, err := os.Stat(bPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beforeRaw, err := os.ReadFile(bPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // let a rewrite show up in the mtime
+	if err := m.put("a", []byte(`{"gen":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(bPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	afterRaw, err := os.ReadFile(bPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) || !after.ModTime().Equal(before.ModTime()) || !bytes.Equal(beforeRaw, afterRaw) {
+		t.Fatalf("re-onboarding a rewrote b's record (same file %v, mtime %v -> %v)",
+			os.SameFile(before, after), before.ModTime(), after.ModTime())
+	}
+	if got := m.snapshot(); string(got["a"]) != `{"gen":2}` {
+		t.Fatalf("a's record = %q, want gen 2", got["a"])
+	}
+}
+
+// TestManifestConcurrentPuts: concurrent onboardings of distinct and
+// shared tenants all land, each record whole.
+func TestManifestConcurrentPuts(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.manifest")
+	m, err := newTenantManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				name := fmt.Sprintf("t%d", (g+i)%12)
+				if err := m.put(name, []byte(`{"name":"`+name+`"}`)); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	got := m.snapshot()
+	if len(got) != 12 {
+		t.Fatalf("%d records after concurrent puts, want 12", len(got))
+	}
+	for name, payload := range got {
+		if string(payload) != `{"name":"`+name+`"}` {
+			t.Fatalf("record %s = %q", name, payload)
+		}
 	}
 }
 
@@ -145,6 +241,136 @@ func TestServeRestartRecovery(t *testing.T) {
 	if after.Estimate != before.Estimate || after.Model != before.Model {
 		t.Fatalf("post-restart estimate %v (model %s) != pre-restart %v (model %s)",
 			after.Estimate, after.Model, before.Estimate, before.Model)
+	}
+}
+
+// writeManifestV1 writes entries the way the v1 manifest did: one gob
+// map of every tenant's canonical JSON payload in a CETENv1 envelope.
+func writeManifestV1(t *testing.T, path string, entries map[string][]byte) {
+	t.Helper()
+	var payload, file bytes.Buffer
+	if err := gob.NewEncoder(&payload).Encode(entries); err != nil {
+		t.Fatal(err)
+	}
+	if err := envelope.Write(&file, manifestV1Magic, payload.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManifestMigrationResumes covers a crash at either point of the v1
+// migration: with the v1 file still in place a stale migration directory
+// is discarded and the migration reruns; with the v1 file removed the
+// complete migration directory is renamed into place.
+func TestManifestMigrationResumes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.manifest")
+	migrating := path + ".migrating"
+	if err := os.Mkdir(migrating, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeTenantRecord(migrating, "stale", []byte(`{}`)); err != nil {
+		t.Fatal(err)
+	}
+	writeManifestV1(t, path, map[string][]byte{"a": []byte(`{"gen":1}`)})
+	m, err := newTenantManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.snapshot(); len(got) != 1 || string(got["a"]) != `{"gen":1}` {
+		t.Fatalf("after rerun migration: %q, want just a", got)
+	}
+
+	// Crash after the v1 file was removed, before the rename.
+	if err := os.Rename(path, migrating); err != nil {
+		t.Fatal(err)
+	}
+	m, err = newTenantManifest(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.snapshot(); len(got) != 1 || string(got["a"]) != `{"gen":1}` {
+		t.Fatalf("after resumed rename: %q, want just a", got)
+	}
+	if _, err := os.Stat(migrating); !os.IsNotExist(err) {
+		t.Fatalf("migration directory left behind: %v", err)
+	}
+}
+
+// TestServeRestartMigratesV1Manifest: a server restarted over a v1
+// manifest file recovers every tenant in it — bit-identical estimates
+// from the stored artifacts — and leaves per-tenant records in its place,
+// which the next restart recovers from.
+func TestServeRestartMigratesV1Manifest(t *testing.T) {
+	dir := t.TempDir()
+	manifest := filepath.Join(dir, "tenants.manifest")
+	store, err := ce.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts1 := serveWithOpts(t, store, serveOptions{})
+	entries := map[string][]byte{}
+	want := map[string]float64{}
+	queries := map[string]map[string]any{}
+	for i, name := range []string{"alpha", "beta/γ"} {
+		d := serveDataset(t, 1, 320+int64(i))
+		d.Name = name
+		onboardAndTrain(t, ts1, d, "Postgres")
+		// The v1 manifest stored json.Marshal of the decoded request.
+		body, err := json.Marshal(datasetBody(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var req datasetRequest
+		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+			t.Fatal(err)
+		}
+		if entries[name], err = json.Marshal(&req); err != nil {
+			t.Fatal(err)
+		}
+		queries[name] = rangeQueryBodies(d, 1)[0]
+		var est estimateResponse
+		if resp, data := postJSON(t, ts1, "/estimate", map[string]any{
+			"dataset": name, "query": queries[name]}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("estimate %s: %d %s", name, resp.StatusCode, data)
+		} else if err := json.Unmarshal(data, &est); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = est.Estimate
+	}
+	ts1.Close()
+	writeManifestV1(t, manifest, entries)
+
+	for restart := 1; restart <= 2; restart++ {
+		store, err := ce.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := serveWithOpts(t, store, serveOptions{ManifestPath: manifest})
+		for name, q := range queries {
+			resp, data := postJSON(t, ts, "/estimate", map[string]any{"dataset": name, "query": q})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("restart %d: estimate %s: %d %s", restart, name, resp.StatusCode, data)
+			}
+			var got estimateResponse
+			if err := json.Unmarshal(data, &got); err != nil {
+				t.Fatal(err)
+			}
+			if got.Estimate != want[name] {
+				t.Fatalf("restart %d: %s estimate %v, want %v", restart, name, got.Estimate, want[name])
+			}
+		}
+		ts.Close()
+		fi, err := os.Stat(manifest)
+		if err != nil || !fi.IsDir() {
+			t.Fatalf("restart %d: manifest is not a record directory (%v)", restart, err)
+		}
+		for name := range entries {
+			if _, err := os.Stat(filepath.Join(manifest, url.PathEscape(name))); err != nil {
+				t.Fatalf("restart %d: no record for %q: %v", restart, name, err)
+			}
+		}
 	}
 }
 

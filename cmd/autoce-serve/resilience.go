@@ -88,8 +88,9 @@ type serveOptions struct {
 	ProbeInterval, ProbeTimeout time.Duration
 	// NoHedge disables the hedged second /estimate forward.
 	NoHedge bool
-	// ManifestPath is the crash-safe tenant manifest recording onboarded
-	// dataset payloads for restart recovery; empty disables it.
+	// ManifestPath is the tenant manifest directory recording onboarded
+	// dataset payloads, one record per tenant, for restart recovery;
+	// empty disables it.
 	ManifestPath string
 }
 

@@ -180,8 +180,8 @@ func reserveAddrs(n int) ([]string, error) {
 // spawnShard starts one fleet member on its reserved address. All shards
 // share -model-dir (the artifact store replicas lazily load trained
 // models from) while each keeps its own auto-derived tenant manifest
-// (<model-dir>/shard-<i>.manifest) — which is exactly what the restarted
-// shard recovers from. Probe cadence is tightened so failover converges
+// (the directory <model-dir>/shard-<i>.manifest, one record per tenant)
+// — which is exactly what the restarted shard recovers from. Probe cadence is tightened so failover converges
 // within the drill window.
 func spawnShard(bin, advPath, modelDir string, index int, addrs []string) (*serverProc, error) {
 	args := []string{

@@ -30,17 +30,29 @@ const headerSize = 8 + 8 + 4
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// Write frames payload under magic and writes it to w.
-func Write(w io.Writer, magic [8]byte, payload []byte) error {
+// Write frames payload under magic and writes it to w. The payload is the
+// concatenation of the given parts, so a caller can frame a small header
+// and a large body without first copying them into one buffer.
+func Write(w io.Writer, magic [8]byte, payload ...[]byte) error {
 	var hdr [headerSize]byte
 	copy(hdr[:], magic[:])
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(payload, castagnoli))
+	var size uint64
+	var crc uint32
+	for _, p := range payload {
+		size += uint64(len(p))
+		crc = crc32.Update(crc, castagnoli, p)
+	}
+	binary.LittleEndian.PutUint64(hdr[8:], size)
+	binary.LittleEndian.PutUint32(hdr[16:], crc)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
-	return err
+	for _, p := range payload {
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Read reads one frame from r and returns its verified payload. A declared

@@ -28,6 +28,21 @@ func TestLayout(t *testing.T) {
 	}
 }
 
+// TestWriteParts pins that a payload written in parts frames exactly like
+// the same bytes written whole.
+func TestWriteParts(t *testing.T) {
+	var whole, parts bytes.Buffer
+	if err := Write(&whole, testMagic, []byte("123456789")); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&parts, testMagic, []byte("1234"), nil, []byte("56789")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(whole.Bytes(), parts.Bytes()) {
+		t.Fatalf("parts frame\n got %x\nwant %x", parts.Bytes(), whole.Bytes())
+	}
+}
+
 func TestReadRejects(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Write(&buf, testMagic, []byte("payload")); err != nil {
