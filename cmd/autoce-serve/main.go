@@ -64,8 +64,7 @@
 //     LRU-first; evicted models cold-load transparently and
 //     bit-identically on the next estimate (cache.go).
 //   - Concurrent single-query /estimate calls for the same served model
-//     coalesce into one EstimateBatch ride through admission
-//     (-no-coalesce to disable).
+//     coalesce into one EstimateBatch ride through admission.
 //   - Rendezvous shard routing (-shard-index, -shard-count,
 //     -shard-peers) splits the tenant space across a fleet, each dataset
 //     mapping to a replica set of -replicas shards: the rendezvous
@@ -82,7 +81,7 @@
 //	endpoint             primary              replica               any other shard
 //	/estimate            serves               serves (lazy stub     forwards across the
 //	                                          from the shared       replica set with
-//	                                          -model-dir store)     retry + hedge, else 421
+//	                                          -model-dir store)     retry, else 421
 //	/recommend, /drift   serves               serves                forwards (failover), else 421
 //	/datasets            serves, records to   421 unless marked     forwards once to the
 //	                     manifest, fans out   X-Shard-Replicate     primary, else 421
@@ -91,14 +90,14 @@
 //	                     pick the artifact                          primary, else 421
 //	                     up lazily)
 //
-// Forwarding runs through per-peer circuit breakers (a crashed shard
-// costs one failure window, not a timeout per request), a background
-// /healthz prober whose rise/fall-filtered view orders failover targets,
-// and — for /estimate — an optional hedged second forward fired at the
-// observed forward-latency p90 with first-response-wins cancellation
-// (-no-hedge disables). Reads retry with capped decorrelated-jitter
-// backoff; writes are forwarded exactly once and never replayed. A
-// forward that exhausts every option answers a JSON 502.
+// Forwarding runs through one circuit breaker per peer, the proxy's only
+// health signal: a crashed shard costs one failure window, not a timeout
+// per request, and once the cooldown has elapsed the next live read
+// probes it back in. Reads retry across the replica set with capped
+// decorrelated-jitter backoff, and a 404 is final only when every
+// replica-set member answered it; writes are forwarded exactly once and
+// never replayed. A forward that exhausts every option answers a JSON
+// 502.
 //
 // Each shard also records every dataset payload it accepts in a tenant
 // manifest (-manifest, defaulting into -model-dir): a directory with one
@@ -170,15 +169,11 @@ func main() {
 	onboardDeadline := flag.Duration("onboard-deadline", 0, "per-request deadline for /datasets and /adapt (0 = default 60s)")
 	modelBudget := flag.Int("model-budget", 0, "max trained models resident in memory across all tenants; beyond it the LRU pages models out to -model-dir (0 = unlimited)")
 	modelMemBudget := flag.String("model-mem-budget", "", "max artifact bytes resident in memory, e.g. 64MiB (empty/0 = unlimited); requires -model-dir to page out")
-	noCoalesce := flag.Bool("no-coalesce", false, "disable merging concurrent single-query /estimate calls into batched rides")
 	shardIndex := flag.Int("shard-index", 0, "this instance's shard number in a sharded fleet (see -shard-count)")
 	shardCount := flag.Int("shard-count", 0, "total shards in the fleet; datasets are routed by rendezvous hash, others answer 421 (0/1 = unsharded)")
 	shardPeers := flag.String("shard-peers", "", "comma-separated base URLs of all shards (including this one); enables fleet-proxy forwarding of X-Shard-Key requests")
 	replicas := flag.Int("replicas", 2, "replica-set size per dataset: the rendezvous primary takes writes, runners-up also serve reads (clamped to -shard-count)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-attempt timeout for forwarded reads in the fleet proxy (0 = default 5s)")
-	probeInterval := flag.Duration("probe-interval", 0, "peer /healthz probe interval (0 = default 2s)")
-	probeTimeout := flag.Duration("probe-timeout", 0, "per-probe timeout (0 = default 1s)")
-	noHedge := flag.Bool("no-hedge", false, "disable the hedged second /estimate forward (fired at the observed forward-latency p90)")
 	manifestPath := flag.String("manifest", "", "tenant manifest for restart recovery: a directory of per-tenant records, fsynced on write (default: <model-dir>/shard-<i>.manifest, or tenants.manifest unsharded; a v1 manifest file there is migrated; \"none\" disables)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (useful with -addr :0)")
 	flag.Parse()
@@ -238,12 +233,8 @@ func main() {
 		OnboardDeadline:  *onboardDeadline,
 		ModelBudget:      *modelBudget,
 		ModelMemBudget:   memBudget,
-		NoCoalesce:       *noCoalesce,
 		Shard:            shard,
 		PeerTimeout:      *peerTimeout,
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		NoHedge:          *noHedge,
 		ManifestPath:     manifest,
 	})
 	srv := &http.Server{
@@ -255,12 +246,6 @@ func main() {
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if app.peers != nil {
-		// Background peer-health probing feeds the proxy's failover
-		// ordering and the /healthz fleet table; it stops with the process.
-		//autoce:ignore barego -- a probe loop that lives as long as ctx, not fan-out work
-		go app.peers.prober.Run(ctx)
-	}
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -313,7 +298,7 @@ type server struct {
 	// scopes this instance to its rendezvous replica sets (shard.go).
 	coalesce *resilience.Coalescer[*workload.Query, float64]
 	shard    *sharder
-	// peers is the fleet proxy — breakers, prober, retry/hedge — when
+	// peers is the fleet proxy — per-peer breakers and retry — when
 	// shard peers are configured (proxy.go); manifest is the durable
 	// record of onboarded datasets replayed on restart (manifest.go).
 	// Either may be nil.

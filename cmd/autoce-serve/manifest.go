@@ -9,11 +9,12 @@ package main
 // estimates with zero client action.
 //
 // The manifest is a directory holding one record per tenant, in a file
-// named url.PathEscape(dataset name) — ce.Store's escaping, so no name can
-// traverse. A record is one internal/envelope frame under magic CETENv2
-// whose payload is the dataset name (le32 length, then the bytes)
-// followed by the /datasets request body exactly as the client sent it;
-// replay decodes that body with the live path's strict decoder.
+// named ce.EscapeName(dataset name) — ce.Store's escaping, so no name,
+// "." and ".." included, can leave the directory. A record is one
+// internal/envelope frame under magic CETENv2 whose payload is the
+// dataset name (le32 length, then the bytes) followed by the /datasets
+// request body exactly as the client sent it; replay decodes that body
+// with the live path's strict decoder.
 // Onboarding writes only its own tenant's record: tempfile, fsync, rename
 // over the old record, fsync of the directory. A re-onboarding therefore
 // costs one tenant's payload, not the fleet's.
@@ -28,7 +29,7 @@ package main
 // failed; the next successful put retries them. The directory is read
 // only by load, once at startup. A corrupt record is quarantined on its
 // own (renamed with the "#.corrupt" suffix) and every other tenant still
-// recovers. PathEscape always escapes '#', so temp files and quarantined
+// recovers. EscapeName always escapes '#', so temp files and quarantined
 // records, which both carry one, never collide with a tenant's record.
 //
 // The v1 manifest was a single file at the same path holding every
@@ -42,12 +43,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 
+	"repro/internal/ce"
 	"repro/internal/envelope"
 	"repro/internal/resilience"
 )
@@ -141,7 +142,7 @@ func (m *tenantManifest) load(fn func(name string, payload []byte)) error {
 			continue
 		}
 		name, payload, err := decodeTenantRecord(raw)
-		if err == nil && url.PathEscape(name) != file {
+		if err == nil && ce.EscapeName(name) != file {
 			err = fmt.Errorf("%w: record for %q stored as %q", envelope.ErrCorrupt, name, file)
 		}
 		if err != nil {
@@ -175,7 +176,7 @@ func writeTenantRecord(dir, name string, payload []byte) error {
 		err = cerr
 	}
 	if err == nil {
-		err = os.Rename(tmp.Name(), filepath.Join(dir, url.PathEscape(name)))
+		err = os.Rename(tmp.Name(), filepath.Join(dir, ce.EscapeName(name)))
 	}
 	if err == nil {
 		err = syncDir(dir)

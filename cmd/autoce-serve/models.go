@@ -848,7 +848,7 @@ func (s *server) estimateSnapshot(w http.ResponseWriter, r *http.Request, req *e
 
 	var ests []float64
 	var err error
-	if len(qs) == 1 && !s.opts.NoCoalesce {
+	if len(qs) == 1 {
 		// Coalesce concurrent single-query calls for the same served model
 		// into one batched ride: the merged batch admits once at its
 		// merged weight and dispatches one EstimateBatch. The key includes

@@ -1,17 +1,21 @@
 package main
 
 // The fleet proxy: forwarding with fault tolerance. Where shard.go
-// decides *who* can answer a request, this file gets it there and back —
-// per-peer circuit breakers so a crashed shard costs one failure window
-// instead of a timeout per request, a background health prober feeding
-// failover, bounded retries with decorrelated-jitter backoff for
-// idempotent reads, and optional hedged /estimate forwards fired after a
-// latency-histogram-informed delay with first-response-wins cancellation.
+// decides *who* can answer a request, this file gets it there and back.
+// Its one health signal is a circuit breaker per peer: a crashed shard
+// costs one failure window instead of a timeout per request, and a
+// recovered one is readmitted by live traffic — once a breaker's cooldown
+// has elapsed it ranks as ready again, so the next read it is offered is
+// its half-open probe.
 //
 // Reads (/estimate, /recommend, /drift, GETs) retry across the dataset's
-// replica set, healthiest peer first. Writes (/datasets, /train, /adapt)
-// are forwarded to the primary exactly once and never replayed — a
-// replayed /train would double-spend the training budget, a replayed
+// replica set with bounded decorrelated-jitter backoff, peers whose
+// breaker would admit them first. A 404 is final only when every member
+// of the replica set answered it; if one was unreachable, the member
+// that missed the tenant may just be lagging behind an onboarding
+// fan-out, so the read answers 502 instead. Writes (/datasets, /train,
+// /adapt) are forwarded to the primary exactly once and never replayed —
+// a replayed /train would double-spend the training budget, a replayed
 // /datasets could resurrect a replaced dataset. Forwards that exhaust
 // every option answer a JSON 502 naming the last upstream failure.
 
@@ -23,10 +27,8 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"sync"
 	"time"
 
-	"repro/internal/latency"
 	"repro/internal/resilience"
 )
 
@@ -36,8 +38,7 @@ import (
 const headerReplicate = "X-Shard-Replicate"
 
 // peerSet is this shard's view of the rest of the fleet: one breaker per
-// peer, one shared prober, the retry/hedge policy, and the latency
-// history the hedge delay is derived from.
+// peer and the retry policy.
 type peerSet struct {
 	sh     *sharder
 	client *http.Client
@@ -49,18 +50,10 @@ type peerSet struct {
 	writeTimeout time.Duration
 	retry        resilience.Retry
 	breakers     []*resilience.Breaker
-	prober       *resilience.Prober
-	hedge        bool
-
-	// hist records successful forward latencies; the hedge fires at its
-	// p90 (histMu because Histogram is not concurrency-safe).
-	histMu sync.Mutex
-	hist   latency.Histogram
 }
 
 // newPeerSet wires the fault-tolerance state for a sharder running in
-// proxy mode (sh.peers non-nil). The prober is constructed but not
-// started; main runs it (tests drive Step directly).
+// proxy mode (sh.peers non-nil).
 func newPeerSet(sh *sharder, opts serveOptions) *peerSet {
 	ps := &peerSet{
 		sh:           sh,
@@ -69,45 +62,15 @@ func newPeerSet(sh *sharder, opts serveOptions) *peerSet {
 		trainTimeout: opts.TrainDeadline,
 		writeTimeout: opts.OnboardDeadline,
 		retry:        resilience.Retry{Attempts: 3, Base: 25 * time.Millisecond, Cap: time.Second},
-		hedge:        !opts.NoHedge,
 	}
 	for i := 0; i < sh.count; i++ {
 		ps.breakers = append(ps.breakers, resilience.NewBreaker(resilience.BreakerConfig{}))
 	}
-	ps.prober = resilience.NewProber(resilience.ProberConfig{
-		Peers:    sh.count,
-		Self:     sh.index,
-		Interval: opts.ProbeInterval,
-		Timeout:  opts.ProbeTimeout,
-		Probe:    ps.probe,
-	})
 	return ps
 }
 
-// probe is the prober's check: GET the peer's /healthz. It deliberately
-// bypasses the breaker — the prober's whole job is to notice a down peer
-// recovering while the breaker is refusing it traffic.
-func (ps *peerSet) probe(ctx context.Context, peer int) error {
-	u := ps.sh.peers[peer].ResolveReference(&url.URL{Path: "/healthz"})
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		return err
-	}
-	resp, err := ps.client.Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<20))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("healthz: %s", resp.Status)
-	}
-	return nil
-}
-
 // peerResponse is a fully-drained upstream response — body in memory, so
-// hedging can cancel the loser's context without tearing the winner's
-// body read.
+// the attempt's context can be cancelled as soon as do returns.
 type peerResponse struct {
 	status int
 	header http.Header
@@ -127,10 +90,10 @@ func (pr *peerResponse) write(w http.ResponseWriter) {
 }
 
 // do performs one forward attempt to peer, recording the outcome in its
-// breaker and (on success) the latency histogram. The inbound request is
-// never touched: the outbound request is built fresh with a cloned header
-// set, per the ReverseProxy contract this layer replaces — mutating r
-// would corrupt the caller's view and, worse, a hedged sibling's.
+// breaker. The inbound request is never touched: the outbound request is
+// built fresh with a cloned header set, per the ReverseProxy contract
+// this layer replaces — mutating r would corrupt the caller's view and
+// every later attempt's.
 func (ps *peerSet) do(ctx context.Context, peer int, r *http.Request, body []byte, extra http.Header) (*peerResponse, error) {
 	b := ps.breakers[peer]
 	if !b.Allow() {
@@ -156,7 +119,6 @@ func (ps *peerSet) do(ctx context.Context, peer int, r *http.Request, body []byt
 	for k, vs := range extra {
 		req.Header[k] = vs
 	}
-	t0 := time.Now()
 	resp, err := ps.client.Do(req)
 	if err != nil {
 		b.Record(err)
@@ -172,60 +134,34 @@ func (ps *peerSet) do(ctx context.Context, peer int, r *http.Request, body []byt
 	// Any complete HTTP response — even a 4xx/5xx — is evidence the peer is
 	// alive; the breaker tracks reachability, not application outcomes.
 	b.Record(nil)
-	ps.observe(time.Since(t0))
 	return out, nil
 }
 
-func (ps *peerSet) observe(d time.Duration) {
-	ps.histMu.Lock()
-	ps.hist.Record(d)
-	ps.histMu.Unlock()
-}
-
-// hedgeDelay is how long the first read attempt runs alone before a
-// hedge fires at the next replica: the observed p90 (a slower-than-p90
-// forward is probably stuck), clamped to [1ms, 250ms], with a 25ms
-// default until enough history accumulates.
-func (ps *peerSet) hedgeDelay() time.Duration {
-	ps.histMu.Lock()
-	defer ps.histMu.Unlock()
-	if ps.hist.Count() < 20 {
-		return 25 * time.Millisecond
-	}
-	d := time.Duration(ps.hist.Quantile(0.90))
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	if d > 250*time.Millisecond {
-		d = 250 * time.Millisecond
-	}
-	return d
-}
-
-// orderTargets sorts key's candidate shards healthiest-first: peers whose
-// breaker is not open and whom the prober considers up, then the rest
-// (fail-open — with every peer looking down, trying them beats a
-// guaranteed 502), self excluded.
+// orderTargets sorts key's candidate shards: peers whose breaker would
+// admit a request now first, in replica-set order, then the rest
+// (fail-open — with every breaker refusing, trying them costs nothing
+// and beats a guaranteed 502), self excluded. Ranking by Ready rather
+// than State matters once a breaker's cooldown has elapsed: it still
+// reads open, but it ranks ready, so the next read carries its probe.
 func (ps *peerSet) orderTargets(cands []int) []int {
-	health := ps.prober.Health()
-	alive := make([]int, 0, len(cands))
-	var down []int
+	ready := make([]int, 0, len(cands))
+	var refused []int
 	for _, p := range cands {
 		if p == ps.sh.index {
 			continue
 		}
-		if ps.breakers[p].State() != resilience.BreakerOpen && health.Up(p) {
-			alive = append(alive, p)
+		if ps.breakers[p].Ready() {
+			ready = append(ready, p)
 		} else {
-			down = append(down, p)
+			refused = append(refused, p)
 		}
 	}
-	return append(alive, down...)
+	return append(ready, refused...)
 }
 
 // forward proxies r — whose dataset key this shard cannot answer — to the
-// fleet. Reads fail over across the replica set with retries (and hedge
-// on /estimate); writes go to the primary exactly once.
+// fleet. Reads fail over across the replica set with retries; writes go
+// to the primary exactly once.
 func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, read bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
@@ -250,11 +186,13 @@ func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, r
 	ps.forwardRead(w, r, key, body)
 }
 
-// forwardRead fails a read over across key's replica set, healthiest
-// peer first, with retries and the /estimate hedge. It serves two
-// callers: forward (fronting a request this shard cannot answer) and
-// read repair (models.go) — a replica-set member that missed the
-// onboarding fan-out re-forwards the read instead of answering 404.
+// forwardRead fails a read over across key's replica set, ready peers
+// first, with retries. It serves two callers: forward (fronting a
+// request this shard cannot answer) and read repair (models.go) — a
+// replica-set member that missed the onboarding fan-out re-forwards the
+// read instead of answering 404. A member's 404 moves the read on to the
+// next member; it is the answer only once every other member has
+// answered 404 too, and otherwise the read ends in the JSON 502.
 func (ps *peerSet) forwardRead(w http.ResponseWriter, r *http.Request, key string, body []byte) {
 	targets := ps.orderTargets(ps.sh.replicasOf(key))
 	if len(targets) == 0 {
@@ -263,92 +201,32 @@ func (ps *peerSet) forwardRead(w http.ResponseWriter, r *http.Request, key strin
 		ps.sh.misdirect(w, key)
 		return
 	}
+	retry := ps.retry
+	retry.Attempts = max(retry.Attempts, len(targets))
 	var pr *peerResponse
+	notFound := map[int]bool{}
 	attemptOne := func(attempt int) error {
 		peer := targets[attempt%len(targets)]
 		ctx, cancel := context.WithTimeout(r.Context(), ps.readTimeout)
 		defer cancel()
-		var aerr error
-		if ps.hedge && r.URL.Path == "/estimate" && len(targets) > 1 {
-			next := targets[(attempt+1)%len(targets)]
-			pr, aerr = ps.doHedged(ctx, peer, next, r, body)
-		} else {
-			pr, aerr = ps.do(ctx, peer, r, body, nil)
+		resp, err := ps.do(ctx, peer, r, body, nil)
+		if err != nil {
+			return err
 		}
-		return aerr
+		pr = resp
+		if resp.status == http.StatusNotFound {
+			notFound[peer] = true
+			if len(notFound) < len(targets) {
+				return fmt.Errorf("shard %d: %s", peer, bytes.TrimSpace(resp.body))
+			}
+		}
+		return nil
 	}
-	if err := ps.retry.Do(r.Context(), attemptOne); err != nil {
+	if err := retry.Do(r.Context(), attemptOne); err != nil {
 		writeError(w, http.StatusBadGateway, fmt.Sprintf("forwarding %q: all replicas failed: %v", key, err))
 		return
 	}
 	pr.write(w)
-}
-
-// doHedged races a forward to peer against a hedge to next fired after
-// hedgeDelay: whichever completes first wins and the other's context is
-// cancelled. The hedge only helps when the first peer is slow rather
-// than down — a refused connection fails fast and returns before the
-// hedge timer does.
-func (ps *peerSet) doHedged(ctx context.Context, peer, next int, r *http.Request, body []byte) (*peerResponse, error) {
-	hctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type result struct {
-		pr  *peerResponse
-		err error
-	}
-	ch := make(chan result, 2)
-	launch := func(p int) {
-		//autoce:ignore barego -- first response wins; the loser is cancelled, not awaited
-		go func() {
-			pr, err := ps.do(hctx, p, r, body, nil)
-			ch <- result{pr, err}
-		}()
-	}
-	launch(peer)
-	inflight := 1
-	hedged := next == peer // degenerate replica set: nothing to hedge to
-	timer := time.NewTimer(ps.hedgeDelay())
-	defer timer.Stop()
-	var lastErr error
-	for inflight > 0 {
-		if hedged {
-			select {
-			case res := <-ch:
-				inflight--
-				if res.err == nil {
-					return res.pr, nil
-				}
-				lastErr = res.err
-			case <-ctx.Done():
-				// Abandoned request: in-flight attempts observe hctx (a
-				// child of ctx) and abort; the buffered channel absorbs
-				// their results, so nothing leaks.
-				if lastErr == nil {
-					lastErr = context.Cause(ctx)
-				}
-				return nil, lastErr
-			}
-			continue
-		}
-		select {
-		case res := <-ch:
-			inflight--
-			if res.err == nil {
-				return res.pr, nil
-			}
-			lastErr = res.err
-			// The first attempt failed fast (refused connection, open
-			// breaker): fire the hedge now instead of waiting out the timer.
-			launch(next)
-			inflight++
-			hedged = true
-		case <-timer.C:
-			launch(next)
-			inflight++
-			hedged = true
-		}
-	}
-	return nil, lastErr
 }
 
 // replicate fans a successful local onboarding out to one replica-set
@@ -382,50 +260,29 @@ func (ps *peerSet) replicate(ctx context.Context, peer int, key string, body []b
 	})
 }
 
-// peerHealthInfo is one row of the /healthz fleet table.
+// peerHealthInfo is one row of the /healthz fleet table, read from the
+// peer's breaker.
 type peerHealthInfo struct {
-	URL     string `json:"url"`
-	Self    bool   `json:"self,omitempty"`
-	Up      bool   `json:"up"`
-	Breaker string `json:"breaker"`
-	// ConsecFail and LastErr merge the breaker's forward-path evidence
-	// with the prober's; whichever failed most recently wins LastErr.
+	URL        string `json:"url"`
+	Self       bool   `json:"self,omitempty"`
+	Breaker    string `json:"breaker"`
 	ConsecFail int    `json:"consec_fail,omitempty"`
 	LastErr    string `json:"last_err,omitempty"`
 }
 
-// healthTable summarizes the fleet for /healthz: probed up/down, breaker
-// state, and the current hedge delay.
+// healthTable summarizes the fleet for /healthz: one row per peer with
+// its breaker's state, consecutive failures and last error.
 func (ps *peerSet) healthTable() map[string]any {
-	health := ps.prober.Health()
 	peers := make([]peerHealthInfo, ps.sh.count)
 	for i := range peers {
 		state, consec, lastErr := ps.breakers[i].Snapshot()
-		info := peerHealthInfo{
-			URL:     ps.sh.peers[i].String(),
-			Self:    i == ps.sh.index,
-			Up:      health.Up(i),
-			Breaker: state.String(),
+		peers[i] = peerHealthInfo{
+			URL:        ps.sh.peers[i].String(),
+			Self:       i == ps.sh.index,
+			Breaker:    state.String(),
+			ConsecFail: consec,
+			LastErr:    lastErr,
 		}
-		if i != ps.sh.index {
-			info.ConsecFail = consec
-			info.LastErr = lastErr
-			if i < len(health.Peers) {
-				ph := health.Peers[i]
-				if info.LastErr == "" {
-					info.LastErr = ph.LastErr
-				}
-				if ph.ConsecFail > info.ConsecFail {
-					info.ConsecFail = ph.ConsecFail
-				}
-			}
-		}
-		peers[i] = info
 	}
-	return map[string]any{
-		"peers":          peers,
-		"probe_rounds":   health.Round,
-		"hedge":          ps.hedge,
-		"hedge_delay_ms": ps.hedgeDelay().Milliseconds(),
-	}
+	return map[string]any{"peers": peers}
 }

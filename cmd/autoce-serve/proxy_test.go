@@ -2,7 +2,8 @@ package main
 
 // Tests for fleet fault tolerance: read failover across the replica set,
 // the non-mutating forward contract, JSON 502 when every option is
-// exhausted, tenant-manifest round-trips, and restart recovery.
+// exhausted (a lagging replica's 404 included), breaker readmission on
+// live reads, tenant-manifest round-trips, and restart recovery.
 
 import (
 	"bytes"
@@ -16,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -566,5 +568,236 @@ func TestServeReplicaReadWriteMatrix(t *testing.T) {
 	if resp, _ := postJSONHeaders(t, servers[0], "/recommend", map[string]any{
 		"dataset": key, "wa": 0.5}, nil); resp.StatusCode != http.StatusMisdirectedRequest {
 		t.Fatalf("direct read on non-member: %d, want 421", resp.StatusCode)
+	}
+}
+
+// TestServeRestartRecoversDotDotTenant: a tenant named ".." stays inside
+// -model-dir — its artifacts and its manifest record alike — and a
+// restarted server recovers it from that record with bit-identical
+// estimates.
+func TestServeRestartRecoversDotDotTenant(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "models")
+	manifest := filepath.Join(dir, "tenants.manifest")
+	d := serveDataset(t, 1, 311)
+	d.Name = ".."
+	q := rangeQueryBodies(d, 1)[0]
+	var want estimateResponse
+	for restart := 0; restart <= 1; restart++ {
+		store, err := ce.NewStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, ts := serveWithOpts(t, store, serveOptions{ManifestPath: manifest})
+		if restart == 0 {
+			onboardAndTrain(t, ts, d, "Postgres")
+		}
+		resp, data := postJSON(t, ts, "/estimate", map[string]any{"dataset": d.Name, "query": q})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("restart %d: estimate: %d %s", restart, resp.StatusCode, data)
+		}
+		var got estimateResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		if restart == 0 {
+			want = got
+		} else if got.Estimate != want.Estimate || got.Model != want.Model {
+			t.Fatalf("post-restart estimate %v (model %s) != pre-restart %v (model %s)",
+				got.Estimate, got.Model, want.Estimate, want.Model)
+		}
+		ts.Close()
+		if files, err := os.ReadDir(parent); err != nil || len(files) != 1 {
+			t.Fatalf("restart %d: -model-dir's parent holds %v (%v), want just -model-dir", restart, files, err)
+		}
+		if _, err := os.Stat(filepath.Join(manifest, ce.EscapeName(d.Name))); err != nil {
+			t.Fatalf("restart %d: no manifest record for %q: %v", restart, d.Name, err)
+		}
+	}
+}
+
+// skewClock is a breaker clock that a test moves past a cooldown while
+// handler goroutines read it.
+type skewClock struct{ skew atomic.Int64 }
+
+func (c *skewClock) now() time.Time          { return time.Now().Add(time.Duration(c.skew.Load())) }
+func (c *skewClock) advance(d time.Duration) { c.skew.Add(int64(d)) }
+
+// fleetWithFront is fleetFor whose shard 0 — the front door in these
+// tests — runs its peer breakers on clk and is returned for inspection.
+func fleetWithFront(t *testing.T, n, replicas int, clk *skewClock, wrap func(int, http.Handler) http.Handler) ([]*httptest.Server, *server) {
+	t.Helper()
+	var front *server
+	servers := fleetFor(t, n, replicas, func(i int, inner http.Handler) http.Handler {
+		if i == 0 {
+			front = inner.(*server)
+			for p := range front.peers.breakers {
+				front.peers.breakers[p] = resilience.NewBreaker(resilience.BreakerConfig{Now: clk.now})
+			}
+		}
+		if wrap != nil {
+			return wrap(i, inner)
+		}
+		return inner
+	})
+	return servers, front
+}
+
+// frontTenant onboards a dataset whose replica set is {1, 2} through
+// shard 0's front door, trains Postgres on it, and returns an /estimate
+// body and the routing headers for it.
+func frontTenant(t *testing.T, servers []*httptest.Server, seed int64) (map[string]any, map[string]string) {
+	t.Helper()
+	sh0, _ := newSharder(0, 3, 2, "")
+	d := serveDataset(t, 1, seed)
+	d.Name = keyWithReplicas(t, sh0, 1, 2)
+	hdr := map[string]string{"X-Shard-Key": d.Name}
+	if resp, data := postJSONHeaders(t, servers[0], "/datasets", datasetBody(d), hdr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("onboard via front: %d %s", resp.StatusCode, data)
+	}
+	if resp, data := postJSONHeaders(t, servers[0], "/train", map[string]any{
+		"dataset": d.Name, "model": "Postgres", "queries": 30, "sample_rows": 80,
+	}, hdr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("train via front: %d %s", resp.StatusCode, data)
+	}
+	return map[string]any{"dataset": d.Name, "model": "Postgres", "query": rangeQueryBodies(d, 1)[0]}, hdr
+}
+
+// want502 fails unless a forward answered the JSON 502.
+func want502(t *testing.T, what string, resp *http.Response, data []byte) {
+	t.Helper()
+	var e struct {
+		Error string `json:"error"`
+	}
+	if resp.StatusCode != http.StatusBadGateway || resp.Header.Get("Content-Type") != "application/json" ||
+		json.Unmarshal(data, &e) != nil || e.Error == "" {
+		t.Fatalf("%s: %d %s — want the JSON 502", what, resp.StatusCode, data)
+	}
+}
+
+// fleetTable reads the /healthz fleet table of ts.
+func fleetTable(t *testing.T, ts *httptest.Server) []peerHealthInfo {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var health struct {
+		Fleet struct {
+			Peers []peerHealthInfo `json:"peers"`
+		} `json:"fleet"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
+		t.Fatal(err)
+	}
+	return health.Fleet.Peers
+}
+
+// TestServeLaggingReplicaReadIsUnavailable: with the primary down, a
+// forwarded read that reaches only a replica which missed the onboarding
+// fan-in answers 502 (unavailable), not that replica's 404 — the tenant
+// exists, it just cannot be served right now. A dataset that no member
+// knows still answers 404.
+func TestServeLaggingReplicaReadIsUnavailable(t *testing.T) {
+	servers := fleetFor(t, 3, 2, func(i int, inner http.Handler) http.Handler {
+		if i != 2 {
+			return inner
+		}
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Header.Get(headerReplicate) != "" {
+				writeError(w, http.StatusServiceUnavailable, "refusing replica fan-in")
+				return
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+	est, hdr := frontTenant(t, servers, 212)
+
+	sh0, _ := newSharder(0, 3, 2, "")
+	unknown := keyWithReplicas(t, sh0, 2, 1)
+	resp, data := postJSONHeaders(t, servers[0], "/estimate", map[string]any{
+		"dataset": unknown, "query": est["query"]}, map[string]string{"X-Shard-Key": unknown})
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("estimate for a dataset no member knows: %d %s, want 404", resp.StatusCode, data)
+	}
+
+	servers[1].Close() // primary down; replica 2 never got the tenant
+	resp, data = postJSONHeaders(t, servers[0], "/estimate", est, hdr)
+	want502(t, "estimate with the primary down and the replica lagging", resp, data)
+}
+
+// TestServeBreakerReadmitsPrimaryOnLiveRead: once the cooldown of the
+// front shard's open breaker for a primary has elapsed, the next
+// forwarded /recommend goes to that primary — ahead of the replica — and
+// its success closes the breaker. No other request has to probe it.
+func TestServeBreakerReadmitsPrimaryOnLiveRead(t *testing.T) {
+	var primaryReads atomic.Int64
+	clk := &skewClock{}
+	servers, front := fleetWithFront(t, 3, 2, clk, func(i int, inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 1 && r.URL.Path == "/recommend" {
+				primaryReads.Add(1)
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+	est, hdr := frontTenant(t, servers, 213)
+	rec := map[string]any{"dataset": est["dataset"], "wa": 0.5}
+
+	b := front.peers.breakers[1]
+	for b.State() != resilience.BreakerOpen {
+		b.Record(errors.New("injected: primary unreachable"))
+	}
+	if resp, data := postJSONHeaders(t, servers[0], "/recommend", rec, hdr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recommend mid-cooldown: %d %s", resp.StatusCode, data)
+	}
+	if n := primaryReads.Load(); n != 0 {
+		t.Fatalf("primary got %d reads while its breaker was open mid-cooldown", n)
+	}
+
+	clk.advance(3 * time.Second) // past the default 2s cooldown
+	if resp, data := postJSONHeaders(t, servers[0], "/recommend", rec, hdr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("recommend after cooldown: %d %s", resp.StatusCode, data)
+	}
+	if n := primaryReads.Load(); n != 1 {
+		t.Fatalf("primary got %d reads after the cooldown, want the next read", n)
+	}
+	if got := b.State(); got != resilience.BreakerClosed {
+		t.Fatalf("primary's breaker is %v after a successful live read, want closed", got)
+	}
+}
+
+// TestServePeerForwardFailpoint arms serve.peer.forward: forwarded reads
+// answer the JSON 502 and the front shard's /healthz fleet table shows
+// the replica set's breakers open. Once the failpoint is cleared and the
+// cooldown has elapsed, reads answer 200 again.
+func TestServePeerForwardFailpoint(t *testing.T) {
+	clk := &skewClock{}
+	servers, _ := fleetWithFront(t, 3, 2, clk, nil)
+	est, hdr := frontTenant(t, servers, 214)
+
+	if err := resilience.SetFailpoint("serve.peer.forward", "error"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(resilience.ClearFailpoints)
+	for i := 0; i < 6; i++ {
+		resp, data := postJSONHeaders(t, servers[0], "/estimate", est, hdr)
+		want502(t, fmt.Sprintf("estimate %d under the failpoint", i), resp, data)
+	}
+	table := fleetTable(t, servers[0])
+	if len(table) != 3 || !table[0].Self || table[0].Breaker != "closed" {
+		t.Fatalf("fleet table %+v, want 3 rows with a closed self row", table)
+	}
+	for _, p := range []int{1, 2} {
+		if table[p].Breaker != "open" || table[p].LastErr == "" {
+			t.Fatalf("fleet row %d = %+v, want an open breaker with its last error", p, table[p])
+		}
+	}
+
+	resilience.ClearFailpoints()
+	clk.advance(3 * time.Second)
+	if resp, data := postJSONHeaders(t, servers[0], "/estimate", est, hdr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("estimate after clearing the failpoint and the cooldown: %d %s", resp.StatusCode, data)
 	}
 }

@@ -33,7 +33,7 @@ package main
 //     answer 421 Misdirected Request before admission when this shard
 //     cannot serve the dataset: reads 421 outside the replica set,
 //     writes everywhere but the primary. With peers configured the fleet
-//     proxy (proxy.go) forwards instead — reads with breaker/prober
+//     proxy (proxy.go) forwards instead — reads with per-peer breaker
 //     failover and bounded retries under PeerTimeout, writes once to the
 //     primary under the endpoint's own deadline — and a forward that
 //     exhausts every option answers a JSON 502.
@@ -73,9 +73,6 @@ type serveOptions struct {
 	// (cache.go). 0 = unlimited; both require a store to take effect.
 	ModelBudget    int
 	ModelMemBudget int64
-	// NoCoalesce disables merging concurrent single-query /estimate
-	// calls for the same served model into batched rides.
-	NoCoalesce bool
 	// Shard scopes this instance to the datasets it backs in a sharded
 	// fleet; nil serves everything (shard.go).
 	Shard *sharder
@@ -83,11 +80,6 @@ type serveOptions struct {
 	// (default 5s, matching EstimateDeadline's default); write forwards
 	// use the target endpoint's own deadline.
 	PeerTimeout time.Duration
-	// ProbeInterval and ProbeTimeout tune the peer health prober (0 =
-	// the prober's defaults, 2s/1s).
-	ProbeInterval, ProbeTimeout time.Duration
-	// NoHedge disables the hedged second /estimate forward.
-	NoHedge bool
 	// ManifestPath is the tenant manifest directory recording onboarded
 	// dataset payloads, one record per tenant, for restart recovery;
 	// empty disables it.

@@ -25,8 +25,8 @@ package main
 //     can serve a wrong answer for a misrouted tenant never, only a 421.
 //   - Fleet proxy (optional, -shard-peers): a request carrying an
 //     X-Shard-Key header for a dataset this shard cannot answer is
-//     forwarded to a shard that can, with circuit breakers, health-probe
-//     failover, bounded retries, and optional hedging (proxy.go).
+//     forwarded to a shard that can, with per-peer circuit breakers and
+//     bounded retries across the replica set (proxy.go).
 //     X-Shard-Forwarded guards against forwarding loops when peers
 //     disagree about the topology mid-rollout: a forwarded request is
 //     never forwarded again, it answers 421 instead.
@@ -209,7 +209,7 @@ func (s *server) shardPrimaryOK(w http.ResponseWriter, dataset string) bool {
 }
 
 // readOnlyRequest classifies a request as an idempotent read — safe to
-// serve from a replica, retry, and hedge. Anything unrecognized is
+// serve from a replica and to retry. Anything unrecognized is
 // treated as a write (the conservative direction: it routes to the
 // primary and is never replayed).
 func readOnlyRequest(r *http.Request) bool {
@@ -225,7 +225,7 @@ func readOnlyRequest(r *http.Request) bool {
 
 // shardRoute is the fleet routing layer: requests carrying an X-Shard-Key
 // for a dataset this shard cannot answer are forwarded (body undecoded)
-// to a shard that can — with breaker/prober failover for reads — and
+// to a shard that can — with breaker failover for reads — and
 // everything else falls through to the local mux, whose handlers enforce
 // the read/write matrix per dataset.
 func (s *server) shardRoute(next http.Handler) http.Handler {

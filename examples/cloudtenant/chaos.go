@@ -181,8 +181,7 @@ func reserveAddrs(n int) ([]string, error) {
 // share -model-dir (the artifact store replicas lazily load trained
 // models from) while each keeps its own auto-derived tenant manifest
 // (the directory <model-dir>/shard-<i>.manifest, one record per tenant)
-// — which is exactly what the restarted shard recovers from. Probe cadence is tightened so failover converges
-// within the drill window.
+// — which is exactly what the restarted shard recovers from.
 func spawnShard(bin, advPath, modelDir string, index int, addrs []string) (*serverProc, error) {
 	args := []string{
 		"-advisor", advPath,
@@ -192,8 +191,6 @@ func spawnShard(bin, advPath, modelDir string, index int, addrs []string) (*serv
 		"-shard-count", fmt.Sprint(len(addrs)),
 		"-replicas", "2",
 		"-shard-peers", peerURLs(addrs),
-		"-probe-interval", "250ms",
-		"-probe-timeout", "500ms",
 		"-peer-timeout", "2s",
 	}
 	sp := &serverProc{cmd: exec.Command(bin, args...), log: &bytes.Buffer{}, base: "http://" + addrs[index]}

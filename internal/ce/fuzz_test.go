@@ -1,13 +1,16 @@
 package ce_test
 
-// Native fuzzers for the subset-key codec. SubsetKey strings are map keys
-// inside persisted artifacts, so the canonical form must be a bijection:
-// every table set has exactly one spelling, and every accepted spelling
-// round-trips. Corpus seeds live in testdata/fuzz; CI runs each fuzzer
+// Native fuzzers for the subset-key codec and the artifact name escaping.
+// SubsetKey strings are map keys inside persisted artifacts, so the
+// canonical form must be a bijection: every table set has exactly one
+// spelling, and every accepted spelling round-trips. Corpus seeds live in testdata/fuzz; CI runs each fuzzer
 // briefly (-fuzz=... -fuzztime=10s) to keep the corpus honest.
 
 import (
+	"net/url"
+	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ce"
@@ -85,4 +88,25 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+// FuzzEscapeName: every non-empty name maps to one path element that is
+// neither "." nor "..", carries no '#' (the tenant manifest's marker for
+// its temp and quarantined files), and unescapes back to the name.
+func FuzzEscapeName(f *testing.F) {
+	for _, s := range []string{"a", ".", "..", "...", "a/b", "../x", "%2E", "#", "beta/γ", "a b"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		if name == "" {
+			return // onboarding rejects empty names
+		}
+		got := ce.EscapeName(name)
+		if got == "" || got == "." || got == ".." || strings.ContainsAny(got, "/\\#") || filepath.Base(got) != got {
+			t.Fatalf("EscapeName(%q) = %q, not one safe path element", name, got)
+		}
+		if back, err := url.PathUnescape(got); err != nil || back != name {
+			t.Fatalf("PathUnescape(EscapeName(%q)) = %q, %v", name, back, err)
+		}
+	})
 }

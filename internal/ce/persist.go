@@ -213,17 +213,29 @@ const artifactExt = ".cemodel"
 // by startup reloads) but kept on disk for forensics.
 const corruptExt = ".corrupt"
 
+// EscapeName maps a dataset or model name to the single path element it
+// is filed under, both here and in the serving tenant manifest:
+// url.PathEscape, which escapes "/" (so no name can traverse) and "#",
+// plus the two names PathEscape leaves alone that would still escape the
+// directory, "." and "..", whose dots are percent-encoded.
+// url.PathUnescape inverts it for every name.
+func EscapeName(name string) string {
+	if name == "." || name == ".." {
+		return strings.ReplaceAll(name, ".", "%2E")
+	}
+	return url.PathEscape(name)
+}
+
 // Artifacts live one directory level deep — <dir>/<dataset>/<model>.cemodel
-// with both components URL-escaped. PathEscape escapes "/", so arbitrary
-// names cannot traverse, and the directory boundary keeps dataset and
-// model names unambiguous (a flat "ds__model" scheme would mis-split any
-// dataset name containing the separator).
+// with both components escaped by EscapeName. The directory boundary
+// keeps dataset and model names unambiguous (a flat "ds__model" scheme
+// would mis-split any dataset name containing the separator).
 func (s *Store) datasetDir(datasetName string) string {
-	return filepath.Join(s.dir, url.PathEscape(datasetName))
+	return filepath.Join(s.dir, EscapeName(datasetName))
 }
 
 func (s *Store) path(datasetName, modelName string) string {
-	return filepath.Join(s.datasetDir(datasetName), url.PathEscape(modelName)+artifactExt)
+	return filepath.Join(s.datasetDir(datasetName), EscapeName(modelName)+artifactExt)
 }
 
 // Save persists m as the trained model of datasetName, recording schema

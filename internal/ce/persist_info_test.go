@@ -1,13 +1,16 @@
 package ce_test
 
 // Tests for the store's paging-support surface: artifact probing without a
-// model decode (LoadModelInfo / Store.Info), size reporting in List, and
-// the load/save accounting a budgeted model cache sits on.
+// model decode (LoadModelInfo / Store.Info), size reporting in List, the
+// load/save accounting a budgeted model cache sits on, and the name
+// escaping that keeps every artifact inside the store.
 
 import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ce"
@@ -113,5 +116,43 @@ func TestStoreStatsAccounting(t *testing.T) {
 	}
 	if st.LoadErrors != 1 || st.Corrupt != 0 {
 		t.Fatalf("error accounting %+v, want 1 load error, 0 corrupt", st)
+	}
+}
+
+// TestStoreDotNamesStayInside: datasets named "." and ".." are filed in
+// their own directory inside the store like any other name — Save, Load
+// and List never touch the store's parent — and List names them back.
+func TestStoreDotNamesStayInside(t *testing.T) {
+	parent := t.TempDir()
+	store, err := ce.NewStore(filepath.Join(parent, "models"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := trainedPostgres(t, 43)
+	for _, name := range []string{".", ".."} {
+		path, err := store.Save(name, "sig-"+name, m)
+		if err != nil {
+			t.Fatalf("Save(%q): %v", name, err)
+		}
+		if rel, err := filepath.Rel(store.Dir(), path); err != nil || strings.HasPrefix(rel, "..") || strings.Count(filepath.ToSlash(rel), "/") != 1 {
+			t.Fatalf("Save(%q) wrote %s, outside its dataset directory in the store", name, path)
+		}
+		if _, schema, err := store.Load(name, "Postgres"); err != nil || schema != "sig-"+name {
+			t.Fatalf("Load(%q) = schema %q, %v", name, schema, err)
+		}
+	}
+	if files, err := os.ReadDir(parent); err != nil || len(files) != 1 || files[0].Name() != "models" {
+		t.Fatalf("the store's parent holds %v (%v), want just the store", files, err)
+	}
+	entries, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, e := range entries {
+		got[e.Dataset] = true
+	}
+	if len(entries) != 2 || !got["."] || !got[".."] {
+		t.Fatalf("List = %+v, want the \".\" and \"..\" artifacts", entries)
 	}
 }

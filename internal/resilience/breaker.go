@@ -101,21 +101,37 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	if !b.ready() {
+		return false
+	}
 	switch b.state {
-	case BreakerClosed:
-		return true
 	case BreakerOpen:
-		if b.cfg.Now().Sub(b.openedAt) < b.cfg.Cooldown {
-			return false
-		}
 		b.state = BreakerHalfOpen
 		b.probes = 1
-		return true
-	default: // half-open
-		if b.probes >= b.cfg.HalfOpenProbes {
-			return false
-		}
+	case BreakerHalfOpen:
 		b.probes++
+	}
+	return true
+}
+
+// Ready reports what Allow would answer now, without its side effects:
+// it takes no half-open probe slot and moves no state. An open breaker
+// whose cooldown has elapsed is ready, so a caller ranking peers by
+// Ready sends it the next request, and that request's Allow makes it
+// the half-open probe.
+func (b *Breaker) Ready() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.ready()
+}
+
+func (b *Breaker) ready() bool {
+	switch b.state {
+	case BreakerOpen:
+		return b.cfg.Now().Sub(b.openedAt) >= b.cfg.Cooldown
+	case BreakerHalfOpen:
+		return b.probes < b.cfg.HalfOpenProbes
+	default: // closed
 		return true
 	}
 }
@@ -166,7 +182,8 @@ func (b *Breaker) Record(err error) {
 
 // State returns the breaker's current position without side effects (an
 // elapsed cooldown is reported as open until the next Allow transitions
-// it — State is a read for health surfaces, not an admission check).
+// it — State is a read for health surfaces; Ready is the admission
+// query).
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -2,6 +2,8 @@ package resilience
 
 import (
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -29,7 +31,10 @@ var errPeer = errors.New("peer: connection refused")
 
 // TestBreakerLifecycle drives the full closed → open → half-open → closed
 // cycle (and the half-open → open regression) as a table of steps under an
-// injected clock.
+// injected clock. After every step the ready column pins Ready, which
+// must answer what Allow would without moving the state: an open breaker
+// reads ready once its cooldown has elapsed, while State still says open
+// and Allow still admits exactly one probe.
 func TestBreakerLifecycle(t *testing.T) {
 	type step struct {
 		name      string
@@ -38,28 +43,30 @@ func TestBreakerLifecycle(t *testing.T) {
 		record    error // if allow not set, call Record with this
 		doRecord  bool
 		wantState BreakerState
+		ready     bool
 	}
 	yes, no := true, false
 	steps := []step{
-		{name: "closed allows", allow: &yes, wantState: BreakerClosed},
-		{name: "failure 1", record: errPeer, doRecord: true, wantState: BreakerClosed},
-		{name: "failure 2", record: errPeer, doRecord: true, wantState: BreakerClosed},
-		{name: "still allows below threshold", allow: &yes, wantState: BreakerClosed},
-		{name: "failure 3 opens", record: errPeer, doRecord: true, wantState: BreakerOpen},
-		{name: "open refuses", allow: &no, wantState: BreakerOpen},
-		{name: "open refuses mid-cooldown", advance: time.Second, allow: &no, wantState: BreakerOpen},
-		{name: "cooldown elapses: half-open probe admitted", advance: 1500 * time.Millisecond, allow: &yes, wantState: BreakerHalfOpen},
-		{name: "second probe refused", allow: &no, wantState: BreakerHalfOpen},
-		{name: "probe failure reopens", record: errPeer, doRecord: true, wantState: BreakerOpen},
-		{name: "reopened refuses", allow: &no, wantState: BreakerOpen},
-		{name: "second cooldown: probe admitted again", advance: 2500 * time.Millisecond, allow: &yes, wantState: BreakerHalfOpen},
-		{name: "probe success closes", record: nil, doRecord: true, wantState: BreakerClosed},
-		{name: "closed again allows", allow: &yes, wantState: BreakerClosed},
+		{name: "closed allows", allow: &yes, wantState: BreakerClosed, ready: true},
+		{name: "failure 1", record: errPeer, doRecord: true, wantState: BreakerClosed, ready: true},
+		{name: "failure 2", record: errPeer, doRecord: true, wantState: BreakerClosed, ready: true},
+		{name: "still allows below threshold", allow: &yes, wantState: BreakerClosed, ready: true},
+		{name: "failure 3 opens", record: errPeer, doRecord: true, wantState: BreakerOpen, ready: false},
+		{name: "open refuses", allow: &no, wantState: BreakerOpen, ready: false},
+		{name: "open refuses mid-cooldown", advance: time.Second, allow: &no, wantState: BreakerOpen, ready: false},
+		{name: "cooldown elapses: ready, still open", advance: 1500 * time.Millisecond, wantState: BreakerOpen, ready: true},
+		{name: "half-open probe admitted", allow: &yes, wantState: BreakerHalfOpen, ready: false},
+		{name: "second probe refused", allow: &no, wantState: BreakerHalfOpen, ready: false},
+		{name: "probe failure reopens", record: errPeer, doRecord: true, wantState: BreakerOpen, ready: false},
+		{name: "reopened refuses", allow: &no, wantState: BreakerOpen, ready: false},
+		{name: "second cooldown: probe admitted again", advance: 2500 * time.Millisecond, allow: &yes, wantState: BreakerHalfOpen, ready: false},
+		{name: "probe success closes", record: nil, doRecord: true, wantState: BreakerClosed, ready: true},
+		{name: "closed again allows", allow: &yes, wantState: BreakerClosed, ready: true},
 		// The half-open success cleared the window: three fresh failures
 		// are needed to open again, not one.
-		{name: "post-close failure 1", record: errPeer, doRecord: true, wantState: BreakerClosed},
-		{name: "post-close failure 2", record: errPeer, doRecord: true, wantState: BreakerClosed},
-		{name: "post-close failure 3 opens", record: errPeer, doRecord: true, wantState: BreakerOpen},
+		{name: "post-close failure 1", record: errPeer, doRecord: true, wantState: BreakerClosed, ready: true},
+		{name: "post-close failure 2", record: errPeer, doRecord: true, wantState: BreakerClosed, ready: true},
+		{name: "post-close failure 3 opens", record: errPeer, doRecord: true, wantState: BreakerOpen, ready: false},
 	}
 
 	clk := newFakeClock()
@@ -72,6 +79,9 @@ func TestBreakerLifecycle(t *testing.T) {
 			}
 		} else if s.doRecord || s.record != nil {
 			b.Record(s.record)
+		}
+		if got := b.Ready(); got != s.ready {
+			t.Fatalf("%s: Ready() = %v, want %v", s.name, got, s.ready)
 		}
 		if got := b.State(); got != s.wantState {
 			t.Fatalf("%s: state = %v, want %v", s.name, got, s.wantState)
@@ -143,6 +153,36 @@ func TestBreakerHalfOpenProbeBudget(t *testing.T) {
 	}
 	if b.Allow() {
 		t.Fatal("third probe admitted beyond HalfOpenProbes=2")
+	}
+}
+
+// TestBreakerConcurrentReadmission: once the cooldown has elapsed, every
+// concurrent caller may read the breaker as ready, but only one of them
+// is admitted as the half-open probe.
+func TestBreakerConcurrentReadmission(t *testing.T) {
+	clk := newFakeClock()
+	b := testBreaker(clk)
+	for i := 0; i < 3; i++ {
+		b.Record(errPeer)
+	}
+	clk.advance(2500 * time.Millisecond)
+	var admitted atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if b.Ready() && b.Allow() {
+				admitted.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := admitted.Load(); n != 1 {
+		t.Fatalf("%d concurrent callers admitted after the cooldown, want exactly 1 probe", n)
+	}
+	if got := b.State(); got != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", got)
 	}
 }
 

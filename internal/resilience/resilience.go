@@ -26,13 +26,13 @@
 //
 //   - Breaker: a per-peer circuit breaker — closed/open/half-open over a
 //     sliding failure window with an injected clock, so a crashed shard
-//     costs one failure window, not a timeout per request.
+//     costs one failure window, not a timeout per request. It is the
+//     proxy's only health signal: Ready ranks peers without side
+//     effects, and an open breaker whose cooldown has elapsed reads
+//     ready again, so the next live request is its half-open probe.
 //   - Retry: a bounded retry policy with capped decorrelated-jitter
 //     backoff for idempotent read forwards; exhausting the budget returns
 //     the last upstream error, never a synthetic policy error.
-//   - Prober: interval health probing with rise/fall thresholds into an
-//     atomically-published FleetHealth view, read wait-free by the
-//     failover path and /healthz.
 package resilience
 
 import (
