@@ -96,7 +96,7 @@ func benchRequests(b *testing.B, ts *httptest.Server, bodies [][]byte) {
 }
 
 // BenchmarkServeEstimate is the single-query hot path: HTTP decode,
-// snapshot resolution, coalescing, admission, one-model inference.
+// snapshot resolution, admission, one-model inference.
 func BenchmarkServeEstimate(b *testing.B) {
 	ts, bodies := benchServe(b, 8, 1)
 	benchRequests(b, ts, bodies)

@@ -4,8 +4,7 @@ package main
 // serving snapshots and the ce.Store artifact directory. The fleet design
 // point is thousands of onboarded tenant datasets whose trained models do
 // not all fit in memory; the cache keeps a bounded working set resident
-// (LRU, costed by artifact bytes and/or model count) and pages the rest
-// through the store:
+// (LRU, capped by model count) and pages the rest through the store:
 //
 //   - Train installs the fresh model as resident (its artifact was just
 //     persisted, so it is immediately evictable).
@@ -66,7 +65,7 @@ type servedModel struct {
 
 	// Residency, guarded by the owning modelCache's mu.
 	model   ce.Model      // nil while evicted
-	size    int64         // artifact bytes: the model's cost against the byte budget
+	size    int64         // artifact bytes, reported as resident_bytes and /models size_bytes
 	dirty   bool          // stateful inference advanced internal state since last persist
 	pins    int           // in-flight estimates; evictable only at 0
 	elem    *list.Element // LRU position; nil while evicted
@@ -142,7 +141,6 @@ func (sm *servedModel) estimate(ctx context.Context, cache *modelCache, qs []*wo
 type modelCache struct {
 	store     *ce.Store // nil: nothing to page to; the cache never evicts
 	maxModels int       // 0 = unlimited
-	maxBytes  int64     // 0 = unlimited
 
 	mu    sync.Mutex
 	lru   *list.List // of *servedModel; front = most recently used
@@ -155,12 +153,8 @@ type modelCache struct {
 	evictionFailures atomic.Int64
 }
 
-func newModelCache(store *ce.Store, maxModels int, maxBytes int64) *modelCache {
-	return &modelCache{store: store, maxModels: maxModels, maxBytes: maxBytes, lru: list.New()}
-}
-
-func (c *modelCache) pageable() bool {
-	return c.store != nil && (c.maxModels > 0 || c.maxBytes > 0)
+func newModelCache(store *ce.Store, maxModels int) *modelCache {
+	return &modelCache{store: store, maxModels: maxModels, lru: list.New()}
 }
 
 // acquire returns sm's model, resident and pinned against eviction
@@ -305,10 +299,10 @@ func (c *modelCache) unforget(sm *servedModel) {
 // first; quarantined models are dropped without write-back (post-panic
 // state must not overwrite a good artifact). Called with c.mu held.
 func (c *modelCache) evictLocked() {
-	if !c.pageable() {
+	if c.store == nil || c.maxModels <= 0 {
 		return
 	}
-	for c.overBudgetLocked() {
+	for c.count > c.maxModels {
 		var victim *servedModel
 		for e := c.lru.Back(); e != nil; e = e.Prev() {
 			sm := e.Value.(*servedModel)
@@ -342,11 +336,6 @@ func (c *modelCache) evictLocked() {
 	}
 }
 
-func (c *modelCache) overBudgetLocked() bool {
-	return (c.maxModels > 0 && c.count > c.maxModels) ||
-		(c.maxBytes > 0 && c.bytes > c.maxBytes)
-}
-
 // residency reports whether sm currently holds a decoded model, and its
 // artifact byte cost.
 func (c *modelCache) residency(sm *servedModel) (resident bool, size int64) {
@@ -359,7 +348,6 @@ func (c *modelCache) residency(sm *servedModel) (resident bool, size int64) {
 // /healthz.
 type cacheStats struct {
 	BudgetModels     int   `json:"budget_models,omitempty"`
-	BudgetBytes      int64 `json:"budget_bytes,omitempty"`
 	ResidentModels   int   `json:"resident_models"`
 	ResidentBytes    int64 `json:"resident_bytes"`
 	ColdLoads        int64 `json:"cold_loads"`
@@ -374,7 +362,6 @@ func (c *modelCache) stats() cacheStats {
 	c.mu.Unlock()
 	return cacheStats{
 		BudgetModels:     c.maxModels,
-		BudgetBytes:      c.maxBytes,
 		ResidentModels:   count,
 		ResidentBytes:    bytes,
 		ColdLoads:        c.coldLoads.Load(),

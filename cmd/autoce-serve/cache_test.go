@@ -2,7 +2,7 @@ package main
 
 // Tests for the multi-tenant serving core: per-tenant snapshot isolation,
 // budgeted eviction with transparent cold loads, quarantine surviving
-// eviction, and coalesced single-query estimates matching solo results.
+// eviction, and concurrent single-query estimates matching solo results.
 
 import (
 	"bytes"
@@ -236,10 +236,9 @@ func TestServeQuarantineSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestServeCoalescedEstimatesMatchSolo pins the merge-transparency
-// contract end to end: concurrent single-query estimates (which the
-// server coalesces into shared batches) return exactly the same per-query
-// answers as a solo batched call.
+// TestServeCoalescedEstimatesMatchSolo pins batch ≡ single-query end to
+// end: concurrent single-query estimates return exactly the same
+// per-query answers as a solo batched call.
 func TestServeCoalescedEstimatesMatchSolo(t *testing.T) {
 	_, ts := serveWithOpts(t, nil, serveOptions{})
 	d := serveDataset(t, 1, 207)
@@ -309,7 +308,7 @@ func postJSONQuiet(ts *httptest.Server, path string, body any) (*http.Response, 
 
 // TestServeEstimateEvictRetrainRace churns estimates against two tenants
 // sharing a 1-model cache while one tenant retrains — eviction, cold
-// load, supersede, and coalescing all race under -race. Every response
+// load, and supersede all race under -race. Every response
 // must be a well-defined outcome (200, or a clean shed/conflict).
 func TestServeEstimateEvictRetrainRace(t *testing.T) {
 	store, err := ce.NewStore(t.TempDir())

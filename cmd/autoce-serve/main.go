@@ -56,15 +56,13 @@
 //
 // # Multi-tenancy
 //
-// Three mechanisms make "thousands of tenant datasets" the design point
+// Two mechanisms make "thousands of tenant datasets" the design point
 // (see README "Multi-tenant serving"):
 //
-//   - A budgeted model cache (-model-budget, -model-mem-budget) pages
-//     trained models between memory and the -model-dir artifact store,
-//     LRU-first; evicted models cold-load transparently and
-//     bit-identically on the next estimate (cache.go).
-//   - Concurrent single-query /estimate calls for the same served model
-//     coalesce into one EstimateBatch ride through admission.
+//   - A budgeted model cache (-model-budget) pages trained models
+//     between memory and the -model-dir artifact store, LRU-first;
+//     evicted models cold-load transparently and bit-identically on the
+//     next estimate (cache.go).
 //   - Rendezvous shard routing (-shard-index, -shard-count,
 //     -shard-peers) splits the tenant space across a fleet, each dataset
 //     mapping to a replica set of -replicas shards: the rendezvous
@@ -141,8 +139,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -152,23 +148,13 @@ import (
 	"repro/internal/feature"
 	"repro/internal/resilience"
 	"repro/internal/testbed"
-	"repro/internal/workload"
 )
 
 func main() {
 	advisorPath := flag.String("advisor", "", "path to a gob advisor written by core.Advisor.SaveFile (required)")
 	addr := flag.String("addr", ":8080", "listen address")
 	modelDir := flag.String("model-dir", "", "directory for trained-model artifacts; /train persists into it and /datasets reloads from it (empty = in-memory only)")
-	shutdownTimeout := flag.Duration("shutdown-timeout", 10*time.Second, "grace period for in-flight requests on shutdown")
-	readHeaderTimeout := flag.Duration("read-header-timeout", 5*time.Second, "http.Server ReadHeaderTimeout (slow-loris bound)")
-	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "http.Server ReadTimeout (full-request read bound; covers a 64 MiB /datasets upload)")
-	writeTimeout := flag.Duration("write-timeout", 5*time.Minute, "http.Server WriteTimeout backstop; per-endpoint deadlines govern handler time (0 = unlimited)")
-	idleTimeout := flag.Duration("idle-timeout", 2*time.Minute, "http.Server IdleTimeout for keep-alive connections")
-	estimateDeadline := flag.Duration("estimate-deadline", 0, "per-request deadline for /estimate (0 = default 5s)")
-	trainDeadline := flag.Duration("train-deadline", 0, "per-request deadline for /train (0 = default 120s)")
-	onboardDeadline := flag.Duration("onboard-deadline", 0, "per-request deadline for /datasets and /adapt (0 = default 60s)")
 	modelBudget := flag.Int("model-budget", 0, "max trained models resident in memory across all tenants; beyond it the LRU pages models out to -model-dir (0 = unlimited)")
-	modelMemBudget := flag.String("model-mem-budget", "", "max artifact bytes resident in memory, e.g. 64MiB (empty/0 = unlimited); requires -model-dir to page out")
 	shardIndex := flag.Int("shard-index", 0, "this instance's shard number in a sharded fleet (see -shard-count)")
 	shardCount := flag.Int("shard-count", 0, "total shards in the fleet; datasets are routed by rendezvous hash, others answer 421 (0/1 = unsharded)")
 	shardPeers := flag.String("shard-peers", "", "comma-separated base URLs of all shards (including this one); enables fleet-proxy forwarding of X-Shard-Key requests")
@@ -180,11 +166,6 @@ func main() {
 	if *advisorPath == "" {
 		fmt.Fprintln(os.Stderr, "autoce-serve: -advisor is required")
 		flag.Usage()
-		os.Exit(2)
-	}
-	memBudget, err := parseByteSize(*modelMemBudget)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "autoce-serve: -model-mem-budget: %v\n", err)
 		os.Exit(2)
 	}
 	shard, err := newSharder(*shardIndex, *shardCount, *replicas, *shardPeers)
@@ -228,21 +209,17 @@ func main() {
 	}
 
 	app := newServerOpts(adv, store, serveOptions{
-		EstimateDeadline: *estimateDeadline,
-		TrainDeadline:    *trainDeadline,
-		OnboardDeadline:  *onboardDeadline,
-		ModelBudget:      *modelBudget,
-		ModelMemBudget:   memBudget,
-		Shard:            shard,
-		PeerTimeout:      *peerTimeout,
-		ManifestPath:     manifest,
+		ModelBudget:  *modelBudget,
+		Shard:        shard,
+		PeerTimeout:  *peerTimeout,
+		ManifestPath: manifest,
 	})
 	srv := &http.Server{
 		Handler:           app,
-		ReadHeaderTimeout: *readHeaderTimeout,
-		ReadTimeout:       *readTimeout,
-		WriteTimeout:      *writeTimeout,
-		IdleTimeout:       *idleTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
@@ -274,13 +251,24 @@ func main() {
 	}
 	app.ready.Store(false) // /readyz goes 503: drain signal for load balancers
 	log.Print("shutting down (draining in-flight requests)...")
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), *shutdownTimeout)
+	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), shutdownTimeout)
 	defer cancelShutdown()
 	if err := srv.Shutdown(shutdownCtx); err != nil {
 		log.Fatalf("shutdown: %v", err)
 	}
 	log.Print("bye")
 }
+
+// Transport timeouts of the listening http.Server and the shutdown grace
+// period. Per-endpoint deadlines (serveOptions) govern handler time; these
+// only bound the connection around it.
+const (
+	readHeaderTimeout = 5 * time.Second  // slow-loris bound
+	readTimeout       = 2 * time.Minute  // full-request read; covers a 64 MiB /datasets upload
+	writeTimeout      = 5 * time.Minute  // backstop behind the per-endpoint deadlines
+	idleTimeout       = 2 * time.Minute  // keep-alive connections
+	shutdownTimeout   = 10 * time.Second // grace period for in-flight requests
+)
 
 // server holds the shared advisor, the artifact store, and the
 // multi-tenant serving state behind the HTTP handlers.
@@ -290,14 +278,12 @@ type server struct {
 
 	// fleet holds one atomically swapped snapshot per tenant dataset;
 	// cache is the budgeted paging layer deciding which trained models
-	// stay decoded in memory (see models.go and cache.go).
+	// stay decoded in memory (see models.go and cache.go); shard, when
+	// non-nil, scopes this instance to its rendezvous replica sets
+	// (shard.go).
 	fleet *fleet
 	cache *modelCache
-	// coalesce merges concurrent single-query /estimate calls for the
-	// same served model into one batched ride; shard, when non-nil,
-	// scopes this instance to its rendezvous replica sets (shard.go).
-	coalesce *resilience.Coalescer[*workload.Query, float64]
-	shard    *sharder
+	shard *sharder
 	// peers is the fleet proxy — per-peer breakers and retry — when
 	// shard peers are configured (proxy.go); manifest is the durable
 	// record of onboarded datasets replayed on restart (manifest.go).
@@ -333,8 +319,7 @@ func newServerOpts(adv *core.Advisor, store *ce.Store, opts serveOptions) *serve
 	s := &server{adv: adv, store: store, opts: opts.withDefaults()}
 	s.adm = resilience.NewAdmission(s.opts.Admission)
 	s.fleet = newFleet()
-	s.cache = newModelCache(store, s.opts.ModelBudget, s.opts.ModelMemBudget)
-	s.coalesce = &resilience.Coalescer[*workload.Query, float64]{MaxBatch: maxBatchQueries}
+	s.cache = newModelCache(store, s.opts.ModelBudget)
 	s.shard = s.opts.Shard
 	if s.shard != nil && s.shard.peers != nil {
 		s.peers = newPeerSet(s.shard, s.opts)
@@ -678,31 +663,4 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-// parseByteSize parses a human-readable byte count: a plain integer or
-// one with a K/M/G suffix (optionally Ki/Mi/Gi, optionally trailing B;
-// case-insensitive). All multipliers are binary (K = 1024). Empty means 0.
-func parseByteSize(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return 0, nil
-	}
-	u := strings.ToLower(s)
-	mult := int64(1)
-	u = strings.TrimSuffix(u, "b")
-	u = strings.TrimSuffix(u, "i")
-	switch {
-	case strings.HasSuffix(u, "k"):
-		mult, u = 1<<10, strings.TrimSuffix(u, "k")
-	case strings.HasSuffix(u, "m"):
-		mult, u = 1<<20, strings.TrimSuffix(u, "m")
-	case strings.HasSuffix(u, "g"):
-		mult, u = 1<<30, strings.TrimSuffix(u, "g")
-	}
-	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil || n < 0 {
-		return 0, fmt.Errorf("%q is not a byte size (want e.g. 64MiB, 512K, 1073741824)", s)
-	}
-	return n * mult, nil
 }

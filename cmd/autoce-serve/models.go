@@ -846,41 +846,16 @@ func (s *server) estimateSnapshot(w http.ResponseWriter, r *http.Request, req *e
 		qs[i] = q
 	}
 
-	var ests []float64
-	var err error
-	if len(qs) == 1 {
-		// Coalesce concurrent single-query calls for the same served model
-		// into one batched ride: the merged batch admits once at its
-		// merged weight and dispatches one EstimateBatch. The key includes
-		// the servedModel's identity, so calls resolved against different
-		// generations (a retrain mid-flight) never merge — their queries
-		// were validated against different datasets. The batch runs under
-		// its own deadline: a merged execution must not inherit one
-		// caller's nearly-expired context, because every other member
-		// still needs the results.
-		key := req.Dataset + "\x00" + name + "\x00" + fmt.Sprintf("%p", sm)
-		ests, err = s.coalesce.Do(key, qs, func(batch []*workload.Query) ([]float64, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), s.opts.EstimateDeadline)
-			defer cancel()
-			release, err := s.adm.AdmitCheap(ctx, int64(len(batch)))
-			if err != nil {
-				return nil, err
-			}
-			defer release()
-			return sm.estimate(ctx, s.cache, batch)
-		})
-	} else {
-		// Admit into the cheap class at batch weight, so one huge batch
-		// competes fairly with many small ones (AdmitCheap clamps
-		// oversized weights to the class capacity).
-		release, aerr := s.adm.AdmitCheap(r.Context(), int64(len(qs)))
-		if aerr != nil {
-			writeOverload(w, aerr)
-			return false
-		}
-		ests, err = sm.estimate(r.Context(), s.cache, qs)
-		release()
+	// Admit into the cheap class at batch weight, so one huge batch
+	// competes fairly with many small ones (AdmitCheap clamps oversized
+	// weights to the class capacity).
+	release, err := s.adm.AdmitCheap(r.Context(), int64(len(qs)))
+	if err != nil {
+		writeOverload(w, err)
+		return false
 	}
+	ests, err := sm.estimate(r.Context(), s.cache, qs)
+	release()
 	switch {
 	case errors.Is(err, errModelQuarantined):
 		writeError(w, http.StatusServiceUnavailable,

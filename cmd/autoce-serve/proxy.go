@@ -164,8 +164,7 @@ func (ps *peerSet) orderTargets(cands []int) []int {
 // to the primary exactly once.
 func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, read bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading request body: "+err.Error())
+	if !decodeOK(w, err) {
 		return
 	}
 	if !read {

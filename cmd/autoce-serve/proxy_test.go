@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -19,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/ce"
@@ -473,6 +475,32 @@ func TestServeForwardDoesNotMutateInbound(t *testing.T) {
 	}
 	if len(mutated) > 0 {
 		t.Fatalf("proxy mutated inbound requests: %v", mutated)
+	}
+}
+
+// TestServeForwardBodyReadErrors pins the fleet proxy's body-read
+// mapping to decodeOK's: a forwarded body past the size cap answers 413,
+// and any other read failure (a client that went away) answers 400.
+func TestServeForwardBodyReadErrors(t *testing.T) {
+	servers := fleetFor(t, 2, 1, nil)
+	sh0, _ := newSharder(0, 2, 1, "")
+	key := ownedKey(t, sh0, 1) // shard 0 neither owns nor backs it
+	front := servers[0].Config.Handler
+	send := func(path string, body io.Reader) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, path, body)
+		r.Header.Set("X-Shard-Key", key)
+		w := httptest.NewRecorder()
+		front.ServeHTTP(w, r)
+		return w
+	}
+	for _, path := range []string{"/train", "/estimate"} {
+		if w := send(path, iotest.ErrReader(errors.New("client went away"))); w.Code != http.StatusBadRequest {
+			t.Fatalf("%s with a failing body reader: %d %s, want 400", path, w.Code, w.Body)
+		}
+	}
+	huge := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	if w := send("/train", bytes.NewReader(huge)); w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized forwarded body: %d %s, want 413", w.Code, w.Body)
 	}
 }
 

@@ -23,20 +23,14 @@ package main
 // serving from the published snapshot — shed-on-overload, not
 // queue-and-collapse.
 //
-// Two serving-path wrinkles compose with the table above:
-//
-//   - Coalesced /estimate singles (cache.go, resilience.Coalescer) run
-//     as one merged batch under a fresh EstimateDeadline and one cheap
-//     admission at the merged weight — a merged caller can therefore see
-//     the 503 the batch earned, never a wrong answer.
-//   - On a sharded instance (shard.go), dataset-addressed endpoints
-//     answer 421 Misdirected Request before admission when this shard
-//     cannot serve the dataset: reads 421 outside the replica set,
-//     writes everywhere but the primary. With peers configured the fleet
-//     proxy (proxy.go) forwards instead — reads with per-peer breaker
-//     failover and bounded retries under PeerTimeout, writes once to the
-//     primary under the endpoint's own deadline — and a forward that
-//     exhausts every option answers a JSON 502.
+// On a sharded instance (shard.go), dataset-addressed endpoints answer
+// 421 Misdirected Request before admission when this shard cannot serve
+// the dataset: reads 421 outside the replica set, writes everywhere but
+// the primary. With peers configured the fleet proxy (proxy.go) forwards
+// instead — reads with per-peer breaker failover and bounded retries
+// under PeerTimeout, writes once to the primary under the endpoint's own
+// deadline — and a forward that exhausts every option answers a JSON
+// 502.
 
 import (
 	"context"
@@ -67,12 +61,10 @@ type serveOptions struct {
 	OnboardDeadline time.Duration
 	// Admission sizes the two admission classes and the train queue.
 	Admission resilience.AdmissionConfig
-	// ModelBudget caps resident trained models across all tenants, and
-	// ModelMemBudget caps their total artifact bytes; crossing either
-	// pages least-recently-used models out to the artifact store
-	// (cache.go). 0 = unlimited; both require a store to take effect.
-	ModelBudget    int
-	ModelMemBudget int64
+	// ModelBudget caps resident trained models across all tenants;
+	// crossing it pages least-recently-used models out to the artifact
+	// store (cache.go). 0 = unlimited; it requires a store to take effect.
+	ModelBudget int
 	// Shard scopes this instance to the datasets it backs in a sharded
 	// fleet; nil serves everything (shard.go).
 	Shard *sharder

@@ -6,6 +6,7 @@ package main
 // internal/resilience failpoints armed per test.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -340,6 +341,53 @@ func TestServeHeavyClassSheds(t *testing.T) {
 		t.Fatalf("/drift during heavy saturation returned %d: %s", resp.StatusCode, data)
 	}
 	wg.Wait()
+}
+
+// TestServeCheapClassSheds is TestServeHeavyClassSheds for the cheap
+// class: with its one slot held, single-query and batched /estimate both
+// wait out the estimate deadline and answer 503 + Retry-After, while the
+// heavy class keeps onboarding. Once the slot is released, both forms
+// answer again.
+func TestServeCheapClassSheds(t *testing.T) {
+	srv, ts := serveWithOpts(t, nil, serveOptions{
+		Admission:        resilience.AdmissionConfig{CheapSlots: 1},
+		EstimateDeadline: 150 * time.Millisecond,
+	})
+	d := serveDataset(t, 1, 48)
+	d.Name = "tenantA"
+	onboardAndTrain(t, ts, d, "Postgres")
+	queries := rangeQueryBodies(d, 64)
+	bodies := map[string]map[string]any{
+		"single-query": {"dataset": d.Name, "query": queries[0]},
+		"64-query":     {"dataset": d.Name, "queries": queries},
+	}
+
+	release, err := srv.adm.AdmitCheap(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for form, body := range bodies {
+		resp, data := postJSON(t, ts, "/estimate", body)
+		if resp.StatusCode != http.StatusServiceUnavailable {
+			t.Fatalf("%s /estimate with a saturated cheap class returned %d: %s", form, resp.StatusCode, data)
+		}
+		if resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s shed response carries no Retry-After header", form)
+		}
+	}
+	// Onboarding is the disjoint heavy class: still served.
+	other := serveDataset(t, 1, 49)
+	other.Name = "tenantB"
+	if resp, data := postJSON(t, ts, "/datasets", datasetBody(other)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("/datasets during cheap saturation returned %d: %s", resp.StatusCode, data)
+	}
+
+	release()
+	for form, body := range bodies {
+		if resp, data := postJSON(t, ts, "/estimate", body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s /estimate after release returned %d: %s", form, resp.StatusCode, data)
+		}
+	}
 }
 
 func TestServeModelsStillGETOnly(t *testing.T) {

@@ -62,7 +62,6 @@ import (
 var (
 	nTenants    = flag.Int("tenants", 500, "synthetic tenants to onboard and train")
 	modelBudget = flag.Int("model-budget", 64, "server -model-budget (resident-model cap)")
-	memBudget   = flag.String("model-mem-budget", "", "server -model-mem-budget, e.g. 8MiB (optional)")
 	stormFor    = flag.Duration("duration", 15*time.Second, "estimate-storm duration")
 	workers     = flag.Int("workers", 16, "concurrent estimate-storm workers")
 	setupPar    = flag.Int("setup-workers", 8, "concurrent onboard/train workers")
@@ -280,9 +279,6 @@ func spawnServer(bin, advPath, tmp string) (*serverProc, error) {
 		"-addr-file", addrFile,
 		"-model-dir", filepath.Join(tmp, "models"),
 		"-model-budget", fmt.Sprint(*modelBudget),
-	}
-	if *memBudget != "" {
-		args = append(args, "-model-mem-budget", *memBudget)
 	}
 	sp := &serverProc{cmd: exec.Command(bin, args...), log: &bytes.Buffer{}}
 	sp.cmd.Stdout = sp.log
@@ -545,7 +541,7 @@ func recordGroundTruth(sp *serverProc, tenants []*tenant) error {
 }
 
 // estimateStorm hammers /estimate for the configured duration: random
-// tenants, mixing coalesced single-query calls with batches, checking
+// tenants, mixing single-query calls with batches, checking
 // every answer against the tenant's recorded expectation.
 func estimateStorm(sp *serverProc, tenants []*tenant, lat *hists) (wrong, shed, requests int64, err error) {
 	stop := time.Now().Add(*stormFor)
