@@ -77,10 +77,13 @@
 // never forward again):
 //
 //	endpoint             primary              replica               any other shard
-//	/estimate            serves               serves (lazy stub     forwards across the
-//	                                          from the shared       replica set with
-//	                                          -model-dir store)     retry, else 421
-//	/recommend, /drift   serves               serves                forwards (failover), else 421
+//	/estimate,           serves               serves (lazy stub     forwards across the
+//	/recommend                                from the shared       replica set with
+//	                                          -model-dir store);    retry, else 421
+//	                                          forwards a keyed
+//	                                          read for a tenant
+//	                                          it lacks
+//	/drift               serves               serves                forwards (failover), else 421
 //	/datasets            serves, records to   421 unless marked     forwards once to the
 //	                     manifest, fans out   X-Shard-Replicate     primary, else 421
 //	                     to replica set       (the primary fan-out)
@@ -435,9 +438,6 @@ func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		tn := s.fleet.tenant(req.Dataset)
 		if tn == nil {
-			if s.readRepair(w, r, req.Dataset, &req) {
-				return
-			}
 			writeError(w, http.StatusNotFound, fmt.Sprintf("dataset %q is not onboarded", req.Dataset))
 			return
 		}
@@ -517,8 +517,8 @@ func (s *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("labels have %d/%d scores, advisor's models need %d", len(req.Sa), len(req.Se), dim))
 		return
 	}
-	if req.Epochs < 0 {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("epochs %d is negative", req.Epochs))
+	if req.Epochs < 0 || req.Epochs > maxAdaptEpochs {
+		writeError(w, http.StatusBadRequest, fmt.Sprintf("epochs %d outside [0, %d]", req.Epochs, maxAdaptEpochs))
 		return
 	}
 	epochs := req.Epochs

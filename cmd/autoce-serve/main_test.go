@@ -188,6 +188,35 @@ func TestServeAdapt(t *testing.T) {
 	}
 }
 
+// TestServeAdaptEpochsCap: /adapt's DML pass cannot be cancelled, so an
+// epochs count past the full-training budget answers 400 and leaves the
+// advisor's RCS as it was.
+func TestServeAdaptEpochsCap(t *testing.T) {
+	adv, samples := testAdvisor(t, 12)
+	ts := httptest.NewServer(newServer(adv, nil))
+	defer ts.Close()
+
+	body := graphBody(samples[0].Graph)
+	body["sa"] = []float64{0.2, 0.3, 0.9}
+	body["se"] = []float64{0.5, 0.5, 0.5}
+	body["epochs"] = maxAdaptEpochs + 1
+	if resp, data := postJSON(t, ts, "/adapt", body); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/adapt with epochs %d: %d %s, want 400", maxAdaptEpochs+1, resp.StatusCode, data)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var h map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+		t.Fatal(err)
+	}
+	if h["rcs_size"] != float64(12) {
+		t.Fatalf("rcs_size %v after a refused /adapt, want 12", h["rcs_size"])
+	}
+}
+
 func TestServeHealthz(t *testing.T) {
 	adv, _ := testAdvisor(t, 10)
 	ts := httptest.NewServer(newServer(adv, nil))

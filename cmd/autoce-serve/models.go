@@ -20,7 +20,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -53,6 +52,7 @@ const (
 	maxDatasetTables = 8
 	maxDatasetCells  = 4 << 20 // total values across all tables
 	maxTrainQueries  = 2000
+	maxAdaptEpochs   = 30 // core.DefaultConfig's Epochs; /adapt's DML pass ignores its deadline
 	maxSampleRows    = 20000
 	maxBatchQueries  = 10000
 	defaultWa        = 0.9
@@ -355,32 +355,6 @@ func (s *server) replicate(r *http.Request, name string, body []byte) {
 			log.Printf("onboarding %q: replicating to shard %d failed: %v", name, peer, err)
 		}
 	}
-}
-
-// readRepair rescues a read for a dataset this shard backs but never
-// onboarded — the onboarding fan-out is best-effort, so a replica can
-// lag behind its set. Instead of a 404 the read re-forwards to the rest
-// of the replica set (primary included), turning the replication gap
-// into one extra hop. Forwarded requests are excluded: the loop guard
-// makes the second miss final, so a genuinely unknown dataset still
-// answers 404 after at most one bounce. Reports whether it responded.
-func (s *server) readRepair(w http.ResponseWriter, r *http.Request, name string, req any) bool {
-	if s.peers == nil || s.shard == nil || !s.shard.backs(name) || r.Header.Get("X-Shard-Forwarded") != "" {
-		return false
-	}
-	repairable := false // some other member must exist to ask (replicas=1 has none)
-	for _, p := range s.shard.replicasOf(name) {
-		repairable = repairable || p != s.shard.index
-	}
-	if !repairable {
-		return false
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	s.peers.forwardRead(w, r, name, body)
-	return true
 }
 
 // onboard is the core of dataset onboarding, shared by the HTTP handler
@@ -795,9 +769,6 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 func (s *server) estimateSnapshot(w http.ResponseWriter, r *http.Request, req *estimateRequest, retry bool) (superseded bool) {
 	tn := s.fleet.tenant(req.Dataset)
 	if tn == nil {
-		if s.readRepair(w, r, req.Dataset, req) {
-			return false
-		}
 		writeError(w, http.StatusNotFound, fmt.Sprintf("dataset %q is not onboarded", req.Dataset))
 		return false
 	}

@@ -1,23 +1,27 @@
 package main
 
 // The fleet proxy: forwarding with fault tolerance. Where shard.go
-// decides *who* can answer a request, this file gets it there and back.
-// Its one health signal is a circuit breaker per peer: a crashed shard
-// costs one failure window instead of a timeout per request, and a
-// recovered one is readmitted by live traffic — once a breaker's cooldown
-// has elapsed it ranks as ready again, so the next read it is offered is
-// its half-open probe.
+// decides *who* can answer a request (shardRoute, forward's only
+// caller), this file gets it there and back. Each mechanism names the
+// gate that fails without it:
 //
-// Reads (/estimate, /recommend, /drift, GETs) retry across the dataset's
-// replica set with bounded decorrelated-jitter backoff, peers whose
-// breaker would admit them first. A 404 is final only when every member
-// of the replica set answered it; if one was unreachable, the member
-// that missed the tenant may just be lagging behind an onboarding
-// fan-out, so the read answers 502 instead. Writes (/datasets, /train,
-// /adapt) are forwarded to the primary exactly once and never replayed —
-// a replayed /train would double-spend the training budget, a replayed
-// /datasets could resurrect a replaced dataset. Forwards that exhaust
-// every option answer a JSON 502 naming the last upstream failure.
+//   - A circuit breaker per peer, the one health signal: a crashed shard
+//     costs one failure window, not a timeout per request, and after the
+//     cooldown the next read it is offered is its half-open probe.
+//     TestServeBreakerReadmitsPrimaryOnLiveRead, TestServePeerForwardFailpoint.
+//   - Retry: reads fail over across the replica set, ready peers first,
+//     with decorrelated-jitter backoff. TestServeReadFailover fails with
+//     one attempt; no gate fails with one attempt per member.
+//   - The 404 rule: a 404 is final only when every replica-set member
+//     answered it, else the read answers 502 (a member may just have
+//     missed the onboarding fan-out). TestServeLaggingReplicaReadIsUnavailable.
+//   - Fan-out retry (replicate): without it, shard-chaos's restarted
+//     shard misses tenants and answers 404.
+//
+// Writes are forwarded to the primary exactly once, never replayed: a
+// replayed /train would double-spend the training budget, a replayed
+// /datasets could resurrect a replaced dataset. A forward that exhausts
+// every option answers a JSON 502 naming the last upstream failure.
 
 import (
 	"bytes"
@@ -42,26 +46,22 @@ const headerReplicate = "X-Shard-Replicate"
 type peerSet struct {
 	sh     *sharder
 	client *http.Client
-	// readTimeout bounds each forwarded read attempt; write forwards use
-	// the target endpoint's own deadline (a /train legitimately runs
-	// minutes).
-	readTimeout  time.Duration
-	trainTimeout time.Duration
-	writeTimeout time.Duration
-	retry        resilience.Retry
-	breakers     []*resilience.Breaker
+	// opts supplies the forward deadlines: PeerTimeout bounds each read
+	// attempt, and write forwards use the target endpoint's own deadline
+	// (a /train legitimately runs minutes).
+	opts     serveOptions
+	retry    resilience.Retry
+	breakers []*resilience.Breaker
 }
 
 // newPeerSet wires the fault-tolerance state for a sharder running in
 // proxy mode (sh.peers non-nil).
 func newPeerSet(sh *sharder, opts serveOptions) *peerSet {
 	ps := &peerSet{
-		sh:           sh,
-		client:       &http.Client{},
-		readTimeout:  opts.PeerTimeout,
-		trainTimeout: opts.TrainDeadline,
-		writeTimeout: opts.OnboardDeadline,
-		retry:        resilience.Retry{Attempts: 3, Base: 25 * time.Millisecond, Cap: time.Second},
+		sh:     sh,
+		client: &http.Client{},
+		opts:   opts,
+		retry:  resilience.Retry{Attempts: 3, Base: 25 * time.Millisecond, Cap: time.Second},
 	}
 	for i := 0; i < sh.count; i++ {
 		ps.breakers = append(ps.breakers, resilience.NewBreaker(resilience.BreakerConfig{}))
@@ -94,7 +94,7 @@ func (pr *peerResponse) write(w http.ResponseWriter) {
 // built fresh with a cloned header set, per the ReverseProxy contract
 // this layer replaces — mutating r would corrupt the caller's view and
 // every later attempt's.
-func (ps *peerSet) do(ctx context.Context, peer int, r *http.Request, body []byte, extra http.Header) (*peerResponse, error) {
+func (ps *peerSet) do(ctx context.Context, peer int, r *http.Request, body []byte) (*peerResponse, error) {
 	b := ps.breakers[peer]
 	if !b.Allow() {
 		// Fail fast without recording: refusal is the breaker's own doing,
@@ -116,9 +116,6 @@ func (ps *peerSet) do(ctx context.Context, peer int, r *http.Request, body []byt
 	}
 	req.Header = r.Header.Clone()
 	req.Header.Set("X-Shard-Forwarded", strconv.Itoa(ps.sh.index))
-	for k, vs := range extra {
-		req.Header[k] = vs
-	}
 	resp, err := ps.client.Do(req)
 	if err != nil {
 		b.Record(err)
@@ -159,22 +156,26 @@ func (ps *peerSet) orderTargets(cands []int) []int {
 	return append(ready, refused...)
 }
 
-// forward proxies r — whose dataset key this shard cannot answer — to the
-// fleet. Reads fail over across the replica set with retries; writes go
-// to the primary exactly once.
+// forward proxies r to the fleet: a request whose dataset key this shard
+// cannot answer, or a keyed read for a tenant this replica-set member has
+// not published (shard.go). Writes go to the primary exactly once. Reads
+// fail over across key's replica set, ready peers first, with retries; a
+// member's 404 moves the read on to the next member, and it is the
+// answer only once every other member has answered 404 too — otherwise
+// the read ends in the JSON 502.
 func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, read bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if !decodeOK(w, err) {
 		return
 	}
 	if !read {
-		timeout := ps.writeTimeout
+		timeout := ps.opts.OnboardDeadline
 		if r.URL.Path == "/train" {
-			timeout = ps.trainTimeout
+			timeout = ps.opts.TrainDeadline
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
-		pr, err := ps.do(ctx, ps.sh.shardOf(key), r, body, nil)
+		pr, err := ps.do(ctx, ps.sh.shardOf(key), r, body)
 		if err != nil {
 			writeError(w, http.StatusBadGateway, fmt.Sprintf("forwarding to primary of %q: %v", key, err))
 			return
@@ -182,33 +183,18 @@ func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, r
 		pr.write(w)
 		return
 	}
-	ps.forwardRead(w, r, key, body)
-}
-
-// forwardRead fails a read over across key's replica set, ready peers
-// first, with retries. It serves two callers: forward (fronting a
-// request this shard cannot answer) and read repair (models.go) — a
-// replica-set member that missed the onboarding fan-out re-forwards the
-// read instead of answering 404. A member's 404 moves the read on to the
-// next member; it is the answer only once every other member has
-// answered 404 too, and otherwise the read ends in the JSON 502.
-func (ps *peerSet) forwardRead(w http.ResponseWriter, r *http.Request, key string, body []byte) {
+	// Never empty: shardRoute forwards a read only when key's replica set
+	// holds a member other than this shard.
 	targets := ps.orderTargets(ps.sh.replicasOf(key))
-	if len(targets) == 0 {
-		// Degenerate topology (replica set ⊆ self); the caller's routing
-		// should have served locally.
-		ps.sh.misdirect(w, key)
-		return
-	}
 	retry := ps.retry
 	retry.Attempts = max(retry.Attempts, len(targets))
 	var pr *peerResponse
 	notFound := map[int]bool{}
 	attemptOne := func(attempt int) error {
 		peer := targets[attempt%len(targets)]
-		ctx, cancel := context.WithTimeout(r.Context(), ps.readTimeout)
+		ctx, cancel := context.WithTimeout(r.Context(), ps.opts.PeerTimeout)
 		defer cancel()
-		resp, err := ps.do(ctx, peer, r, body, nil)
+		resp, err := ps.do(ctx, peer, r, body)
 		if err != nil {
 			return err
 		}
@@ -234,12 +220,12 @@ func (ps *peerSet) forwardRead(w http.ResponseWriter, r *http.Request, key strin
 // retried — re-onboarding an identical payload is idempotent, and the
 // common failure is the replica's heavy admission class shedding under
 // an onboarding burst (503), which backoff rides out. Still best-effort
-// after the budget: the caller logs the failure, and reads for the
-// tenant on the lagging replica re-forward to the rest of the replica
-// set (read repair) rather than answering 404.
+// after the budget: the caller logs the failure, and keyed reads that
+// reach the lagging replica forward to the rest of the replica set
+// (shard.go) rather than answering its 404.
 func (ps *peerSet) replicate(ctx context.Context, peer int, key string, body []byte) error {
 	return ps.retry.Do(ctx, func(int) error {
-		cctx, cancel := context.WithTimeout(ctx, ps.writeTimeout)
+		cctx, cancel := context.WithTimeout(ctx, ps.opts.OnboardDeadline)
 		defer cancel()
 		r, err := http.NewRequestWithContext(cctx, http.MethodPost, "/datasets", bytes.NewReader(body))
 		if err != nil {
@@ -247,8 +233,8 @@ func (ps *peerSet) replicate(ctx context.Context, peer int, key string, body []b
 		}
 		r.Header.Set("Content-Type", "application/json")
 		r.Header.Set("X-Shard-Key", key)
-		extra := http.Header{headerReplicate: []string{"1"}}
-		pr, err := ps.do(cctx, peer, r, body, extra)
+		r.Header.Set(headerReplicate, "1")
+		pr, err := ps.do(cctx, peer, r, body)
 		if err != nil {
 			return err
 		}

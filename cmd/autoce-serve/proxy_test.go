@@ -755,6 +755,96 @@ func TestServeLaggingReplicaReadIsUnavailable(t *testing.T) {
 	want502(t, "estimate with the primary down and the replica lagging", resp, data)
 }
 
+// TestServeOnlyKeyedRequestsForward pins the fleet's one forwarding
+// path, the shard router, which only keyed requests take. Shard 2, a
+// replica that refused the onboarding fan-in, answers header-less reads
+// for the tenant with its own 404 and forwards nothing. A keyed /estimate
+// it fronts forwards the client's bytes unchanged to the primary, and
+// answers with the primary's estimate.
+func TestServeOnlyKeyedRequestsForward(t *testing.T) {
+	type arrival struct {
+		shard int
+		body  []byte
+	}
+	var mu sync.Mutex
+	var fromShard2 []arrival
+	servers := fleetFor(t, 3, 2, func(i int, inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if i == 2 && r.Header.Get(headerReplicate) != "" {
+				writeError(w, http.StatusServiceUnavailable, "refusing replica fan-in")
+				return
+			}
+			if i != 2 && r.Header.Get("X-Shard-Forwarded") == "2" {
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					t.Errorf("shard %d reading a forwarded body: %v", i, err)
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
+				mu.Lock()
+				fromShard2 = append(fromShard2, arrival{i, body})
+				mu.Unlock()
+			}
+			inner.ServeHTTP(w, r)
+		})
+	})
+	est, hdr := frontTenant(t, servers, 215)
+	arrivals := func() []arrival {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]arrival(nil), fromShard2...)
+	}
+
+	rec := map[string]any{"dataset": est["dataset"], "wa": 0.5}
+	for _, c := range []struct {
+		path string
+		body map[string]any
+	}{{"/estimate", est}, {"/recommend", rec}} {
+		if resp, data := postJSONHeaders(t, servers[2], c.path, c.body, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("header-less %s on the lagging replica: %d %s, want its own 404", c.path, resp.StatusCode, data)
+		}
+	}
+	if got := arrivals(); len(got) != 0 {
+		t.Fatalf("header-less reads forwarded %d requests from shard 2, want 0", len(got))
+	}
+
+	resp, data := postJSONHeaders(t, servers[1], "/estimate", est, nil)
+	var want estimateResponse
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &want) != nil {
+		t.Fatalf("estimate on the primary: %d %s", resp.StatusCode, data)
+	}
+	// Indented, so a re-encoded body would not match byte for byte.
+	raw, err := json.MarshalIndent(est, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPost, servers[2].URL+"/estimate", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Shard-Key", hdr["X-Shard-Key"])
+	hresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err = io.ReadAll(hresp.Body)
+	hresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got estimateResponse
+	if hresp.StatusCode != http.StatusOK || json.Unmarshal(data, &got) != nil {
+		t.Fatalf("keyed estimate fronted by the lagging replica: %d %s, want 200", hresp.StatusCode, data)
+	}
+	if got.Estimate != want.Estimate || got.Model != want.Model {
+		t.Fatalf("keyed estimate %v (model %s), primary answers %v (model %s)", got.Estimate, got.Model, want.Estimate, want.Model)
+	}
+	a := arrivals()
+	if len(a) != 1 || a[0].shard != 1 || !bytes.Equal(a[0].body, raw) {
+		t.Fatalf("shard 2 forwarded %d requests (%+v), want one to shard 1 carrying the client's bytes %q", len(a), a, raw)
+	}
+}
+
 // TestServeBreakerReadmitsPrimaryOnLiveRead: once the cooldown of the
 // front shard's open breaker for a primary has elapsed, the next
 // forwarded /recommend goes to that primary — ahead of the replica — and

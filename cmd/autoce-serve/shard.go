@@ -23,13 +23,14 @@ package main
 //     Writes 421 everywhere but the primary; reads 421 outside the
 //     replica set. A shard is therefore always safe to hit directly — it
 //     can serve a wrong answer for a misrouted tenant never, only a 421.
-//   - Fleet proxy (optional, -shard-peers): a request carrying an
-//     X-Shard-Key header for a dataset this shard cannot answer is
-//     forwarded to a shard that can, with per-peer circuit breakers and
-//     bounded retries across the replica set (proxy.go).
-//     X-Shard-Forwarded guards against forwarding loops when peers
-//     disagree about the topology mid-rollout: a forwarded request is
-//     never forwarded again, it answers 421 instead.
+//   - Fleet proxy (optional, -shard-peers): only a request carrying an
+//     X-Shard-Key header forwards, and only for a dataset this shard
+//     cannot answer: outside its replica set, or a tenant read on a
+//     member that lacks the tenant (shardRoute). It goes to a shard that
+//     can, with per-peer circuit breakers and bounded retries across the
+//     replica set (proxy.go). X-Shard-Forwarded guards against
+//     forwarding loops when peers disagree about the topology
+//     mid-rollout: a forwarded request is never forwarded again.
 
 import (
 	"fmt"
@@ -223,11 +224,14 @@ func readOnlyRequest(r *http.Request) bool {
 	return false
 }
 
-// shardRoute is the fleet routing layer: requests carrying an X-Shard-Key
-// for a dataset this shard cannot answer are forwarded (body undecoded)
-// to a shard that can — with breaker failover for reads — and
-// everything else falls through to the local mux, whose handlers enforce
-// the read/write matrix per dataset.
+// shardRoute is the fleet routing layer, and the only place a request is
+// forwarded. Only requests carrying an X-Shard-Key forward (body
+// undecoded, with breaker failover for reads), and only when this shard
+// cannot answer for the key: it is outside the dataset's replica set (or
+// not its primary, for a write), or it is a member that has not published
+// the tenant, asked for a tenant read. Everything else — a request
+// without the header included — falls through to the local mux, whose
+// handlers enforce the read/write matrix per dataset.
 func (s *server) shardRoute(next http.Handler) http.Handler {
 	sh := s.shard
 	if sh == nil {
@@ -251,11 +255,18 @@ func (s *server) shardRoute(next http.Handler) http.Handler {
 			return
 		}
 		read := readOnlyRequest(r)
+		forward := s.peers != nil && r.Header.Get("X-Shard-Forwarded") == ""
 		if sh.owns(key) || (read && sh.backs(key)) {
-			next.ServeHTTP(w, r)
-			return
+			// A member that missed the best-effort onboarding fan-out
+			// forwards a tenant read like a non-member would, and the
+			// forward's 404 rule decides the answer.
+			tenantRead := r.URL.Path == "/estimate" || r.URL.Path == "/recommend"
+			if !forward || sh.replicas == 1 || !tenantRead || s.fleet.tenant(key) != nil {
+				next.ServeHTTP(w, r)
+				return
+			}
 		}
-		if s.peers != nil && r.Header.Get("X-Shard-Forwarded") == "" {
+		if forward {
 			s.peers.forward(w, r, key, read)
 			return
 		}

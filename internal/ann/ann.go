@@ -252,6 +252,9 @@ func (ix *Index) SearchFiltered(q []float64, k int, allow func(int) bool) []Neig
 	if k <= 0 {
 		return nil
 	}
+	// k can come from a client (/recommend); like the exact scan, never
+	// size the heap past the vectors that exist.
+	k = min(k, ix.n)
 	probes := ix.probeCells(q)
 	h := make([]Neighbor, 0, k)
 	for _, c := range probes {

@@ -259,3 +259,24 @@ func TestSearchShortResults(t *testing.T) {
 		t.Fatalf("nprobe-2 search of 16 cells returned %d of 64", len(got))
 	}
 }
+
+// TestSearchClampsK: a k past the index size — /recommend passes the
+// client's k through — answers like k = n instead of sizing its
+// selection heap by k.
+func TestSearchClampsK(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	vecs := clusteredVecs(rng, 200, 8, 4, 0, 0.3)
+	ix := Build(vecs, Params{MinIndexSize: 1})
+	for qi := 0; qi < 5; qi++ {
+		q := vecs[rng.Intn(len(vecs))]
+		got, want := ix.Search(q, math.MaxInt), ix.Search(q, len(vecs))
+		if len(got) != len(want) {
+			t.Fatalf("query %d: k=MaxInt returned %d neighbors, k=n %d", qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("query %d: neighbor %d = %+v, want %+v", qi, i, got[i], want[i])
+			}
+		}
+	}
+}
