@@ -78,8 +78,8 @@
 //
 //	endpoint             primary              replica               any other shard
 //	/estimate,           serves               serves (lazy stub     forwards across the
-//	/recommend                                from the shared       replica set with
-//	                                          -model-dir store);    retry, else 421
+//	/recommend                                from the shared       replica set, each
+//	                                          -model-dir store);    member once, else 421
 //	                                          forwards a keyed
 //	                                          read for a tenant
 //	                                          it lacks
@@ -94,11 +94,11 @@
 // Forwarding runs through one circuit breaker per peer, the proxy's only
 // health signal: a crashed shard costs one failure window, not a timeout
 // per request, and once the cooldown has elapsed the next live read
-// probes it back in. Reads retry across the replica set with capped
-// decorrelated-jitter backoff, and a 404 is final only when every
+// probes it back in. Reads fail over across the replica set, trying each
+// member once with no backoff, and a 404 is final only when every
 // replica-set member answered it; writes are forwarded exactly once and
-// never replayed. A forward that exhausts every option answers a JSON
-// 502.
+// never replayed, and only the primary's onboarding fan-out retries with
+// backoff. A forward that exhausts every option answers a JSON 502.
 //
 // Each shard also records every dataset payload it accepts in a tenant
 // manifest (-manifest, defaulting into -model-dir): a directory with one
@@ -287,7 +287,7 @@ type server struct {
 	fleet *fleet
 	cache *modelCache
 	shard *sharder
-	// peers is the fleet proxy — per-peer breakers and retry — when
+	// peers is the fleet proxy — per-peer breakers and failover — when
 	// shard peers are configured (proxy.go); manifest is the durable
 	// record of onboarded datasets replayed on restart (manifest.go).
 	// Either may be nil.

@@ -9,14 +9,15 @@ package main
 //     costs one failure window, not a timeout per request, and after the
 //     cooldown the next read it is offered is its half-open probe.
 //     TestServeBreakerReadmitsPrimaryOnLiveRead, TestServePeerForwardFailpoint.
-//   - Retry: reads fail over across the replica set, ready peers first,
-//     with decorrelated-jitter backoff. TestServeReadFailover fails with
-//     one attempt; no gate fails with one attempt per member.
+//   - Failover: a read tries each replica-set member once, ready peers
+//     first, with no backoff: no unit test or drill needs more.
+//     TestServeReadFailover fails if a read tries only one member, and
+//     TestServeReadTriesEachMemberOnce if it tries one twice.
 //   - The 404 rule: a 404 is final only when every replica-set member
 //     answered it, else the read answers 502 (a member may just have
 //     missed the onboarding fan-out). TestServeLaggingReplicaReadIsUnavailable.
-//   - Fan-out retry (replicate): without it, shard-chaos's restarted
-//     shard misses tenants and answers 404.
+//   - Fan-out retry (replicate), the one use of resilience.Retry: without
+//     it, shard-chaos's restarted shard misses tenants and answers 404.
 //
 // Writes are forwarded to the primary exactly once, never replayed: a
 // replayed /train would double-spend the training budget, a replayed
@@ -31,7 +32,6 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
-	"time"
 
 	"repro/internal/resilience"
 )
@@ -42,7 +42,7 @@ import (
 const headerReplicate = "X-Shard-Replicate"
 
 // peerSet is this shard's view of the rest of the fleet: one breaker per
-// peer and the retry policy.
+// peer.
 type peerSet struct {
 	sh     *sharder
 	client *http.Client
@@ -50,7 +50,6 @@ type peerSet struct {
 	// attempt, and write forwards use the target endpoint's own deadline
 	// (a /train legitimately runs minutes).
 	opts     serveOptions
-	retry    resilience.Retry
 	breakers []*resilience.Breaker
 }
 
@@ -61,7 +60,6 @@ func newPeerSet(sh *sharder, opts serveOptions) *peerSet {
 		sh:     sh,
 		client: &http.Client{},
 		opts:   opts,
-		retry:  resilience.Retry{Attempts: 3, Base: 25 * time.Millisecond, Cap: time.Second},
 	}
 	for i := 0; i < sh.count; i++ {
 		ps.breakers = append(ps.breakers, resilience.NewBreaker(resilience.BreakerConfig{}))
@@ -159,10 +157,10 @@ func (ps *peerSet) orderTargets(cands []int) []int {
 // forward proxies r to the fleet: a request whose dataset key this shard
 // cannot answer, or a keyed read for a tenant this replica-set member has
 // not published (shard.go). Writes go to the primary exactly once. Reads
-// fail over across key's replica set, ready peers first, with retries; a
-// member's 404 moves the read on to the next member, and it is the
-// answer only once every other member has answered 404 too — otherwise
-// the read ends in the JSON 502.
+// try each member of key's replica set once, ready peers first, with no
+// backoff; a member's 404 moves the read on to the next member, and it is
+// the answer only once every other member has answered 404 too —
+// otherwise the read ends in the JSON 502.
 func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, read bool) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if !decodeOK(w, err) {
@@ -186,32 +184,30 @@ func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, r
 	// Never empty: shardRoute forwards a read only when key's replica set
 	// holds a member other than this shard.
 	targets := ps.orderTargets(ps.sh.replicasOf(key))
-	retry := ps.retry
-	retry.Attempts = max(retry.Attempts, len(targets))
-	var pr *peerResponse
-	notFound := map[int]bool{}
-	attemptOne := func(attempt int) error {
-		peer := targets[attempt%len(targets)]
+	var last error
+	notFound := 0
+	for _, peer := range targets {
 		ctx, cancel := context.WithTimeout(r.Context(), ps.opts.PeerTimeout)
-		defer cancel()
-		resp, err := ps.do(ctx, peer, r, body)
-		if err != nil {
-			return err
-		}
-		pr = resp
-		if resp.status == http.StatusNotFound {
-			notFound[peer] = true
-			if len(notFound) < len(targets) {
-				return fmt.Errorf("shard %d: %s", peer, bytes.TrimSpace(resp.body))
+		pr, err := ps.do(ctx, peer, r, body)
+		cancel()
+		switch {
+		case err != nil:
+			last = err
+		case pr.status != http.StatusNotFound:
+			pr.write(w)
+			return
+		default:
+			if notFound++; notFound == len(targets) {
+				pr.write(w)
+				return
 			}
+			last = fmt.Errorf("shard %d: %s", peer, bytes.TrimSpace(pr.body))
 		}
-		return nil
+		if r.Context().Err() != nil {
+			break // the client is gone: charge no further peer's breaker
+		}
 	}
-	if err := retry.Do(r.Context(), attemptOne); err != nil {
-		writeError(w, http.StatusBadGateway, fmt.Sprintf("forwarding %q: all replicas failed: %v", key, err))
-		return
-	}
-	pr.write(w)
+	writeError(w, http.StatusBadGateway, fmt.Sprintf("forwarding %q: all replicas failed: %v", key, last))
 }
 
 // replicate fans a successful local onboarding out to one replica-set
@@ -224,7 +220,7 @@ func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, r
 // reach the lagging replica forward to the rest of the replica set
 // (shard.go) rather than answering its 404.
 func (ps *peerSet) replicate(ctx context.Context, peer int, key string, body []byte) error {
-	return ps.retry.Do(ctx, func(int) error {
+	return resilience.Retry{}.Do(ctx, func(int) error {
 		cctx, cancel := context.WithTimeout(ctx, ps.opts.OnboardDeadline)
 		defer cancel()
 		r, err := http.NewRequestWithContext(cctx, http.MethodPost, "/datasets", bytes.NewReader(body))

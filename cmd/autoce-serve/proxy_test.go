@@ -755,6 +755,40 @@ func TestServeLaggingReplicaReadIsUnavailable(t *testing.T) {
 	want502(t, "estimate with the primary down and the replica lagging", resp, data)
 }
 
+// TestServeReadTriesEachMemberOnce pins the read failover budget: a
+// forwarded read tries every replica-set member exactly once. Both
+// members drop the connection (a transport failure — a 503 would be an
+// answer, passed through), so the read answers 502 after one forward to
+// each, with no repeats.
+func TestServeReadTriesEachMemberOnce(t *testing.T) {
+	var forwards [3]atomic.Int32
+	servers := fleetFor(t, 3, 2, func(i int, inner http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/estimate" || r.Header.Get("X-Shard-Forwarded") == "" {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			forwards[i].Add(1)
+			conn, _, err := w.(http.Hijacker).Hijack()
+			if err != nil {
+				t.Errorf("shard %d: hijack: %v", i, err)
+				return
+			}
+			conn.Close()
+		})
+	})
+	sh0, _ := newSharder(0, 3, 2, "")
+	key := keyWithReplicas(t, sh0, 1, 2) // shard 0 fronts, never serves
+	resp, data := postJSONHeaders(t, servers[0], "/estimate", map[string]any{
+		"dataset": key, "query": map[string]any{}}, map[string]string{"X-Shard-Key": key})
+	want502(t, "estimate with every member dropping the connection", resp, data)
+	for i := 1; i <= 2; i++ {
+		if got := forwards[i].Load(); got != 1 {
+			t.Errorf("shard %d saw %d forwarded estimates, want exactly 1", i, got)
+		}
+	}
+}
+
 // TestServeOnlyKeyedRequestsForward pins the fleet's one forwarding
 // path, the shard router, which only keyed requests take. Shard 2, a
 // replica that refused the onboarding fan-in, answers header-less reads

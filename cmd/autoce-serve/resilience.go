@@ -27,10 +27,10 @@ package main
 // 421 Misdirected Request before admission when this shard cannot serve
 // the dataset: reads 421 outside the replica set, writes everywhere but
 // the primary. With peers configured the fleet proxy (proxy.go) forwards
-// instead — reads with per-peer breaker failover and bounded retries
-// under PeerTimeout, writes once to the primary under the endpoint's own
-// deadline — and a forward that exhausts every option answers a JSON
-// 502.
+// instead — reads with per-peer breaker failover, one attempt per
+// replica-set member under PeerTimeout, writes once to the primary under
+// the endpoint's own deadline — and a forward that exhausts every option
+// answers a JSON 502.
 
 import (
 	"context"

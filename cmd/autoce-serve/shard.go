@@ -27,8 +27,8 @@ package main
 //     X-Shard-Key header forwards, and only for a dataset this shard
 //     cannot answer: outside its replica set, or a tenant read on a
 //     member that lacks the tenant (shardRoute). It goes to a shard that
-//     can, with per-peer circuit breakers and bounded retries across the
-//     replica set (proxy.go). X-Shard-Forwarded guards against
+//     can, with per-peer circuit breakers and one attempt per member of
+//     the replica set (proxy.go). X-Shard-Forwarded guards against
 //     forwarding loops when peers disagree about the topology
 //     mid-rollout: a forwarded request is never forwarded again.
 
@@ -210,7 +210,7 @@ func (s *server) shardPrimaryOK(w http.ResponseWriter, dataset string) bool {
 }
 
 // readOnlyRequest classifies a request as an idempotent read — safe to
-// serve from a replica and to retry. Anything unrecognized is
+// serve from a replica and to fail over. Anything unrecognized is
 // treated as a write (the conservative direction: it routes to the
 // primary and is never replayed).
 func readOnlyRequest(r *http.Request) bool {

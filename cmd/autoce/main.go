@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -34,8 +35,12 @@ func main() {
 	fast := flag.Bool("fast", true, "use the reduced training budget for the CE models")
 	saveTo := flag.String("save", "", "after training, save the advisor to this file (gob)")
 	loadFrom := flag.String("load", "", "skip training and load a saved advisor from this file")
-	sampleRows := flag.Int("sample-rows", 0, "estimate the target's features from a reservoir sample of this many rows per table plus KMV distinct sketches (0 = exact; use for very large unbinned user datasets)")
 	flag.Parse()
+	if !(*wa >= 0 && *wa <= 1) { // also rejects NaN
+		fmt.Fprintf(os.Stderr, "autoce: -wa %g outside [0,1]\n", *wa)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	sc := experiments.QuickScale()
 	sc.TrainDatasets = *trainN
@@ -118,12 +123,7 @@ func main() {
 		}
 	}
 
-	// The corpus is always extracted exactly; sampled mode only bounds
-	// the cost of featurizing a large user-provided target.
-	targetCfg := featCfg
-	targetCfg.SampleRows = *sampleRows
-	targetCfg.SampleSeed = *seed
-	g, err := feature.Extract(td, targetCfg)
+	g, err := feature.Extract(td, featCfg)
 	if err != nil {
 		log.Fatal(err)
 	}

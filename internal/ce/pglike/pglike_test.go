@@ -96,7 +96,7 @@ func TestEstimateJoinFormula(t *testing.T) {
 			{Name: "dim", Cols: []*dataset.Column{dataset.NewColumn("id", pk)}, PKCol: 0},
 			{Name: "fact", Cols: []*dataset.Column{dataset.NewColumn("fk", fk)}, PKCol: -1},
 		},
-		FKs: []dataset.ForeignKey{{FromTable: 1, FromCol: 0, ToTable: 0, ToCol: 0, Correlation: 1}},
+		FKs: []dataset.ForeignKey{{FromTable: 1, FromCol: 0, ToTable: 0, ToCol: 0}},
 	}
 	m := New()
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Sample: nil}); err != nil {

@@ -285,13 +285,9 @@ func Generate(name string, p Params) (*dataset.Dataset, error) {
 		fkName := fmt.Sprintf("fk_%s", d.Tables[target].Name)
 		fkCol := dataset.NewColumn(fkName, fkData)
 		d.Tables[ti].Cols = append(d.Tables[ti].Cols, fkCol)
-		// Record the measured correlation: when the FK table has fewer
-		// rows than the requested portion, the achievable coverage is
-		// capped at rows/|PK|, and features must reflect the data.
 		d.FKs = append(d.FKs, dataset.ForeignKey{
 			FromTable: ti, FromCol: d.Tables[ti].NumCols() - 1,
 			ToTable: target, ToCol: d.Tables[target].PKCol,
-			Correlation: dataset.JoinCorrelation(fkCol, pkCol),
 		})
 	}
 	return d, d.Validate()

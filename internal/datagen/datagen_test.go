@@ -161,14 +161,6 @@ func TestGenerateMultiTableConnected(t *testing.T) {
 			t.Fatalf("seed %d: join graph disconnected (%d of %d reachable)",
 				seed, len(seen), d.NumTables())
 		}
-		// FK correlations recorded on edges must roughly match measured.
-		measured := dataset.MeasuredFKCorrelations(d)
-		for i, fk := range d.FKs {
-			if math.Abs(measured[i]-fk.Correlation) > 0.2 {
-				t.Fatalf("seed %d fk %d: recorded corr %.2f, measured %.2f",
-					seed, i, fk.Correlation, measured[i])
-			}
-		}
 	}
 }
 

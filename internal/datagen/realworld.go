@@ -122,7 +122,6 @@ func buildRealWorld(spec realWorldSpec, seed int64) *dataset.Dataset {
 		d.FKs = append(d.FKs, dataset.ForeignKey{
 			FromTable: fk.from, FromCol: d.Tables[fk.from].NumCols() - 1,
 			ToTable: fk.to, ToCol: d.Tables[fk.to].PKCol,
-			Correlation: dataset.JoinCorrelation(fkCol, pkCol),
 		})
 	}
 	return d
@@ -323,7 +322,6 @@ func Split(src *dataset.Dataset, n, maxTables int, seed int64) []*dataset.Datase
 			sub.FKs = append(sub.FKs, dataset.ForeignKey{
 				FromTable: tmap[fk.FromTable], FromCol: colmaps[fk.FromTable][fk.FromCol],
 				ToTable: tmap[fk.ToTable], ToCol: colmaps[fk.ToTable][fk.ToCol],
-				Correlation: fk.Correlation,
 			})
 		}
 		out = append(out, sub)

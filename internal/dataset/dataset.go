@@ -17,12 +17,11 @@
 // moments, min/max, and distinct count, plus the full pairwise
 // equal-fraction matrix — in a handful of cache-friendly sweeps with
 // reused scratch, and Stats derives every FK edge's join correlation from
-// one distinct-value set per endpoint column. StatsFor caches one
-// exact-mode Stats per dataset (mirroring engine.IndexFor); code that
-// mutates a dataset in place, or builds transient datasets, must call
-// InvalidateStats just as it calls engine.InvalidateIndex. SummaryOpts
-// gates a sampled mode (reservoir row sample + KMV distinct sketches)
-// that bounds extraction cost on user-scale tables.
+// one distinct-value set per endpoint column. Both layers are exact and
+// agree number for number. StatsFor caches one Stats per dataset
+// (mirroring engine.IndexFor); code that mutates a dataset in place, or
+// builds transient datasets, must call InvalidateStats just as it calls
+// engine.InvalidateIndex.
 package dataset
 
 import (
@@ -153,14 +152,12 @@ func (t *Table) Validate() error {
 }
 
 // ForeignKey describes one PK-FK join edge: the column (FromTable, FromCol)
-// references the primary key (ToTable, ToCol). Correlation stores the join
-// correlation p used or measured for this edge (Section IV-A, F3): the ratio
-// of the FK column's distinct values over the referenced PK column's
-// distinct values.
+// references the primary key (ToTable, ToCol). The edge's join correlation
+// (Section IV-A, F3) is measured from the data, never stored: see
+// JoinCorrelation and Stats.FKCorrelations.
 type ForeignKey struct {
 	FromTable, FromCol int
 	ToTable, ToCol     int
-	Correlation        float64
 }
 
 // Dataset is a named set of tables connected by PK-FK foreign keys.

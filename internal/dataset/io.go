@@ -235,7 +235,6 @@ func ReadDir(dir string) (*Dataset, error) {
 			d.FKs = append(d.FKs, ForeignKey{
 				FromTable: fti, FromCol: fci,
 				ToTable: tti, ToCol: tci,
-				Correlation: JoinCorrelation(d.Tables[fti].Col(fci), d.Tables[tti].Col(tci)),
 			})
 		default:
 			return nil, fmt.Errorf("dataset: schema line %d: unknown directive %q", ln+1, fields[0])

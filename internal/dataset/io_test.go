@@ -51,7 +51,7 @@ func TestSaveDirReadDirRoundTrip(t *testing.T) {
 	d := &Dataset{
 		Name:   "demo",
 		Tables: []*Table{dim, fact},
-		FKs:    []ForeignKey{{FromTable: 1, FromCol: 1, ToTable: 0, ToCol: 0, Correlation: 0.75}},
+		FKs:    []ForeignKey{{FromTable: 1, FromCol: 1, ToTable: 0, ToCol: 0}},
 	}
 	dir := filepath.Join(t.TempDir(), "demo")
 	if err := SaveDir(d, dir); err != nil {
@@ -75,9 +75,9 @@ func TestSaveDirReadDirRoundTrip(t *testing.T) {
 	if got.Tables[fk.FromTable].Name != "fact" || got.Tables[fk.ToTable].Name != "dim" {
 		t.Fatal("fk direction lost")
 	}
-	// Correlation is re-measured from data: fact references 3 of 4 PKs.
-	if fk.Correlation != 0.75 {
-		t.Fatalf("measured correlation %g, want 0.75", fk.Correlation)
+	// The join correlation is measured from the data: fact references 3 of 4 PKs.
+	if corr := MeasuredFKCorrelations(got)[0]; corr != 0.75 {
+		t.Fatalf("measured correlation %g, want 0.75", corr)
 	}
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)

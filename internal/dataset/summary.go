@@ -2,12 +2,9 @@ package dataset
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"math"
 	"math/bits"
-	"math/rand"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -42,15 +39,7 @@ import (
 //     Stats per dataset, mirroring engine.IndexFor; mutation paths must
 //     call InvalidateStats, exactly like engine.InvalidateIndex.
 //
-//   - SummaryOpts.SampleRows gates the sampled mode for user-scale
-//     tables. Bounded-domain columns stay on the exact histogram kernel
-//     (already O(rows + span)); wide columns estimate moments from a
-//     deterministic reservoir row sample and distinct counts and join
-//     correlations from KMV (k-minimum-values) sketches, keeping
-//     min/max exact — so featurizing an unbinned million-row table costs
-//     one cheap streaming pass per column plus O(SampleRows · m²).
-//
-// Exact-mode summaries are bit-identical to the per-call API
+// Every number is exact: summaries are bit-identical to the per-call API
 // (ColumnStats shares colStatsKernel; equal fractions and join
 // correlations are exact integer-count ratios). The differential tests
 // in summary_test.go pin all of this against independent naive
@@ -154,149 +143,6 @@ func (s *intSet) forEach(fn func(v int64)) {
 	}
 }
 
-// ------------------------------------------------------------ KMV sketch
-
-// DefaultKMVSize is the sketch size used when SummaryOpts.KMVSize is 0;
-// the relative standard error of the distinct estimate is about
-// 1/sqrt(k-1) ≈ 3%.
-const DefaultKMVSize = 1024
-
-// kmvSketch is a k-minimum-values distinct sketch: it retains the k
-// smallest of the (collision-free) mixed hashes of the values it saw.
-// With fewer than k distinct values it degrades to an exact set.
-type kmvSketch struct {
-	k      int
-	heap   []uint64 // max-heap of the k smallest hashes
-	member intSet   // current heap contents, for dedup
-}
-
-func newKMV(k int) *kmvSketch {
-	s := &kmvSketch{k: k}
-	s.member.reset(k)
-	return s
-}
-
-// add folds one value into the sketch.
-func (s *kmvSketch) add(v int64) {
-	h := mix64(v)
-	if len(s.heap) < s.k {
-		if s.member.add(int64(h)) {
-			s.heap = append(s.heap, h)
-			s.siftUp(len(s.heap) - 1)
-		}
-		return
-	}
-	if h >= s.heap[0] || s.member.contains(int64(h)) {
-		return
-	}
-	s.member.add(int64(h))
-	s.heap[0] = h
-	s.siftDown(0)
-	// The evicted hash stays in member as a false positive; it is larger
-	// than every retained hash, so it can only suppress re-inserting a
-	// value that would be rejected by the h >= heap[0] test anyway.
-}
-
-func (s *kmvSketch) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if s.heap[p] >= s.heap[i] {
-			return
-		}
-		s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
-		i = p
-	}
-}
-
-func (s *kmvSketch) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		big := i
-		if l < n && s.heap[l] > s.heap[big] {
-			big = l
-		}
-		if r < n && s.heap[r] > s.heap[big] {
-			big = r
-		}
-		if big == i {
-			return
-		}
-		s.heap[i], s.heap[big] = s.heap[big], s.heap[i]
-		i = big
-	}
-}
-
-// distinct estimates the number of distinct values folded in.
-func (s *kmvSketch) distinct() float64 {
-	if len(s.heap) < s.k {
-		return float64(len(s.heap)) // exact below k
-	}
-	frac := float64(s.heap[0]) / float64(math.MaxUint64)
-	return float64(s.k-1) / frac
-}
-
-// sortedHashes returns the retained hashes in ascending order.
-func (s *kmvSketch) sortedHashes() []uint64 {
-	out := append([]uint64(nil), s.heap...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// kmvJoinCorr estimates JoinCorrelation(fk, pk) = |D(fk) ∩ D(pk)| /
-// |D(pk)| from the two sketches. When both sketches are exact (fewer than
-// k distinct values each) the result is exact; otherwise the intersection
-// is estimated from the k smallest hashes of the union (the standard KMV
-// set-operation estimator) and divided by the KMV estimate of |D(pk)|.
-func kmvJoinCorr(fk, pk *kmvSketch) float64 {
-	a, b := fk.sortedHashes(), pk.sortedHashes()
-	if len(b) == 0 {
-		return 0
-	}
-	exact := len(a) < fk.k && len(b) < pk.k
-	k := fk.k
-	if pk.k < k {
-		k = pk.k
-	}
-	// Merge to the k smallest union hashes, counting those in both.
-	common, taken := 0, 0
-	var tau uint64
-	i, j := 0, 0
-	for (i < len(a) || j < len(b)) && (exact || taken < k) {
-		switch {
-		case j >= len(b) || (i < len(a) && a[i] < b[j]):
-			tau = a[i]
-			i++
-		case i >= len(a) || b[j] < a[i]:
-			tau = b[j]
-			j++
-		default: // equal: in both
-			tau = a[i]
-			common++
-			i++
-			j++
-		}
-		taken++
-	}
-	if exact {
-		return float64(common) / float64(len(b))
-	}
-	if taken < 2 {
-		return 0
-	}
-	frac := float64(tau) / float64(math.MaxUint64)
-	union := float64(taken-1) / frac
-	inter := float64(common) / float64(taken) * union
-	corr := inter / pk.distinct()
-	if corr < 0 {
-		return 0
-	}
-	if corr > 1 {
-		return 1
-	}
-	return corr
-}
-
 // ---------------------------------------------------------------- scratch
 
 // summaryScratch is the reusable working memory of one summary build:
@@ -309,10 +155,7 @@ type summaryScratch struct {
 	hist   []int32  // histWindow counters; all-zero between uses
 	seen   []uint64 // bitset, 1 bit per value in the span
 	codes  []byte
-	vals   []int64
 	counts []int
-	sample []int64
-	idx    []int
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(summaryScratch) }}
@@ -320,8 +163,8 @@ var scratchPool = sync.Pool{New: func() any { return new(summaryScratch) }}
 // spanLimit is the widest value span [lo, hi] worth representing densely
 // (bitset or histogram-free distinct structures) for a column of n rows:
 // max(4096, 8·n) values, one bit each, keeps even a row-count-sized span
-// L1/L2-resident. Shared by distinctCount, distinctSet, and the sampled
-// column path so the heuristic cannot drift between them.
+// L1/L2-resident. Shared by distinctCount and distinctSet so the
+// heuristic cannot drift between them.
 func spanLimit(n int) int64 {
 	limit := int64(8 * n)
 	if limit < 4096 {
@@ -369,61 +212,27 @@ func fillBitset(bits []uint64, data []int64, lo int64) int {
 // ---------------------------------------------------------------- Summary
 
 // Summary is the fused statistics block of one table: per-column ColStats
-// and the full pairwise equal-fraction matrix. In exact mode every number
-// is identical to the naive reference functions (ColumnStats,
-// EqualFraction); in sampled mode (see SummaryOpts) moments and
-// equal-fractions are sample estimates, min/max are exact, and domain
-// sizes are KMV estimates.
+// and the full pairwise equal-fraction matrix. Every number is identical
+// to the naive reference functions (ColumnStats, EqualFraction).
 type Summary struct {
-	// Rows is the table's full row count (also ColStats.Count in exact
-	// mode).
+	// Rows is the table's row count (also ColStats.Count).
 	Rows int
 	// Cols holds one fused ColStats per table column.
 	Cols []ColStats
-	// Sampled reports whether this summary was estimated from a row
-	// sample rather than computed exactly.
-	Sampled bool
 
 	ncols int
 	eq    []float64 // ncols×ncols equal-fraction matrix, row-major
 }
 
 // EqualFrac returns the fraction of rows where columns a and b hold the
-// same value — EqualFraction(t.Col(a), t.Col(b)) in exact mode.
+// same value — EqualFraction(t.Col(a), t.Col(b)).
 func (s *Summary) EqualFrac(a, b int) float64 { return s.eq[a*s.ncols+b] }
 
-// SummaryOpts configures how summaries and join correlations are
-// computed. The zero value is exact mode.
-type SummaryOpts struct {
-	// SampleRows > 0 enables sampled mode for tables with more rows than
-	// this: moments and equal-fractions are computed over a reservoir
-	// sample of this many rows. Tables at or under the threshold are
-	// always computed exactly.
-	SampleRows int
-	// KMVSize is the distinct-sketch size in sampled mode (0 means
-	// DefaultKMVSize).
-	KMVSize int
-	// Seed makes the reservoir sample deterministic.
-	Seed int64
-}
-
-func (o SummaryOpts) kmvSize() int {
-	if o.KMVSize > 0 {
-		return o.KMVSize
-	}
-	return DefaultKMVSize
-}
-
-// NewSummary computes one table's fused statistics block. Large exact
-// builds on multi-core hosts fan their per-column kernels and pair-sweep
-// rows over par.For with GOMAXPROCS workers; the result is identical to the serial
-// build (columns and pairs are independent).
-func NewSummary(t *Table, opts SummaryOpts) *Summary {
-	if opts.SampleRows > 0 && t.Rows() > opts.SampleRows {
-		sc := scratchPool.Get().(*summaryScratch)
-		defer scratchPool.Put(sc)
-		return sampledSummary(t, opts, sc)
-	}
+// NewSummary computes one table's fused statistics block. Large builds
+// on multi-core hosts fan their per-column kernels and pair-sweep rows
+// over par.For with GOMAXPROCS workers; the result is identical to the
+// serial build (columns and pairs are independent).
+func NewSummary(t *Table) *Summary {
 	// One parallel build at a time: when a worker pool (ExtractBatch,
 	// corpus labeling) is already running summary builds concurrently,
 	// nesting a per-column fan-out under every worker would oversubscribe
@@ -877,145 +686,14 @@ func assembleColStats(n int, mean float64, lo, hi int64, m2, m3, m4, mad float64
 	return st
 }
 
-// sampledSummary estimates the summary from a deterministic reservoir row
-// sample shared by all columns (so cross-column equal-fractions stay
-// positional), with exact min/max and KMV-estimated domain sizes from one
-// streaming pass per column.
-func sampledSummary(t *Table, opts SummaryOpts, sc *summaryScratch) *Summary {
-	n := t.Rows()
-	ncols := t.NumCols()
-	s := &Summary{Rows: n, ncols: ncols, Sampled: true, Cols: make([]ColStats, ncols), eq: make([]float64, ncols*ncols)}
-	idx := reservoirIndices(n, opts.SampleRows, tableSeed(opts.Seed, t.Name), sc)
-	sn := len(idx)
-	if len(sc.sample) < sn {
-		sc.sample = make([]int64, sn)
-	}
-	sample := sc.sample[:sn]
-
-	for ci, col := range t.Cols {
-		// Bounded-domain columns take the exact histogram kernel — it is
-		// already O(rows + span) with a few integer ops per element, so
-		// sampling would only add error without saving time.
-		if int64(n) <= math.MaxInt32 {
-			if st, ok := sc.histStats(col.Data, nil); ok {
-				s.Cols[ci] = st
-				continue
-			}
-		}
-		// Wide column: exact min/max from one integer pass, moments from
-		// the shared row sample, and the distinct count from the exact
-		// L1-resident bitset while the value span allows it — the KMV
-		// sketch is reserved for spans too wide to bitset.
-		lo, hi := col.Data[0], col.Data[0]
-		for _, v := range col.Data {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		span := hi - lo + 1
-		var domain int
-		if span > 0 && span <= spanLimit(n) {
-			domain = sc.distinctCount(col.Data, lo, hi)
-		} else {
-			kmv := newKMV(opts.kmvSize())
-			for _, v := range col.Data {
-				kmv.add(v)
-			}
-			domain = int(kmv.distinct() + 0.5)
-		}
-		for i, r := range idx {
-			sample[i] = col.Data[r]
-		}
-		st := sc.colStatsKernel(sample, nil)
-		st.Count = n
-		st.Min, st.Max = lo, hi
-		st.Range = float64(hi - lo)
-		st.DomainSize = domain
-		s.Cols[ci] = st
-	}
-
-	if len(sc.counts) < ncols*ncols {
-		sc.counts = make([]int, ncols*ncols)
-	}
-	counts := sc.counts[:ncols*ncols]
-	clear(counts)
-	if len(sc.vals) < ncols {
-		sc.vals = make([]int64, ncols)
-	}
-	vals := sc.vals[:ncols]
-	for _, r := range idx {
-		for c := 0; c < ncols; c++ {
-			vals[c] = t.Cols[c].Data[r]
-		}
-		for a := 0; a < ncols; a++ {
-			va := vals[a]
-			row := counts[a*ncols : (a+1)*ncols]
-			for b := a + 1; b < ncols; b++ {
-				if va == vals[b] {
-					row[b]++
-				}
-			}
-		}
-	}
-	if sn > 0 {
-		fillEqualFrac(s, counts, sn)
-	}
-	return s
-}
-
-// tableSeed derives a per-table RNG seed so multi-table datasets don't
-// share one sample stream.
-func tableSeed(seed int64, name string) int64 {
-	h := fnv.New32a()
-	h.Write([]byte(name))
-	return seed ^ int64(h.Sum32())
-}
-
-// reservoirIndices draws k of n row indexes uniformly (algorithm R) and
-// returns them sorted for cache-friendly gathers.
-func reservoirIndices(n, k int, seed int64, sc *summaryScratch) []int {
-	if k > n {
-		k = n
-	}
-	if cap(sc.idx) < k {
-		sc.idx = make([]int, k)
-	}
-	idx := sc.idx[:k]
-	for i := 0; i < k; i++ {
-		idx[i] = i
-	}
-	if k > 0 && k < n {
-		// Algorithm L (Li 1994): geometric skips between replacements, so
-		// the number of RNG draws is O(k·log(n/k)) instead of one per row.
-		rng := rand.New(rand.NewSource(seed))
-		w := math.Exp(math.Log(rng.Float64()) / float64(k))
-		i := k - 1
-		for {
-			i += int(math.Log(rng.Float64())/math.Log(1-w)) + 1
-			if i >= n || i < 0 { // i < 0 guards float overflow on tiny w
-				break
-			}
-			idx[rng.Intn(k)] = i
-			w *= math.Exp(math.Log(rng.Float64()) / float64(k))
-		}
-	}
-	sort.Ints(idx)
-	return idx
-}
-
 // ------------------------------------------------------------------ Stats
 
 // Stats is the per-dataset statistics view: lazily built per-table
 // Summaries plus the join correlation of every FK edge, derived from one
-// distinct-value set (or KMV sketch, in sampled mode) per endpoint
-// column. A Stats is safe for concurrent use — feature.ExtractBatch fans
-// Summary builds over a worker pool.
+// distinct-value set per endpoint column. A Stats is safe for concurrent
+// use — feature.ExtractBatch fans Summary builds over a worker pool.
 type Stats struct {
-	d    *Dataset
-	opts SummaryOpts
+	d *Dataset
 
 	tabOnce []sync.Once
 	tabs    []*Summary
@@ -1025,24 +703,13 @@ type Stats struct {
 	domains int
 }
 
-// NewStats returns an uncached statistics view of d. Use StatsFor for the
-// shared exact-mode cache.
-func NewStats(d *Dataset, opts SummaryOpts) *Stats {
-	return &Stats{
-		d:       d,
-		opts:    opts,
-		tabOnce: make([]sync.Once, len(d.Tables)),
-		tabs:    make([]*Summary, len(d.Tables)),
-	}
-}
-
 // Dataset returns the dataset this view was built over.
 func (st *Stats) Dataset() *Dataset { return st.d }
 
 // Summary returns table ti's statistics block, computing it on first use.
 func (st *Stats) Summary(ti int) *Summary {
 	st.tabOnce[ti].Do(func() {
-		st.tabs[ti] = NewSummary(st.d.Tables[ti], st.opts)
+		st.tabs[ti] = NewSummary(st.d.Tables[ti])
 	})
 	return st.tabs[ti]
 }
@@ -1055,10 +722,6 @@ func (st *Stats) FKCorrelations() []float64 {
 	st.fkOnce.Do(func() {
 		st.fkCorr = make([]float64, len(st.d.FKs))
 		if len(st.d.FKs) == 0 {
-			return
-		}
-		if st.opts.SampleRows > 0 {
-			st.fkCorrSampled()
 			return
 		}
 		st.fkCorrExact()
@@ -1167,74 +830,6 @@ func (st *Stats) fkCorrExact() {
 	}
 }
 
-// fkCorrSampled estimates the correlations from one KMV sketch per
-// endpoint column. Small columns degrade to exact sets inside the sketch.
-func (st *Stats) fkCorrSampled() {
-	// An endpoint column is cheap to treat exactly when its table is at
-	// or under the sampling threshold (the same guarantee the summaries
-	// give) or its value span fits the dense bitset; an edge falls back
-	// to KMV estimation only when either endpoint is genuinely wide.
-	cheapCache := make(map[colKey]bool)
-	cheap := func(ti, ci int) bool {
-		k := colKey{ti, ci}
-		if c, ok := cheapCache[k]; ok {
-			return c
-		}
-		col := st.d.Tables[ti].Col(ci)
-		c := len(col.Data) <= st.opts.SampleRows
-		if !c && len(col.Data) > 0 {
-			lo, hi := col.MinMax()
-			span := hi - lo + 1
-			c = span > 0 && span <= spanLimit(len(col.Data))
-		}
-		cheapCache[k] = c
-		return c
-	}
-	exactSets := make(map[colKey]*distinctSet)
-	setOf := func(ti, ci int) *distinctSet {
-		k := colKey{ti, ci}
-		if s, ok := exactSets[k]; ok {
-			return s
-		}
-		s := newDistinctSet(st.d.Tables[ti].Col(ci).Data)
-		exactSets[k] = s
-		return s
-	}
-	sketches := make(map[colKey]*kmvSketch)
-	sketchOf := func(ti, ci int) *kmvSketch {
-		k := colKey{ti, ci}
-		if s, ok := sketches[k]; ok {
-			return s
-		}
-		s := newKMV(st.opts.kmvSize())
-		for _, v := range st.d.Tables[ti].Col(ci).Data {
-			s.add(v)
-		}
-		sketches[k] = s
-		return s
-	}
-	for i, fk := range st.d.FKs {
-		if cheap(fk.FromTable, fk.FromCol) && cheap(fk.ToTable, fk.ToCol) {
-			pkSet := setOf(fk.ToTable, fk.ToCol)
-			if pkSet.n == 0 {
-				continue
-			}
-			fkSet := setOf(fk.FromTable, fk.FromCol)
-			inter := 0
-			fkSet.forEach(func(v int64) {
-				if pkSet.contains(v) {
-					inter++
-				}
-			})
-			st.fkCorr[i] = float64(inter) / float64(pkSet.n)
-			continue
-		}
-		st.fkCorr[i] = kmvJoinCorr(
-			sketchOf(fk.FromTable, fk.FromCol),
-			sketchOf(fk.ToTable, fk.ToCol))
-	}
-}
-
 // TotalDomainSize sums the per-column domain sizes of every table.
 func (st *Stats) TotalDomainSize() int {
 	st.domOnce.Do(func() {
@@ -1258,7 +853,7 @@ func (st *Stats) TotalDomainSize() int {
 
 // ------------------------------------------------------------- the cache
 
-// statsCache maps *Dataset to its shared exact-mode *Stats. Keying by
+// statsCache maps *Dataset to its shared *Stats. Keying by
 // pointer is safe for the same reason as the engine's index cache: the
 // entry keeps the dataset reachable, so its address cannot be recycled
 // while the entry exists. The cost is the same too — a cached dataset is
@@ -1266,13 +861,17 @@ func (st *Stats) TotalDomainSize() int {
 // (testbed sampling, datagen rebuilds, corpus labeling) must invalidate.
 var statsCache sync.Map
 
-// StatsFor returns the shared cached exact-mode statistics view of d,
-// creating it on first use.
+// StatsFor returns the shared cached statistics view of d, creating it on
+// first use.
 func StatsFor(d *Dataset) *Stats {
 	if v, ok := statsCache.Load(d); ok {
 		return v.(*Stats)
 	}
-	v, _ := statsCache.LoadOrStore(d, NewStats(d, SummaryOpts{}))
+	v, _ := statsCache.LoadOrStore(d, &Stats{
+		d:       d,
+		tabOnce: make([]sync.Once, len(d.Tables)),
+		tabs:    make([]*Summary, len(d.Tables)),
+	})
 	return v.(*Stats)
 }
 

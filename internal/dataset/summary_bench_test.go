@@ -44,22 +44,7 @@ func BenchmarkDatasetSummary(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := NewSummary(t, SummaryOpts{})
-		if s.Rows != 100_000 {
-			b.Fatal("bad summary")
-		}
-	}
-}
-
-// BenchmarkDatasetSummarySampled measures the sampled-mode build on the
-// same table (bounded-domain columns stay exact; the key column uses the
-// KMV sketch).
-func BenchmarkDatasetSummarySampled(b *testing.B) {
-	t := benchSummaryTable(100_000, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := NewSummary(t, SummaryOpts{SampleRows: 4096, Seed: 1})
+		s := NewSummary(t)
 		if s.Rows != 100_000 {
 			b.Fatal("bad summary")
 		}

@@ -68,7 +68,7 @@ func TestSummaryMatchesColumnStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 300; trial++ {
 		tb := randomTable(rng)
-		sum := NewSummary(tb, SummaryOpts{})
+		sum := NewSummary(tb)
 		if sum.Rows != tb.Rows() || len(sum.Cols) != tb.NumCols() {
 			t.Fatalf("trial %d: summary shape %d×%d", trial, sum.Rows, len(sum.Cols))
 		}
@@ -144,7 +144,7 @@ func TestSummaryMatchesSeedReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 300; trial++ {
 		tb := randomTable(rng)
-		sum := NewSummary(tb, SummaryOpts{})
+		sum := NewSummary(tb)
 		for c := 0; c < tb.NumCols(); c++ {
 			want := seedColumnStats(tb.Col(c))
 			got := sum.Cols[c]
@@ -172,7 +172,7 @@ func TestSummaryEqualFracMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 300; trial++ {
 		tb := randomTable(rng)
-		sum := NewSummary(tb, SummaryOpts{})
+		sum := NewSummary(tb)
 		for a := 0; a < tb.NumCols(); a++ {
 			for b := 0; b < tb.NumCols(); b++ {
 				want := EqualFraction(tb.Col(a), tb.Col(b))
@@ -211,7 +211,7 @@ func TestEqualCountFingerprintCollisions(t *testing.T) {
 		b[i] = rng.Int63n(1<<20) << 16
 	}
 	tb := NewTable("t", NewColumn("a", a), NewColumn("b", b))
-	sum := NewSummary(tb, SummaryOpts{})
+	sum := NewSummary(tb)
 	want := EqualFraction(tb.Col(0), tb.Col(1))
 	if got := sum.EqualFrac(0, 1); got != want {
 		t.Fatalf("collision table: fused %g != naive %g", got, want)
@@ -304,117 +304,6 @@ func TestStatsCacheInvalidation(t *testing.T) {
 	InvalidateStats(d)
 }
 
-// TestSampledSummaryErrorBounds checks the estimators on a large table:
-// KMV domain sizes within 15% (k=1024 has ~3% standard error), sampled
-// moments within a few percent, equal fractions within 0.05 absolute,
-// min/max exact.
-func TestSampledSummaryErrorBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 200_000
-	wide := make([]int64, n) // ~63% of 100k distinct values
-	skew := make([]int64, n)
-	copyCol := make([]int64, n)
-	for i := range wide {
-		wide[i] = int64(1 + rng.Intn(100_000))
-		x := rng.Float64()
-		skew[i] = int64(1 + x*x*float64(200_000))
-		copyCol[i] = wide[i]
-	}
-	tb := NewTable("big", NewColumn("w", wide), NewColumn("s", skew), NewColumn("c", copyCol))
-	exact := NewSummary(tb, SummaryOpts{})
-	sampled := NewSummary(tb, SummaryOpts{SampleRows: 4096, Seed: 42})
-	if !sampled.Sampled {
-		t.Fatal("sampled summary not flagged")
-	}
-	for c := 0; c < tb.NumCols(); c++ {
-		e, s := exact.Cols[c], sampled.Cols[c]
-		if s.Min != e.Min || s.Max != e.Max || s.Count != e.Count {
-			t.Fatalf("col %d: min/max/count must stay exact: %+v vs %+v", c, s, e)
-		}
-		if !relClose(float64(s.DomainSize), float64(e.DomainSize), 0.15) {
-			t.Fatalf("col %d: KMV domain %d vs exact %d", c, s.DomainSize, e.DomainSize)
-		}
-		if !relClose(s.Mean, e.Mean, 0.05) {
-			t.Fatalf("col %d: sampled mean %g vs exact %g", c, s.Mean, e.Mean)
-		}
-		if !relClose(s.Std, e.Std, 0.10) {
-			t.Fatalf("col %d: sampled std %g vs exact %g", c, s.Std, e.Std)
-		}
-	}
-	// Equal fractions: w and c are identical columns (fraction 1), w and
-	// s nearly disjoint positions.
-	if got := sampled.EqualFrac(0, 2); got != 1 {
-		t.Fatalf("identical columns sampled EqualFrac = %g", got)
-	}
-	if diff := math.Abs(sampled.EqualFrac(0, 1) - exact.EqualFrac(0, 1)); diff > 0.05 {
-		t.Fatalf("sampled EqualFrac off by %g", diff)
-	}
-}
-
-// TestSampledFKCorrelationBounds checks the KMV join-correlation
-// estimate on wide key columns.
-func TestSampledFKCorrelationBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	n := 150_000
-	pk := make([]int64, n)
-	fk := make([]int64, n)
-	// Stride the key space so the span exceeds the dense-bitset limit and
-	// the correlations really go through the KMV estimator.
-	const stride = 1_000_003
-	for i := range pk {
-		pk[i] = int64(i+1) * stride
-		fk[i] = int64(1+rng.Intn(3*n)) * stride // ~1/3 of FK values land in the PK
-	}
-	d := &Dataset{
-		Name: "d",
-		Tables: []*Table{
-			NewTable("pk", NewColumn("id", pk)),
-			NewTable("fk", NewColumn("ref", fk)),
-		},
-		FKs: []ForeignKey{{FromTable: 1, FromCol: 0, ToTable: 0, ToCol: 0}},
-	}
-	exact := JoinCorrelation(d.Tables[1].Col(0), d.Tables[0].Col(0))
-	st := NewStats(d, SummaryOpts{SampleRows: 4096, Seed: 7})
-	got := st.FKCorrelations()[0]
-	if math.Abs(got-exact) > 0.10 {
-		t.Fatalf("KMV join correlation %g vs exact %g", got, exact)
-	}
-	// Small columns degrade to exact sets inside the sketch.
-	small := &Dataset{
-		Name: "s",
-		Tables: []*Table{
-			NewTable("pk", NewColumn("id", []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})),
-			NewTable("fk", NewColumn("ref", []int64{1, 1, 2, 2, 3, 3})),
-		},
-		FKs: []ForeignKey{{FromTable: 1, FromCol: 0, ToTable: 0, ToCol: 0}},
-	}
-	sst := NewStats(small, SummaryOpts{SampleRows: 4})
-	if got := sst.FKCorrelations()[0]; got != 0.3 {
-		t.Fatalf("small-column sampled correlation %g, want exact 0.3", got)
-	}
-}
-
-// TestSmallTableStaysExactInSampledMode: tables at or below the sample
-// threshold must be computed exactly even when sampling is enabled.
-func TestSmallTableStaysExactInSampledMode(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for trial := 0; trial < 50; trial++ {
-		tb := randomTable(rng)
-		exact := NewSummary(tb, SummaryOpts{})
-		sampled := NewSummary(tb, SummaryOpts{SampleRows: 1000, Seed: 3})
-		if tb.Rows() <= 1000 {
-			if sampled.Sampled {
-				t.Fatalf("trial %d: small table flagged as sampled", trial)
-			}
-			for c := range exact.Cols {
-				if exact.Cols[c] != sampled.Cols[c] {
-					t.Fatalf("trial %d col %d: sampled-mode small table differs", trial, c)
-				}
-			}
-		}
-	}
-}
-
 // TestIntSet exercises the open-addressing set across growth, zero, and
 // negative values.
 func TestIntSet(t *testing.T) {
@@ -453,33 +342,6 @@ func TestIntSet(t *testing.T) {
 	}
 }
 
-// TestKMVExactBelowK: fewer distinct values than k must be counted
-// exactly.
-func TestKMVExactBelowK(t *testing.T) {
-	s := newKMV(64)
-	for i := 0; i < 10_000; i++ {
-		s.add(int64(i % 40))
-	}
-	if got := s.distinct(); got != 40 {
-		t.Fatalf("KMV below-k distinct = %g, want exact 40", got)
-	}
-}
-
-// TestKMVEstimateAccuracy: the estimator's error on a large distinct
-// count stays within a few standard errors.
-func TestKMVEstimateAccuracy(t *testing.T) {
-	s := newKMV(1024)
-	n := 50_000
-	for i := 0; i < n; i++ {
-		s.add(int64(i))
-		s.add(int64(i)) // duplicates must not bias the estimate
-	}
-	got := s.distinct()
-	if math.Abs(got-float64(n))/float64(n) > 0.15 {
-		t.Fatalf("KMV estimate %g for %d distinct", got, n)
-	}
-}
-
 // TestValidatePKColLowerBound is the regression test for the seed bug
 // where only PKCol's upper bound was checked.
 func TestValidatePKColLowerBound(t *testing.T) {
@@ -507,7 +369,7 @@ func TestSummaryInt64ExtremeValues(t *testing.T) {
 	a := []int64{math.MaxInt64, math.MinInt64, 0, math.MaxInt64}
 	b := []int64{math.MaxInt64 - 256, math.MinInt64 + 256, 256, math.MaxInt64}
 	tb := NewTable("ext", NewColumn("a", a), NewColumn("b", b))
-	sum := NewSummary(tb, SummaryOpts{})
+	sum := NewSummary(tb)
 	want := ColumnStats(tb.Col(0))
 	if got := sum.Cols[0]; got != want {
 		t.Fatalf("extreme column: fused %+v != naive %+v", got, want)

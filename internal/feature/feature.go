@@ -14,11 +14,11 @@
 // Extraction reads every statistic through the dataset package's fused
 // Summary/Stats engine: one cache-friendly sweep per table instead of
 // per-feature passes, per-dataset distinct-set reuse for the edge
-// weights, and a shared exact-mode cache (dataset.StatsFor) so repeated
+// weights, and a shared cache (dataset.StatsFor) so repeated
 // extraction of the same dataset is nearly free. ExtractBatch fans the
-// per-table summary builds of many datasets over par.For, and
-// Config.SampleRows gates the sampled mode (reservoir row sample + KMV
-// distinct sketches) that bounds extraction cost on user-scale tables.
+// per-table summary builds of many datasets over par.For. Every feature
+// is exact: the advisor's RCS is built from exact features, so a target
+// is featurized the same way.
 package feature
 
 import (
@@ -39,16 +39,6 @@ const K = 6
 type Config struct {
 	// MaxCols is the padded per-table column budget m.
 	MaxCols int
-
-	// SampleRows > 0 enables sampled extraction for tables larger than
-	// this many rows: moments and equal-fractions are estimated from a
-	// deterministic reservoir row sample and domain sizes / join
-	// correlations from KMV distinct sketches, bounding extraction cost
-	// on million-row user datasets. 0 (the default) is exact mode, which
-	// is byte-identical to the naive per-feature computation.
-	SampleRows int
-	// SampleSeed makes sampled extraction deterministic.
-	SampleSeed int64
 }
 
 // DefaultConfig covers the synthetic and real-world-like corpora of this
@@ -85,27 +75,14 @@ func (g *Graph) Clone() *Graph {
 // MaxCols columns contribute their first MaxCols columns; this never
 // triggers for the corpora in this repository.
 //
-// Every statistic is read from the dataset's Summary/Stats engine. In
-// exact mode the stats view is the shared dataset.StatsFor cache —
-// callers that mutate or discard the dataset afterwards must call
+// Every statistic is read from the dataset's shared dataset.StatsFor
+// cache — callers that mutate or discard the dataset afterwards must call
 // dataset.InvalidateStats, like engine.InvalidateIndex.
 func Extract(d *dataset.Dataset, cfg Config) (*Graph, error) {
 	if cfg.MaxCols < 1 {
 		return nil, fmt.Errorf("feature: MaxCols must be positive")
 	}
-	return extractWith(d, statsOf(d, cfg), cfg)
-}
-
-// statsOf picks the statistics view the config asks for: the shared
-// exact-mode cache, or a transient sampled view.
-func statsOf(d *dataset.Dataset, cfg Config) *dataset.Stats {
-	if cfg.SampleRows > 0 {
-		return dataset.NewStats(d, dataset.SummaryOpts{
-			SampleRows: cfg.SampleRows,
-			Seed:       cfg.SampleSeed,
-		})
-	}
-	return dataset.StatsFor(d)
+	return extractWith(d, dataset.StatsFor(d), cfg)
 }
 
 // extractWith assembles the graph from a prepared statistics view.
@@ -172,9 +149,9 @@ func vertexFeatures(t *dataset.Table, sum *dataset.Summary, m int) []float64 {
 // per-table summary build (and per-dataset FK-correlation pass) fanned
 // over par.For with the given worker count (GOMAXPROCS when workers <= 0).
 // The result is byte-identical to calling Extract per dataset, in order.
-// In exact mode the shared dataset.StatsFor cache is populated as a side
-// effect — transient-corpus callers should dataset.InvalidateStats each
-// dataset once its graph is in hand.
+// The shared dataset.StatsFor cache is populated as a side effect —
+// transient-corpus callers should dataset.InvalidateStats each dataset
+// once its graph is in hand.
 func ExtractBatch(ds []*dataset.Dataset, cfg Config, workers int) ([]*Graph, error) {
 	if cfg.MaxCols < 1 {
 		return nil, fmt.Errorf("feature: MaxCols must be positive")
@@ -186,7 +163,7 @@ func ExtractBatch(ds []*dataset.Dataset, cfg Config, workers int) ([]*Graph, err
 	type job struct{ di, ti int } // ti == -1: FK correlations
 	var jobs []job
 	for di, d := range ds {
-		sts[di] = statsOf(d, cfg)
+		sts[di] = dataset.StatsFor(d)
 		for ti := range d.Tables {
 			jobs = append(jobs, job{di, ti})
 		}

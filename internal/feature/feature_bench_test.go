@@ -148,23 +148,6 @@ func BenchmarkFeatureExtractCached(b *testing.B) {
 	dataset.InvalidateStats(d)
 }
 
-// BenchmarkFeatureExtractSampled measures cold sampled-mode extraction
-// on the adversarial wide-domain table (reservoir sample + KMV
-// sketches), the bounded-cost onboarding path for unbinned user-scale
-// tables; bounded-domain columns stay on the exact histogram kernel.
-func BenchmarkFeatureExtractSampled(b *testing.B) {
-	d := &dataset.Dataset{Name: "bench", Tables: []*dataset.Table{benchWideTable("t", 8, 100_000, 1)}}
-	cfg := DefaultConfig()
-	cfg.SampleRows = 4096
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Extract(d, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkFeatureExtractWide is the cold path on the adversarial
 // wide-domain table (generic kernel, hash-set distinct counting).
 func BenchmarkFeatureExtractWide(b *testing.B) {

@@ -31,8 +31,9 @@
 //     effects, and an open breaker whose cooldown has elapsed reads
 //     ready again, so the next live request is its half-open probe.
 //   - Retry: a bounded retry policy with capped decorrelated-jitter
-//     backoff for idempotent read forwards; exhausting the budget returns
-//     the last upstream error, never a synthetic policy error.
+//     backoff for the idempotent onboarding fan-out; exhausting the
+//     budget returns the last upstream error, never a synthetic policy
+//     error.
 package resilience
 
 import (

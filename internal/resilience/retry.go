@@ -7,9 +7,13 @@ import (
 )
 
 // Retry is a bounded retry policy with capped decorrelated-jitter
-// backoff. It is built for idempotent work only — the fleet proxy applies
-// it to read forwards (/estimate, /recommend, /drift, GETs) and never to
-// /train or /datasets, whose replays would not be safe.
+// backoff, built for idempotent work only. The fleet proxy applies it to
+// one thing: a primary's onboarding fan-out to its replica set, where
+// re-sending an identical /datasets payload is idempotent and backoff
+// rides out a replica shedding under an onboarding burst. Client writes
+// are never replayed (a replayed /train would double-spend the training
+// budget), and forwarded reads fail over across the replica set once per
+// member instead of retrying.
 //
 // The backoff follows the decorrelated-jitter scheme: each delay is drawn
 // uniformly from [Base, prev*3], capped at Cap, so concurrent retriers

@@ -64,7 +64,7 @@ func CEBSchema(seed int64) *dataset.Dataset {
 		fromT.Cols = append(fromT.Cols, dataset.NewColumn(fmt.Sprintf("fk_%s", toT.Name), fk))
 		d.FKs = append(d.FKs, dataset.ForeignKey{
 			FromTable: from, FromCol: fromT.NumCols() - 1,
-			ToTable: to, ToCol: toT.PKCol, Correlation: p,
+			ToTable: to, ToCol: toT.PKCol,
 		})
 	}
 	addFK(0, 1, 0.9)
