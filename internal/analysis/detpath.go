@@ -20,11 +20,17 @@ import (
 //     mutable state seeded per process. Constructing seeded generators
 //     (rand.New, rand.NewSource, rand.NewPCG, ...) is fine.
 //   - ranging over a map where the iteration feeds computation or output
-//     order: the body appends to a slice (unless that slice is sorted
-//     afterwards in the same function — the collect-and-sort idiom),
-//     accumulates floats, or passes the iteration variables to calls.
-//     Counting, set construction, and other order-insensitive bodies are
-//     not flagged.
+//     order: the body draws from a *rand.Rand (each key then gets a
+//     different part of the stream on every run), appends to a slice
+//     (unless that slice is sorted afterwards in the same function — the
+//     collect-and-sort idiom), accumulates floats, or passes the iteration
+//     variables to calls. Counting, set construction, and other
+//     order-insensitive bodies are not flagged.
+//
+// The scope is every package whose output reaches a label, a feature
+// graph or a trained artifact: the data and workload generators, the
+// engine oracle and its optimizer simulation, feature extraction, and the
+// models and advisors built on them.
 var detpathScope = []string{
 	"internal/nn",
 	"internal/gnn",
@@ -33,6 +39,14 @@ var detpathScope = []string{
 	"internal/testbed",
 	"internal/ann",
 	"internal/core",
+	"internal/workload",
+	"internal/datagen",
+	"internal/dataset",
+	"internal/engine",
+	"internal/pgsim",
+	"internal/feature",
+	"internal/gbt",
+	"internal/advisor",
 }
 
 func init() {
@@ -182,6 +196,10 @@ func mapOrderSensitivity(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) 
 				}
 			}
 		case *ast.CallExpr:
+			if isRandDraw(info, n) {
+				reason = "RNG draws made in iteration order"
+				return false
+			}
 			// Passing the iteration key/value into a call does work in
 			// iteration order (inference, accumulation behind an API).
 			if isBuiltinCall(info, n, "append") || isBuiltinCall(info, n, "len") ||
@@ -205,6 +223,29 @@ func mapOrderSensitivity(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) 
 		return true
 	})
 	return reason
+}
+
+// isRandDraw reports whether call is a method call on a math/rand or
+// math/rand/v2 generator (rng.Intn, rng.Shuffle, ...).
+func isRandDraw(info *types.Info, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	s := info.Selections[sel]
+	if s == nil || s.Kind() != types.MethodVal {
+		return false
+	}
+	recv := s.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return false
+	}
+	pkg := named.Obj().Pkg().Path()
+	return (pkg == "math/rand" || pkg == "math/rand/v2") && named.Obj().Name() == "Rand"
 }
 
 // sortedLater reports whether obj (a slice) is passed to a sort call

@@ -22,9 +22,12 @@
 //	              internal/gnn, the internal/ce trainers, the corpus
 //	              labeling paths in internal/experiments and
 //	              internal/testbed, and the serving core with its ANN
-//	              index — internal/core and internal/ann) must not call
+//	              index — internal/core and internal/ann — and every
+//	              package feeding a label: workload, datagen, dataset,
+//	              engine, pgsim, feature, gbt and advisor) must not call
 //	              time.Now, draw from the global math/rand state, or let
-//	              map iteration order feed computation or output order —
+//	              map iteration order feed computation or output order
+//	              (a *rand.Rand draw inside a map range included) —
 //	              byte-identical labels, replayable tapes, and
 //	              bit-reproducible index builds are load-bearing.
 //	ctxloop       A while-shaped loop (`for {` or `for cond {`) in a

@@ -64,6 +64,29 @@ func mapCalls(m map[string]int, sink func(string)) {
 	}
 }
 
+// mapRNG draws per key while ranging a map: each key gets a different
+// part of the stream on every run, though no iteration variable reaches
+// the draw's arguments.
+func mapRNG(m map[int][]int, rng *rand.Rand) {
+	for k := range m { // want "RNG draws made in iteration order"
+		v := m[k]
+		rng.Shuffle(3, func(i, j int) { v[i], v[j] = v[j], v[i] })
+	}
+}
+
+// sortedRNG draws per key in sorted key order: clean.
+func sortedRNG(m map[int][]int, rng *rand.Rand) {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
+	for _, k := range keys {
+		v := m[k]
+		rng.Shuffle(len(v), func(i, j int) { v[i], v[j] = v[j], v[i] })
+	}
+}
+
 // closureRange proves map-range checks see function literals too.
 func closureRange(m map[string]int) func() []string {
 	return func() []string {

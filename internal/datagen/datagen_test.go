@@ -1,6 +1,8 @@
 package datagen
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -287,15 +289,35 @@ func TestSplitProtocol(t *testing.T) {
 	}
 }
 
+// TestSplitDeterministic: one source and seed give the same sub-datasets,
+// down to every kept column's data. The column draws used to follow map
+// order, so reruns kept different columns.
 func TestSplitDeterministic(t *testing.T) {
-	src := STATSLike(4)
-	a := Split(src, 5, 3, 11)
-	b := Split(src, 5, 3, 11)
-	for i := range a {
-		if a[i].NumTables() != b[i].NumTables() {
-			t.Fatal("same seed produced different splits")
+	for _, src := range []*dataset.Dataset{STATSLike(4), IMDBLike(5)} {
+		want := Split(src, 6, 4, 11)
+		for run := 0; run < 3; run++ {
+			got := Split(src, 6, 4, 11)
+			for i := range want {
+				if g, w := contentHash(got[i]), contentHash(want[i]); g != w {
+					t.Fatalf("%s run %d split %d: content hash %x, want %x", src.Name, run, i, g, w)
+				}
+			}
 		}
 	}
+}
+
+// contentHash digests a dataset's schema, data and foreign keys.
+func contentHash(d *dataset.Dataset) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintln(h, d.Name)
+	for _, tb := range d.Tables {
+		fmt.Fprintln(h, tb.Name, tb.PKCol)
+		for _, c := range tb.Cols {
+			fmt.Fprintln(h, c.Name, c.Data)
+		}
+	}
+	fmt.Fprintf(h, "%+v\n", d.FKs)
+	return h.Sum64()
 }
 
 func TestSyntheticEmbeddingsShapeAndDeterminism(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/dataset"
 )
@@ -266,15 +267,20 @@ func Split(src *dataset.Dataset, n, maxTables int, seed int64) []*dataset.Datase
 		tmap := map[int]int{}
 		colmaps := map[int]map[int]int{}
 		keep := map[int]map[int]bool{}
+		// Chosen tables in index order: the column draws below consume the
+		// RNG per table, so map order would make the split irreproducible.
+		order := make([]int, 0, len(chosen))
 		for ti := range chosen {
+			order = append(order, ti)
 			keep[ti] = map[int]bool{}
 		}
+		sort.Ints(order)
 		for _, fki := range chosenFKs {
 			fk := src.FKs[fki]
 			keep[fk.FromTable][fk.FromCol] = true
 			keep[fk.ToTable][fk.ToCol] = true
 		}
-		for ti := range chosen {
+		for _, ti := range order {
 			t := src.Tables[ti]
 			if t.PKCol >= 0 {
 				keep[ti][t.PKCol] = true
@@ -284,18 +290,6 @@ func Split(src *dataset.Dataset, n, maxTables int, seed int64) []*dataset.Datase
 			take := 1 + rng.Intn(2)
 			for i := 0; i < take && i < len(nonKey); i++ {
 				keep[ti][nonKey[i]] = true
-			}
-		}
-		// Deterministic iteration order over chosen tables.
-		order := make([]int, 0, len(chosen))
-		for ti := range chosen {
-			order = append(order, ti)
-		}
-		for i := 0; i < len(order); i++ {
-			for j := i + 1; j < len(order); j++ {
-				if order[j] < order[i] {
-					order[i], order[j] = order[j], order[i]
-				}
 			}
 		}
 		for _, ti := range order {

@@ -76,7 +76,7 @@ func TestSaveDirReadDirRoundTrip(t *testing.T) {
 		t.Fatal("fk direction lost")
 	}
 	// The join correlation is measured from the data: fact references 3 of 4 PKs.
-	if corr := MeasuredFKCorrelations(got)[0]; corr != 0.75 {
+	if corr := StatsFor(got).FKCorrelations()[0]; corr != 0.75 {
 		t.Fatalf("measured correlation %g, want 0.75", corr)
 	}
 	if err := got.Validate(); err != nil {

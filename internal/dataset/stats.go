@@ -102,11 +102,3 @@ func JoinCorrelation(fk, pk *Column) float64 {
 	}
 	return float64(inter) / float64(len(pkSet))
 }
-
-// MeasuredFKCorrelations returns the measured join correlation of every
-// FK edge, one value per FK in order, through the dataset's cached Stats
-// (each endpoint column's distinct set is built once and shared by all
-// incident edges). Callers that mutate d afterwards must InvalidateStats.
-func MeasuredFKCorrelations(d *Dataset) []float64 {
-	return append([]float64(nil), StatsFor(d).FKCorrelations()...)
-}

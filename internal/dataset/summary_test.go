@@ -241,7 +241,7 @@ func TestStatsFKCorrelationsMatchNaive(t *testing.T) {
 				ToTable: tt, ToCol: rng.Intn(d.Tables[tt].NumCols()),
 			})
 		}
-		got := MeasuredFKCorrelations(d)
+		got := StatsFor(d).FKCorrelations()
 		InvalidateStats(d)
 		for i, fk := range d.FKs {
 			want := JoinCorrelation(

@@ -100,6 +100,7 @@ func (ix *Index) Col(ti, ci int) *ColIndex {
 	for r, v := range col.Data {
 		c.Rows[v] = append(c.Rows[v], int32(r))
 	}
+	//autoce:ignore detpath -- keyed writes: each count lands under its own value, so the iteration order cannot show
 	for v, rows := range c.Rows {
 		c.Counts[v] = int64(len(rows))
 	}

@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 	"repro/internal/engine"
+	"repro/internal/feature"
 	"repro/internal/testbed"
 )
 
@@ -69,6 +72,41 @@ func TestParallelCorpusTrainingDeterministic(t *testing.T) {
 			if par.Perfs[j].QErrorMean != serial[i].Perfs[j].QErrorMean {
 				t.Fatalf("dataset %d model %d: parallel QErrorMean %v differs from serial %v",
 					i, j, par.Perfs[j].QErrorMean, serial[i].Perfs[j].QErrorMean)
+			}
+		}
+	}
+}
+
+// TestLabelDatasetsReproducible: labeling one 5-table corpus twice gives
+// bit-identical candidate Q-errors. Multi-table workloads used to draw
+// their join edges in map order, so reruns measured different queries.
+func TestLabelDatasetsReproducible(t *testing.T) {
+	p := datagen.DefaultParams(0)
+	p.Tables, p.MinRows, p.MaxRows = 5, 120, 250
+	var ds []*dataset.Dataset
+	for i := int64(0); i < 3; i++ {
+		p.Seed = 50 + i
+		d, err := datagen.Generate(fmt.Sprintf("five%d", i), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds = append(ds, d)
+	}
+	sc := QuickScale()
+	sc.Workers = 2
+	var runs [2][]*LabeledDataset
+	for r := range runs {
+		lds, err := LabelDatasets(ds, sc, feature.DefaultConfig(), 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[r] = lds
+	}
+	for i := range ds {
+		for _, m := range testbed.Candidates() {
+			a, b := runs[0][i].Label.Perfs[m].QErrorMean, runs[1][i].Label.Perfs[m].QErrorMean
+			if a != b {
+				t.Errorf("%s %s: Q-error %v then %v", ds[i].Name, testbed.ModelNames[m], a, b)
 			}
 		}
 	}

@@ -244,70 +244,58 @@ func TableIII(c *Corpus) (*TableIIIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Work in candidate-set positions throughout: rec.Scores and the
-	// label's ScoreVector both live in the advisor's label space, so the
-	// registry indexes of the query-driven set are translated up front.
-	qd := make([]int, 0, len(testbed.QueryDrivenSet()))
+	// rec.Scores lives in the advisor's candidate-set space; the label
+	// holds only the query-driven models, in QueryDrivenSet order, so its
+	// score vector is already normalized within them as the paper's Table
+	// III does.
 	res := &TableIIIResult{
 		Weights: []float64{1.0, 0.9, 0.7, 0.5},
 		Names:   []string{"AutoCE"},
 	}
 	for _, m := range testbed.QueryDrivenSet() {
 		res.Names = append(res.Names, testbed.ModelNames[m])
-		qd = append(qd, ce.CandidatePos(m))
 	}
 	for _, wa := range res.Weights {
 		sv := label.ScoreVector(wa)
 		// AutoCE: averaged neighbor scores, argmax over the QD subset.
 		rec := autoce.Recommend(g, wa)
-		pick, best := qd[0], -1.0
-		for _, m := range qd {
-			if rec.Scores != nil && m < len(rec.Scores) && rec.Scores[m] > best {
-				pick, best = m, rec.Scores[m]
+		pick, best := 0, -1.0
+		for j, m := range testbed.QueryDrivenSet() {
+			if pos := ce.CandidatePos(m); rec.Scores != nil && pos < len(rec.Scores) && rec.Scores[pos] > best {
+				pick, best = j, rec.Scores[pos]
 			}
 		}
-		rowD := []float64{dErrRestricted(sv, qd, pick)}
-		for _, m := range qd {
-			rowD = append(rowD, dErrRestricted(sv, qd, m))
+		rowD := []float64{metrics.DError(sv, pick)}
+		for j := range sv {
+			rowD = append(rowD, metrics.DError(sv, j))
 		}
 		res.DError = append(res.DError, rowD)
 	}
 	return res, nil
 }
 
-// dErrRestricted computes D-error with the optimum taken over the allowed
-// subset only (the paper's Table III normalizes within query-driven
-// models).
-func dErrRestricted(scores []float64, allowed []int, chosen int) float64 {
-	sub := make([]float64, 0, len(allowed))
-	chosenIdx := -1
-	for i, m := range allowed {
-		sub = append(sub, scores[m])
-		if m == chosen {
-			chosenIdx = i
-		}
-	}
-	if chosenIdx == -1 {
-		return 1
-	}
-	return metrics.DError(sub, chosenIdx)
-}
-
-// cebLabel runs a query-driven-only labeling pass over the CEB-like
-// schema using the CEB template workload (the paper skips data-driven
-// models there for cost, as do we).
+// cebLabel labels the CEB-like schema with the query-driven candidates
+// only, on the CEB template workload (the paper skips data-driven models
+// there for cost, as do we).
 func cebLabel(d *dataset.Dataset, cfg testbed.Config) (*testbed.Label, error) {
 	perTemplate := cfg.NumQueries / len(workload.CEBTemplates())
 	if perTemplate < 4 {
 		perTemplate = 4
 	}
-	qs := workload.CEBWorkload(d, perTemplate, cfg.Seed)
-	train, test := workload.Split(qs, cfg.TrainFrac, cfg.Seed+1)
-	res, err := testbed.RunQueryDriven(d, train, test, cfg)
+	specs := ce.Specs()
+	var models []ce.Model
+	for _, m := range testbed.QueryDrivenSet() {
+		models = append(models, specs[m].New(ce.Config{Fast: cfg.Fast, Seed: cfg.Seed}))
+	}
+	p, err := testbed.PrepareModels(d, cfg, workload.CEBWorkload(d, perTemplate, cfg.Seed), models)
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	res, err := p.Run()
+	if err != nil {
+		return nil, err
+	}
+	return res.Label, nil
 }
 
 // Render prints the D-error table in percent.

@@ -116,6 +116,7 @@ func (o *Optimizer) Plan(q *workload.Query) (*Plan, time.Duration) {
 		if v, ok := cardCache[key]; ok {
 			return v
 		}
+		//autoce:ignore detpath -- the measured inference time is what Plan reports; plan choice never reads it
 		t0 := time.Now()
 		v := o.est.Estimate(subQuery(q, tables))
 		inferTime += time.Since(t0)
@@ -186,8 +187,16 @@ func (o *Optimizer) Plan(q *workload.Query) (*Plan, time.Duration) {
 		return false
 	}
 	for size := 2; size <= len(q.Tables); size++ {
+		// Extend the subsets in key order: an equal-cost tie below keeps
+		// the first plan found, which map order would pick at random.
+		keys := make([]string, 0, len(best))
+		for k := range best {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
 		next := map[string]*state{}
-		for _, st := range best {
+		for _, k := range keys {
+			st := best[k]
 			if len(st.order) != size-1 {
 				continue
 			}

@@ -16,17 +16,12 @@ import (
 // member instead of retrying.
 //
 // The backoff follows the decorrelated-jitter scheme: each delay is drawn
-// uniformly from [Base, prev*3], capped at Cap, so concurrent retriers
-// decorrelate instead of thundering in lockstep.
+// uniformly from [retryBase, prev*3], capped at retryCap, so concurrent
+// retriers decorrelate instead of thundering in lockstep. A spent budget
+// of retryAttempts tries returns the last error the attempt itself
+// produced — never a synthetic "budget exhausted" error that would mask
+// the real failure.
 type Retry struct {
-	// Attempts is the per-request budget: the total number of tries,
-	// including the first (default 3). Exhausting the budget returns the
-	// last error the attempt itself produced — never a synthetic
-	// "budget exhausted" error that would mask the real failure.
-	Attempts int
-	// Base is the backoff floor (default 25ms); Cap bounds every delay
-	// (default 1s).
-	Base, Cap time.Duration
 	// Sleep waits between attempts; nil uses a timer that aborts on
 	// context cancellation. Tests inject an instant clock here.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -35,16 +30,15 @@ type Retry struct {
 	Rand func() float64
 }
 
+// The retry budget: total tries including the first, the backoff floor,
+// and the bound on every delay.
+const (
+	retryAttempts = 3
+	retryBase     = 25 * time.Millisecond
+	retryCap      = time.Second
+)
+
 func (r Retry) withDefaults() Retry {
-	if r.Attempts <= 0 {
-		r.Attempts = 3
-	}
-	if r.Base <= 0 {
-		r.Base = 25 * time.Millisecond
-	}
-	if r.Cap <= 0 {
-		r.Cap = time.Second
-	}
 	if r.Sleep == nil {
 		r.Sleep = sleepCtx
 	}
@@ -67,21 +61,11 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 
 // Backoff returns the delay to wait after a failed attempt, given the
 // previous delay (pass 0 before the first retry): uniform in
-// [Base, prev*3], capped at Cap.
+// [retryBase, prev*3], capped at retryCap.
 func (r Retry) Backoff(prev time.Duration) time.Duration {
 	r = r.withDefaults()
-	hi := prev * 3
-	if hi < r.Base {
-		hi = r.Base
-	}
-	if hi > r.Cap {
-		hi = r.Cap
-	}
-	d := r.Base + time.Duration(r.Rand()*float64(hi-r.Base))
-	if d > r.Cap {
-		d = r.Cap
-	}
-	return d
+	hi := min(max(prev*3, retryBase), retryCap)
+	return min(retryBase+time.Duration(r.Rand()*float64(hi-retryBase)), retryCap)
 }
 
 // Do runs fn until it succeeds, the attempt budget is exhausted, or ctx
@@ -95,7 +79,7 @@ func (r Retry) Do(ctx context.Context, fn func(attempt int) error) error {
 	r = r.withDefaults()
 	var err error
 	delay := time.Duration(0)
-	for attempt := 0; attempt < r.Attempts; attempt++ {
+	for attempt := 0; attempt < retryAttempts; attempt++ {
 		if attempt > 0 {
 			delay = r.Backoff(delay)
 			if r.Sleep(ctx, delay) != nil {

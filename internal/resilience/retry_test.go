@@ -8,13 +8,10 @@ import (
 	"time"
 )
 
-// instantRetry returns a 3-attempt policy whose sleeps complete instantly
-// but are recorded, so tests can assert on the backoff sequence.
+// instantRetry returns a policy whose sleeps complete instantly but are
+// recorded, so tests can assert on the backoff sequence.
 func instantRetry(slept *[]time.Duration) Retry {
 	return Retry{
-		Attempts: 3,
-		Base:     25 * time.Millisecond,
-		Cap:      time.Second,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			if slept != nil {
 				*slept = append(*slept, d)
@@ -39,7 +36,7 @@ func TestRetryExhaustionReturnsLastUpstreamError(t *testing.T) {
 	if got, want := err.Error(), "upstream failure on attempt 2"; got != want {
 		t.Fatalf("err = %q, want the last upstream error %q", got, want)
 	}
-	if len(attempts) != 3 || attempts[2] != 2 {
+	if len(attempts) != retryAttempts || attempts[2] != 2 {
 		t.Fatalf("attempts = %v, want [0 1 2]", attempts)
 	}
 }
@@ -73,41 +70,43 @@ func TestRetryFirstTrySuccessSkipsBackoff(t *testing.T) {
 }
 
 // TestRetryBackoffBounds checks the decorrelated-jitter envelope: every
-// delay lies in [Base, Cap], and with Rand pinned to its extremes the
-// sequence hits the documented bounds exactly.
+// delay lies in [retryBase, retryCap], and with Rand pinned to its
+// extremes the sequence hits the documented bounds exactly.
 func TestRetryBackoffBounds(t *testing.T) {
-	r := Retry{Base: 25 * time.Millisecond, Cap: 200 * time.Millisecond}
+	var r Retry
 
 	// Rand = 0 → always the floor.
 	r.Rand = func() float64 { return 0 }
-	if got := r.Backoff(0); got != 25*time.Millisecond {
-		t.Fatalf("Backoff(0) with rand=0: %v, want Base", got)
+	if got := r.Backoff(0); got != retryBase {
+		t.Fatalf("Backoff(0) with rand=0: %v, want retryBase", got)
 	}
 
-	// Rand → 1 → tends to min(prev*3, Cap).
+	// Rand → 1 → tends to min(prev*3, retryCap).
 	r.Rand = func() float64 { return 0.999999 }
 	d := r.Backoff(0)
-	if d < 25*time.Millisecond || d > 25*time.Millisecond+time.Millisecond {
-		t.Fatalf("Backoff(0) with prev=0: %v, want ~Base (upper bound max(Base, prev*3))", d)
+	if d < retryBase || d > retryBase+time.Millisecond {
+		t.Fatalf("Backoff(0) with prev=0: %v, want ~retryBase (upper bound max(retryBase, prev*3))", d)
 	}
 	d = r.Backoff(50 * time.Millisecond)
-	if d < 25*time.Millisecond || d > 150*time.Millisecond {
-		t.Fatalf("Backoff(50ms): %v, want in [Base, 150ms]", d)
+	if d < retryBase || d > 150*time.Millisecond {
+		t.Fatalf("Backoff(50ms): %v, want in [retryBase, 150ms]", d)
 	}
-	// Growth is capped.
-	d = r.Backoff(time.Hour)
-	if d > 200*time.Millisecond {
-		t.Fatalf("Backoff(1h): %v exceeds Cap", d)
+	// Growth is capped: prev*3 = 1.5s is cut to retryCap.
+	d = r.Backoff(500 * time.Millisecond)
+	if d < retryCap-time.Millisecond || d > retryCap {
+		t.Fatalf("Backoff(500ms): %v, want ~retryCap", d)
+	}
+	if d = r.Backoff(time.Hour); d > retryCap {
+		t.Fatalf("Backoff(1h): %v exceeds retryCap", d)
 	}
 
 	// Random draws stay inside the envelope.
 	r.Rand = nil
-	r = r.withDefaults()
 	prev := time.Duration(0)
 	for i := 0; i < 100; i++ {
 		prev = r.Backoff(prev)
-		if prev < r.Base || prev > r.Cap {
-			t.Fatalf("draw %d: %v outside [%v, %v]", i, prev, r.Base, r.Cap)
+		if prev < retryBase || prev > retryCap {
+			t.Fatalf("draw %d: %v outside [%v, %v]", i, prev, retryBase, retryCap)
 		}
 	}
 }
@@ -118,7 +117,6 @@ func TestRetryBackoffBounds(t *testing.T) {
 func TestRetryCancelledMidBackoffReturnsUpstreamError(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	r := Retry{
-		Attempts: 3,
 		Sleep: func(ctx context.Context, d time.Duration) error {
 			cancel()
 			return ctx.Err()

@@ -4,16 +4,19 @@ import (
 	"testing"
 
 	"repro/internal/ce"
-	"repro/internal/ce/flat"
-	"repro/internal/ce/pglike"
 	"repro/internal/dataset"
 	"repro/internal/workload"
 )
 
-// rowCountModel is a deliberately naive "newly-emerged" estimator used to
-// exercise the extensibility path: it estimates every query as the product
-// of the involved tables' row counts (no selectivity at all). It only has
-// to implement ce.Model to join the testbed.
+// The paper's extensibility claim (Section IV-B): "To incorporate a new
+// cardinality estimation baseline into AutoCE, we deploy the baseline to
+// the cardinality estimation testbed, which conducts the dataset labeling
+// and produces the corresponding score vectors." A new estimator only has
+// to implement ce.Model to be labeled through PrepareModels.
+
+// rowCountModel is a deliberately naive "newly-emerged" estimator: it
+// estimates every query as the product of the involved tables' row counts
+// (no selectivity at all).
 type rowCountModel struct {
 	d *dataset.Dataset
 }
@@ -37,81 +40,117 @@ func (m *rowCountModel) EstimateBatch(qs []*workload.Query) []float64 {
 	return ce.ParallelEstimates(m, qs)
 }
 
-func TestRunWithModelsIncorporatesNewBaseline(t *testing.T) {
+// registryModels instantiates the named registry entries for cfg.
+func registryModels(t *testing.T, cfg Config, names ...string) []ce.Model {
+	t.Helper()
+	var out []ce.Model
+	for _, n := range names {
+		s, ok := ce.Lookup(n)
+		if !ok {
+			t.Fatalf("model %q is not registered", n)
+		}
+		out = append(out, s.New(cfg.zooConfig()))
+	}
+	return out
+}
+
+// labelModels labels d with models on a generated workload.
+func labelModels(t *testing.T, d *dataset.Dataset, cfg Config, models []ce.Model) *Label {
+	t.Helper()
+	qs := workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
+	p, err := PrepareModels(d, cfg, qs, models)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Label
+}
+
+func TestPrepareModelsIncorporatesNewBaseline(t *testing.T) {
 	d := fixture(t, 2, 7)
-	cfg := ExtendedConfig{Config: fastCfg(7)}
-	models := []ce.Model{pglike.New(), &rowCountModel{}}
-	label, elapsed, err := RunWithModels(d, models, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cfg := fastCfg(7)
+	l := labelModels(t, d, cfg, append(registryModels(t, cfg, "BayesCard"), &rowCountModel{}))
+	if len(l.Perfs) != 2 || len(l.Sa) != 2 || len(l.Se) != 2 {
+		t.Fatalf("label sized %d/%d/%d, want 2/2/2", len(l.Perfs), len(l.Sa), len(l.Se))
 	}
-	if elapsed <= 0 {
-		t.Fatal("non-positive labeling time")
-	}
-	if len(label.Perfs) != 2 || len(label.Sa) != 2 {
-		t.Fatalf("label sized %d/%d, want 2/2", len(label.Perfs), len(label.Sa))
-	}
-	// The histogram model must beat the naive row-count model on accuracy,
-	// so normalization puts it at 1.
-	if label.Sa[0] != 1 || label.Sa[1] != 0 {
-		t.Fatalf("accuracy scores %v; pglike should dominate the naive baseline", label.Sa)
+	// BayesCard must beat the naive row-count model on accuracy, so
+	// normalization puts it at 1.
+	if l.Sa[0] != 1 || l.Sa[1] != 0 {
+		t.Fatalf("accuracy scores %v; BayesCard should dominate the naive baseline", l.Sa)
 	}
 }
 
-func TestRunWithModelsPercentileSummary(t *testing.T) {
-	d := fixture(t, 1, 8)
-	for _, s := range []Summary{SummaryMean, SummaryP50, SummaryP95, SummaryP99} {
-		cfg := ExtendedConfig{Config: fastCfg(8), QErrorSummary: s}
-		label, _, err := RunWithModels(d, []ce.Model{pglike.New(), &rowCountModel{}}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, p := range label.Perfs {
-			if p.QErrorMean < 1 {
-				t.Fatalf("summary %d model %d: aggregate %g < 1", s, i, p.QErrorMean)
-			}
-		}
-	}
-	// P99 of the naive model should be at least its median.
-	cfgP50 := ExtendedConfig{Config: fastCfg(8), QErrorSummary: SummaryP50}
-	cfgP99 := ExtendedConfig{Config: fastCfg(8), QErrorSummary: SummaryP99}
-	l50, _, err := RunWithModels(d, []ce.Model{pglike.New(), &rowCountModel{}}, cfgP50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l99, _, err := RunWithModels(d, []ce.Model{pglike.New(), &rowCountModel{}}, cfgP99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l99.Perfs[1].QErrorMean < l50.Perfs[1].QErrorMean {
-		t.Fatalf("P99 %g < P50 %g", l99.Perfs[1].QErrorMean, l50.Perfs[1].QErrorMean)
-	}
-}
-
-func TestRunWithModelsRejectsDegenerateInput(t *testing.T) {
+func TestPrepareModelsRejectsDegenerateInput(t *testing.T) {
 	d := fixture(t, 1, 9)
-	if _, _, err := RunWithModels(d, []ce.Model{pglike.New()}, ExtendedConfig{Config: fastCfg(9)}); err == nil {
-		t.Fatal("single-model candidate set accepted")
+	cfg := fastCfg(9)
+	qs := workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
+	for _, models := range [][]ce.Model{
+		{&rowCountModel{}},
+		// Postgres and Ensemble are registered non-candidates.
+		append(registryModels(t, cfg, "Postgres", "Ensemble"), &rowCountModel{}),
+	} {
+		if _, err := PrepareModels(d, cfg, qs, models); err == nil {
+			t.Fatalf("model set of %d with one candidate accepted", len(models))
+		}
+	}
+	if _, err := PrepareModels(d, cfg, nil, []ce.Model{&rowCountModel{}, &rowCountModel{}}); err == nil {
+		t.Fatal("empty workload accepted")
 	}
 }
 
-func TestRunWithModelsOnboardsFLAT(t *testing.T) {
+func TestPrepareModelsOnboardsFLAT(t *testing.T) {
 	// The paper's Section VIII highlights FLAT as a newly emerged
-	// data-driven model; onboarding it is exactly one registry entry
-	// through the extensible labeling path.
+	// data-driven model; it is onboarded without registering it, beside a
+	// registered non-candidate (Postgres) that is measured but not scored.
 	d := fixture(t, 2, 10)
-	cfg := ExtendedConfig{Config: fastCfg(10)}
-	models := []ce.Model{flat.New(flat.DefaultConfig()), pglike.New(), &rowCountModel{}}
-	label, _, err := RunWithModels(d, models, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(label.Sa) != 3 {
-		t.Fatalf("score vector length %d", len(label.Sa))
+	cfg := fastCfg(10)
+	models := []ce.Model{newFLAT(defaultFLATConfig()), registryModels(t, cfg, "Postgres")[0], &rowCountModel{}}
+	l := labelModels(t, d, cfg, models)
+	if len(l.Perfs) != 3 || len(l.Sa) != 2 {
+		t.Fatalf("label sized %d perfs / %d scores, want 3/2 (Postgres is no candidate)", len(l.Perfs), len(l.Sa))
 	}
 	// FLAT must at least beat the naive row-count baseline on accuracy.
-	if label.Perfs[0].QErrorMean >= label.Perfs[2].QErrorMean {
-		t.Fatalf("FLAT Q-error %g no better than row-count %g",
-			label.Perfs[0].QErrorMean, label.Perfs[2].QErrorMean)
+	if l.Perfs[0].QErrorMean >= l.Perfs[2].QErrorMean {
+		t.Fatalf("FLAT Q-error %g no better than row-count %g", l.Perfs[0].QErrorMean, l.Perfs[2].QErrorMean)
+	}
+	if l.Sa[0] != 1 || l.Sa[1] != 0 {
+		t.Fatalf("accuracy scores %v; FLAT should dominate the naive baseline", l.Sa)
+	}
+}
+
+// TestPrepareModelsQueryDrivenSubset: labeling the query-driven subset on
+// its own (Table III's model set) measures exactly what the same models
+// measure inside a full-registry run with the same seed, and skips the
+// data half of the training input.
+func TestPrepareModelsQueryDrivenSubset(t *testing.T) {
+	d := fixture(t, 3, 14)
+	cfg := fastCfg(14)
+	full, err := Run(d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, i := range QueryDrivenSet() {
+		names = append(names, ModelNames[i])
+	}
+	qs := workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
+	p, err := PrepareModels(d, cfg, qs, registryModels(t, cfg, names...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.input.Sample != nil || p.input.Sizes != nil {
+		t.Fatal("a query-driven-only run staged the join sample or subset sizes")
+	}
+	res, err := p.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, i := range QueryDrivenSet() {
+		if got, want := res.Label.Perfs[j].QErrorMean, full.Label.Perfs[i].QErrorMean; got != want {
+			t.Errorf("%s: subset Q-error %v, full-registry run %v", ModelNames[i], got, want)
+		}
 	}
 }

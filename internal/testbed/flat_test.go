@@ -1,11 +1,11 @@
-package flat
+package testbed
 
 import (
 	"math"
 	"math/rand"
-	"repro/internal/ce"
 	"testing"
 
+	"repro/internal/ce"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -13,18 +13,18 @@ import (
 	"repro/internal/workload"
 )
 
-func trained(t *testing.T, d *dataset.Dataset, seed int64) *Model {
+func trainedFLAT(t *testing.T, d *dataset.Dataset, seed int64) *flatModel {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sample := engine.SampleJoin(d, 800, rng)
-	m := New(DefaultConfig())
+	m := newFLAT(defaultFLATConfig())
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Sample: sample}); err != nil {
 		t.Fatal(err)
 	}
 	return m
 }
 
-func TestGroupsCorrelatedColumnsJointly(t *testing.T) {
+func TestFLATGroupsCorrelatedColumnsJointly(t *testing.T) {
 	// Columns a and b perfectly coupled, c independent: FLAT must place
 	// a,b together and c apart.
 	n := 2000
@@ -43,7 +43,7 @@ func TestGroupsCorrelatedColumnsJointly(t *testing.T) {
 			dataset.NewColumn("a", a), dataset.NewColumn("b", b), dataset.NewColumn("c", c),
 		},
 	}}}
-	m := trained(t, d, 2)
+	m := trainedFLAT(t, d, 2)
 	if m.NumGroups() != 2 {
 		t.Fatalf("FLAT built %d groups, want 2 (joint {a,b} and {c})", m.NumGroups())
 	}
@@ -71,14 +71,14 @@ func TestGroupsCorrelatedColumnsJointly(t *testing.T) {
 	}
 }
 
-func TestAccuracyOnSyntheticData(t *testing.T) {
+func TestFLATAccuracyOnSyntheticData(t *testing.T) {
 	p := datagen.DefaultParams(3)
 	p.MinRows, p.MaxRows = 300, 500
 	d, err := datagen.Generate("f", p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := trained(t, d, 4)
+	m := trainedFLAT(t, d, 4)
 	qs := workload.Generate(d, workload.DefaultConfig(80, 5))
 	ests := make([]float64, len(qs))
 	truths := make([]float64, len(qs))
@@ -101,11 +101,11 @@ func TestAccuracyOnSyntheticData(t *testing.T) {
 	}
 }
 
-func TestMonotoneInRangeWidth(t *testing.T) {
+func TestFLATMonotoneInRangeWidth(t *testing.T) {
 	p := datagen.DefaultParams(6)
 	p.MinRows, p.MaxRows = 300, 400
 	d, _ := datagen.Generate("f", p)
-	m := trained(t, d, 7)
+	m := trainedFLAT(t, d, 7)
 	lo, hi := d.Tables[0].Col(0).MinMax()
 	prev := 0.0
 	for w := int64(0); lo+w <= hi; w += 4 {
@@ -121,13 +121,13 @@ func TestMonotoneInRangeWidth(t *testing.T) {
 	}
 }
 
-// TestFitAndEstimateDeterministic is the regression for the two detpath
+// TestFLATFitAndEstimateDeterministic is the regression for the two detpath
 // findings autoce-vet raised here: group assembly iterated a map (so
 // m.groups' order — and with it Estimate's float-product order — varied
 // run to run), and prob accumulated histogram counts in map iteration
 // order (so a single model could return last-ulp-different estimates for
 // the same query on consecutive calls). Both must now be bit-stable.
-func TestFitAndEstimateDeterministic(t *testing.T) {
+func TestFLATFitAndEstimateDeterministic(t *testing.T) {
 	p := datagen.DefaultParams(11)
 	p.MinRows, p.MaxRows = 300, 400
 	d, err := datagen.Generate("f", p)
@@ -139,13 +139,13 @@ func TestFitAndEstimateDeterministic(t *testing.T) {
 	// Map iteration order is randomized per range statement, so one
 	// agreeing attempt proves nothing — repeat enough times that the old
 	// code would essentially always diverge somewhere.
-	ref := trained(t, d, 13)
+	ref := trainedFLAT(t, d, 13)
 	refEsts := make([]float64, len(qs))
 	for i, q := range qs {
 		refEsts[i] = ref.Estimate(q)
 	}
 	for attempt := 0; attempt < 20; attempt++ {
-		m := trained(t, d, 13)
+		m := trainedFLAT(t, d, 13)
 		if got, want := len(m.groups), len(ref.groups); got != want {
 			t.Fatalf("attempt %d: %d groups, want %d", attempt, got, want)
 		}
@@ -166,11 +166,11 @@ func TestFitAndEstimateDeterministic(t *testing.T) {
 	}
 }
 
-func TestDegenerateSample(t *testing.T) {
+func TestFLATDegenerateSample(t *testing.T) {
 	p := datagen.DefaultParams(8)
 	p.MinRows, p.MaxRows = 100, 150
 	d, _ := datagen.Generate("f", p)
-	m := New(DefaultConfig())
+	m := newFLAT(defaultFLATConfig())
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Sample: &engine.JoinSample{}}); err != nil {
 		t.Fatal(err)
 	}

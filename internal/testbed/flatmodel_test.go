@@ -1,20 +1,4 @@
-// Package flat implements an FSPN-style cardinality estimator in the
-// spirit of FLAT (Zhu et al., VLDB 2021), the data-driven model the
-// paper's related-work section highlights as one of the few that improve
-// PostgreSQL end-to-end. FLAT's defining idea is to *factorize
-// adaptively*: highly correlated attribute groups are modeled jointly
-// (multi-dimensional histograms), weakly correlated groups are split with
-// product nodes — avoiding both the SPN's deep sum hierarchies and the
-// full joint's blow-up.
-//
-// This estimator deliberately does not register itself in the default
-// nine-model registry (which mirrors the paper's evaluation); it exists to
-// exercise the testbed's extensibility path (testbed.RunWithModels)
-// exactly as the paper describes onboarding a newly emerged model. To
-// promote a model like this into the zoo, add a ce.Register call in an
-// init function (see any registered model package) and import the package
-// from repro/internal/ce/zoo.
-package flat
+package testbed
 
 import (
 	"math"
@@ -24,8 +8,8 @@ import (
 	"repro/internal/workload"
 )
 
-// Config controls FSPN learning.
-type Config struct {
+// flatConfig controls FSPN learning.
+type flatConfig struct {
 	// MaxBins bounds per-column discretization.
 	MaxBins int
 	// MIThreshold is the mutual-information cutoff: column pairs above it
@@ -38,17 +22,17 @@ type Config struct {
 	Alpha float64
 }
 
-// DefaultConfig returns the configuration used in tests and examples.
-func DefaultConfig() Config {
-	return Config{MaxBins: 12, MIThreshold: 0.15, MaxGroupCols: 3, Alpha: 0.05}
+// defaultFLATConfig returns the configuration the tests use.
+func defaultFLATConfig() flatConfig {
+	return flatConfig{MaxBins: 12, MIThreshold: 0.15, MaxGroupCols: 3, Alpha: 0.05}
 }
 
-// group is one jointly modeled column set: a sparse joint histogram over
+// flatGroup is one jointly modeled column set: a sparse joint histogram over
 // the group's bin tuples. The histogram is stored as parallel slices in
 // sorted key order — not a map — so that prob's accumulation order (and
 // with it the estimate's float rounding) is identical on every call and
 // every run.
-type group struct {
+type flatGroup struct {
 	cols  []int     // sample column slots, ascending
 	keys  []string  // joint-histogram cell keys, sorted
 	cnts  []float64 // cnts[i] is the count of keys[i]
@@ -57,27 +41,42 @@ type group struct {
 	bins []int
 }
 
-// Model is a trained FLAT-style estimator.
-type Model struct {
-	cfg    Config
+// flatModel is an FSPN-style cardinality estimator in the spirit of FLAT
+// (Zhu et al., VLDB 2021), the data-driven model the paper's related-work
+// section highlights as one of the few that improve PostgreSQL
+// end-to-end. FLAT's defining idea is to *factorize adaptively*: highly
+// correlated attribute groups are modeled jointly (multi-dimensional
+// histograms), weakly correlated groups are split with product nodes —
+// avoiding both the SPN's deep sum hierarchies and the full joint's
+// blow-up.
+//
+// It is not registered in the nine-model registry (which mirrors the
+// paper's evaluation): it is the fixture of the extensibility test
+// (TestPrepareModelsOnboardsFLAT), onboarded through PrepareModels exactly
+// as the paper describes onboarding a newly emerged model. To promote a
+// model like this into the zoo, add a ce.Register call in an init function
+// (see any registered model package) and import the package from
+// repro/internal/ce/zoo.
+type flatModel struct {
+	cfg    flatConfig
 	bounds *ce.ColBounds
 	binner *ce.Binner
 	slots  map[[2]int]int
 	sizes  *ce.SubsetSizes
-	groups []*group
+	groups []*flatGroup
 
 	degenerate bool
 }
 
-// New returns an untrained model.
-func New(cfg Config) *Model { return &Model{cfg: cfg} }
+// newFLAT returns an untrained model.
+func newFLAT(cfg flatConfig) *flatModel { return &flatModel{cfg: cfg} }
 
 // Name implements ce.Estimator.
-func (m *Model) Name() string { return "FLAT" }
+func (m *flatModel) Name() string { return "FLAT" }
 
 // Fit implements ce.Model (data-driven: consumes Dataset, Sample, and the
 // shared Sizes when provided).
-func (m *Model) Fit(in *ce.TrainInput) error {
+func (m *flatModel) Fit(in *ce.TrainInput) error {
 	d, sample := in.Dataset, in.Sample
 	if len(sample.Rows) == 0 {
 		m.degenerate = true
@@ -112,7 +111,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	}
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			if pairMI(rows, i, j, m.binner.NumBins(i), m.binner.NumBins(j)) < m.cfg.MIThreshold {
+			if flatPairMI(rows, i, j, m.binner.NumBins(i), m.binner.NumBins(j)) < m.cfg.MIThreshold {
 				continue
 			}
 			ri, rj := find(i), find(j)
@@ -139,13 +138,13 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	sort.Ints(roots)
 	for _, r := range roots {
 		cols := members[r]
-		g := &group{cols: cols}
+		g := &flatGroup{cols: cols}
 		for _, c := range cols {
 			g.bins = append(g.bins, m.binner.NumBins(c))
 		}
 		counts := map[string]float64{}
 		for _, row := range rows {
-			counts[groupKey(row, cols)]++
+			counts[flatGroupKey(row, cols)]++
 			g.total++
 		}
 		g.keys = make([]string, 0, len(counts))
@@ -162,7 +161,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	return nil
 }
 
-func groupKey(row []int, cols []int) string {
+func flatGroupKey(row []int, cols []int) string {
 	key := make([]byte, 0, len(cols)*2)
 	for _, c := range cols {
 		key = append(key, byte(row[c]>>8), byte(row[c]))
@@ -173,7 +172,7 @@ func groupKey(row []int, cols []int) string {
 // prob returns the probability of the bin ranges under one group,
 // marginalizing unconstrained member columns: it sums the joint histogram
 // over all cells whose constrained coordinates fall in range.
-func (g *group) prob(ranges map[int][2]int, alpha float64) float64 {
+func (g *flatGroup) prob(ranges map[int][2]int, alpha float64) float64 {
 	constrained := false
 	for _, c := range g.cols {
 		if _, ok := ranges[c]; ok {
@@ -211,7 +210,7 @@ func (g *group) prob(ranges map[int][2]int, alpha float64) float64 {
 	return (hits + alpha*allowed) / (g.total + alpha*volume)
 }
 
-func (g *group) keyInRanges(key string, ranges map[int][2]int) bool {
+func (g *flatGroup) keyInRanges(key string, ranges map[int][2]int) bool {
 	for i, c := range g.cols {
 		bin := int(key[2*i])<<8 | int(key[2*i+1])
 		if r, ok := ranges[c]; ok {
@@ -225,7 +224,7 @@ func (g *group) keyInRanges(key string, ranges map[int][2]int) bool {
 
 // Estimate implements ce.Estimator: product over group probabilities,
 // scaled by the queried subset's unfiltered join size.
-func (m *Model) Estimate(q *workload.Query) float64 {
+func (m *flatModel) Estimate(q *workload.Query) float64 {
 	if m.degenerate {
 		return 1
 	}
@@ -249,14 +248,14 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 
 // EstimateBatch implements ce.Estimator with the shared parallel fan-out
 // (group evaluation is read-only).
-func (m *Model) EstimateBatch(qs []*workload.Query) []float64 {
+func (m *flatModel) EstimateBatch(qs []*workload.Query) []float64 {
 	return ce.ParallelEstimates(m, qs)
 }
 
 // NumGroups exposes the factorization width for tests.
-func (m *Model) NumGroups() int { return len(m.groups) }
+func (m *flatModel) NumGroups() int { return len(m.groups) }
 
-func pairMI(rows [][]int, a, b, na, nb int) float64 {
+func flatPairMI(rows [][]int, a, b, na, nb int) float64 {
 	joint := make([]float64, na*nb)
 	pa := make([]float64, na)
 	pb := make([]float64, nb)

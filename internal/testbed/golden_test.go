@@ -70,6 +70,7 @@ func TestGoldenLabels(t *testing.T) {
 	got := []goldenLabel{
 		goldenCase(t, 1, 11),
 		goldenCase(t, 3, 13),
+		goldenCase(t, 5, 15),
 	}
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

@@ -1,15 +1,26 @@
 // Package testbed implements the paper's unified cardinality-estimation
-// testbed (Section IV-B): for each dataset it generates a workload,
-// acquires true cardinalities from the execution engine, trains every
-// registered CE model through the unified ce.Model lifecycle (one
-// Fit(*ce.TrainInput) per model; the model's registered Kind declares
-// which input fields it consumes), measures mean Q-error and mean
-// inference latency on the testing queries via the batched estimation
-// path, and normalizes the measurements into score vectors (Eq. 2-4) —
+// testbed (Section IV-B): it labels a dataset by training a model set on
+// a workload with true cardinalities acquired from the execution engine,
+// measuring mean Q-error and mean inference latency on the testing
+// queries via the batched estimation path, and normalizing the
+// measurements over the run's candidates into score vectors (Eq. 2-4) —
 // the labels that AutoCE's graph encoder learns from.
 //
+// There is one labeling path, Prepare/PrepareModels → TrainModel (or
+// TrainAll) → Finish, and every run is defined by three things:
+//
+//   - the model set: the full registry (Prepare) or any caller's
+//     []ce.Model (PrepareModels) — a newly emerged estimator only has to
+//     implement ce.Model to be labeled, registering it joins the zoo;
+//   - the workload: generated and oracle-labeled (Prepare) or supplied,
+//     such as the CEB template workload of Table III (PrepareModels);
+//   - the candidate rule: a model is a candidate unless the registry
+//     lists it with Candidate: false, and a model the registry does not
+//     list is a candidate being onboarded. Sa/Se normalize over the
+//     candidates, and composite models combine them.
+//
 // The model zoo itself lives in the ce registry (populated by the blank
-// zoo import below); the testbed derives model order, names, and the
+// zoo import below); the testbed derives model order, names, kinds and the
 // candidate set from it rather than hard-coding them.
 package testbed
 
@@ -103,9 +114,11 @@ func DefaultConfig(seed int64) Config {
 func (cfg Config) zooConfig() ce.Config { return ce.Config{Fast: cfg.Fast, Seed: cfg.Seed} }
 
 // Label is the testbed's output for one dataset. Perfs holds the raw
-// measurements for all NumModels registry entries; Sa and Se are the
-// normalized accuracy/efficiency scores over the candidate set M
-// (NumCandidates entries), the label vectors the advisor learns from.
+// measurements of every model of the run, in model order (on the
+// registry: all NumModels entries); Sa and Se are the normalized
+// accuracy/efficiency scores over the run's candidates (on the registry:
+// the NumCandidates entries of M), the label vectors the advisor learns
+// from.
 type Label struct {
 	DatasetName string
 	Perfs       []metrics.Perf
@@ -114,7 +127,7 @@ type Label struct {
 
 // ScoreVector combines the normalized candidate scores for an accuracy
 // weight wa (Eq. 2); the result is the paper's label vector y_i for that
-// weight, of length NumCandidates.
+// weight, one entry per candidate.
 func (l *Label) ScoreVector(wa float64) []float64 {
 	return metrics.CombineScores(l.Sa, l.Se, wa)
 }
@@ -140,77 +153,118 @@ type Result struct {
 	Models []ce.Model
 	Train  []*workload.Query
 	Test   []*workload.Query
-	// LabelingTime is the wall-clock cost of the full run — the quantity
-	// the paper's Figure 12 compares against AutoCE's inference time.
-	LabelingTime time.Duration
 }
 
 // Prepared is a labeling run staged between phases: the workload has been
-// generated and labeled by the oracle, the join sample drawn, and the
-// untrained registry instantiated. Model training jobs (TrainModel) are
-// independent of each other — every model owns its RNG, seeded from the
-// run configuration, and only reads the shared TrainInput — so a corpus
-// driver can fan (dataset, model) pairs over a worker pool and still
-// produce exactly the labels of the serial path.
+// split, the training inputs its models consume drawn, and the untrained
+// models instantiated. Model training jobs (TrainModel) are independent of
+// each other — every model owns its RNG, seeded from the run
+// configuration, and only reads the shared TrainInput — so a corpus driver
+// can fan (dataset, model) pairs over a worker pool and still produce
+// exactly the labels of the serial path.
 type Prepared struct {
 	D      *dataset.Dataset
 	Cfg    Config
 	Train  []*workload.Query
 	Test   []*workload.Query
-	Sample *engine.JoinSample
-	Sizes  *ce.SubsetSizes
 	Models []ce.Model
 
-	specs []ce.Spec
-	input *ce.TrainInput
-	start time.Time
+	// kinds[i] is the training kind of Models[i]; candidates lists the
+	// Models indexes of the run's candidates in model order. Both are
+	// fixed at staging, so callers may wrap Models afterwards.
+	kinds      []ce.Kind
+	candidates []int
+	input      *ce.TrainInput
 }
 
-// Prepare stages a labeling run for d: it generates the workload with true
-// cardinalities acquired from the engine's batched oracle (shared
-// per-dataset join index, one evaluator per worker; see workload.Label),
-// splits it, draws the join sample, and instantiates the untrained
-// registry.
+// Prepare stages a labeling run of the full registry on d: it generates
+// the workload with true cardinalities acquired from the engine's batched
+// oracle (shared per-dataset join index, one evaluator per worker; see
+// workload.Label) and hands it to PrepareModels.
 func Prepare(d *dataset.Dataset, cfg Config) (*Prepared, error) {
-	//autoce:ignore detpath -- run wall time for the returned report's TotalTime; it never enters labels
-	p := &Prepared{D: d, Cfg: cfg, start: time.Now()}
 	qs := workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
+	return PrepareModels(d, cfg, qs, ce.NewModels(cfg.zooConfig()))
+}
+
+// PrepareModels stages a labeling run of models on the labeled workload
+// qs: it splits qs into training and testing queries and, when a model of
+// the run reads them, draws the join sample and enumerates the subset
+// sizes. The models slice defines the order of Perfs; every entry must be
+// untrained, and at least two must be candidates (see the package doc).
+func PrepareModels(d *dataset.Dataset, cfg Config, qs []*workload.Query, models []ce.Model) (*Prepared, error) {
+	p := &Prepared{D: d, Cfg: cfg, Models: models, kinds: make([]ce.Kind, len(models))}
+	needData := false
+	for i, m := range models {
+		kind, candidate := ce.Hybrid, true // an unregistered model's Fit decides what it reads
+		if s, ok := ce.Lookup(m.Name()); ok {
+			kind, candidate = s.Kind, s.Candidate
+		}
+		p.kinds[i] = kind
+		if candidate {
+			p.candidates = append(p.candidates, i)
+		}
+		needData = needData || readsData(kind)
+	}
+	if len(p.candidates) < 2 {
+		return nil, fmt.Errorf("testbed: need at least two candidate models, got %d", len(p.candidates))
+	}
 	p.Train, p.Test = workload.Split(qs, cfg.TrainFrac, cfg.Seed+1)
 	if len(p.Train) == 0 || len(p.Test) == 0 {
 		return nil, fmt.Errorf("testbed: degenerate workload split (%d train, %d test)", len(p.Train), len(p.Test))
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed + 2))
-	p.Sample = engine.SampleJoin(d, cfg.SampleRows, rng)
-	// Join-subset sizes are shared across the data-driven models instead
-	// of each recomputing them.
-	p.Sizes = ce.ComputeSubsetSizes(d)
-	p.specs = ce.Specs()
-	p.Models = ce.NewModels(cfg.zooConfig())
-	p.input = &ce.TrainInput{Dataset: d, Sample: p.Sample, Queries: p.Train, Sizes: p.Sizes}
+	p.input = &ce.TrainInput{Dataset: d, Queries: p.Train}
+	if needData {
+		if err := stageData(context.Background(), p.input, cfg); err != nil {
+			return nil, err
+		}
+	}
 	return p, nil
 }
 
-// NumModels returns the registry size, the number of TrainModel jobs.
+// readsData reports whether a model of kind k reads the data half of a
+// TrainInput, the join sample and the subset sizes.
+func readsData(k ce.Kind) bool { return k == ce.DataDriven || k == ce.Hybrid }
+
+// stageData fills in the data half of in: the join sample, drawn with seed
+// cfg.Seed+2, and the subset sizes shared across the data-driven models
+// instead of each recomputing them. It checks ctx before starting, and the
+// subset-size enumeration — whose cost grows exponentially with table
+// count — also cancels mid-loop.
+func stageData(ctx context.Context, in *ce.TrainInput, cfg Config) error {
+	if err := context.Cause(ctx); err != nil {
+		return err
+	}
+	in.Sample = engine.SampleJoin(in.Dataset, cfg.SampleRows, rand.New(rand.NewSource(cfg.Seed+2)))
+	sizes, err := ce.ComputeSubsetSizesCtx(ctx, in.Dataset)
+	if err != nil {
+		return err
+	}
+	in.Sizes = sizes
+	return nil
+}
+
+// NumModels returns the size of the run's model set, the number of
+// TrainModel jobs.
 func (p *Prepared) NumModels() int { return len(p.Models) }
 
-// TrainModel trains registry entry i through the unified lifecycle. Jobs
-// are mutually independent and touch only read-only shared state, so
-// distinct indexes may run concurrently (also across Prepared instances).
+// TrainModel trains model i through the unified lifecycle. Jobs are
+// mutually independent and touch only read-only shared state, so distinct
+// indexes may run concurrently (also across Prepared instances).
 // Composite models (the ensemble) have no independent training phase;
-// Finish fits them on the trained members.
+// Finish fits them on the trained candidates.
 func (p *Prepared) TrainModel(i int) error {
-	if p.specs[i].Kind == ce.Composite {
+	if p.kinds[i] == ce.Composite {
 		return nil
 	}
 	if err := p.Models[i].Fit(p.input); err != nil {
-		return fmt.Errorf("testbed: training %s on %s: %w", p.specs[i].Name, p.D.Name, err)
+		return fmt.Errorf("testbed: training %s on %s: %w", p.Models[i].Name(), p.D.Name, err)
 	}
 	return nil
 }
 
 // Finish fits the composite models on the trained candidates, measures
 // every model on the testing queries through the batched estimation path,
-// and normalizes the scores into the label.
+// and normalizes the candidates' scores into the label.
 func (p *Prepared) Finish() (*Result, error) {
 	models := p.Models
 	// Calibrate composites on a cloned (not aliased) bounded slice of the
@@ -220,17 +274,17 @@ func (p *Prepared) Finish() (*Result, error) {
 		calibN = 40
 	}
 	calib := append([]*workload.Query(nil), p.Train[:calibN]...)
-	members := make([]ce.Estimator, 0, NumCandidates)
-	for _, ci := range Candidates() {
+	members := make([]ce.Estimator, 0, len(p.candidates))
+	for _, ci := range p.candidates {
 		members = append(members, models[ci])
 	}
-	for i, spec := range p.specs {
-		if spec.Kind != ce.Composite {
+	for i, kind := range p.kinds {
+		if kind != ce.Composite {
 			continue
 		}
 		err := models[i].Fit(&ce.TrainInput{Dataset: p.D, Members: members, Queries: calib})
 		if err != nil {
-			return nil, fmt.Errorf("testbed: assembling %s on %s: %w", spec.Name, p.D.Name, err)
+			return nil, fmt.Errorf("testbed: assembling %s on %s: %w", models[i].Name(), p.D.Name, err)
 		}
 	}
 
@@ -255,14 +309,12 @@ func (p *Prepared) Finish() (*Result, error) {
 			LatencyMean: elapsed.Seconds() / float64(len(p.Test)),
 		}
 	}
-	label.Sa, label.Se = metrics.NormalizeScores(label.Perfs[:NumCandidates])
-	return &Result{
-		Label:        label,
-		Models:       models,
-		Train:        p.Train,
-		Test:         p.Test,
-		LabelingTime: time.Since(p.start),
-	}, nil
+	perfs := make([]metrics.Perf, len(p.candidates))
+	for j, ci := range p.candidates {
+		perfs[j] = label.Perfs[ci]
+	}
+	label.Sa, label.Se = metrics.NormalizeScores(perfs)
+	return &Result{Label: label, Models: models, Train: p.Train, Test: p.Test}, nil
 }
 
 // Run labels one dataset serially: it trains all models and measures them
@@ -272,6 +324,11 @@ func Run(d *dataset.Dataset, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.Run()
+}
+
+// Run trains the staged models serially and finishes the run.
+func (p *Prepared) Run() (*Result, error) {
 	for i := 0; i < p.NumModels(); i++ {
 		if err := p.TrainModel(i); err != nil {
 			return nil, err
@@ -289,21 +346,14 @@ func LabelOnly(d *dataset.Dataset, cfg Config) (*Label, error) {
 	return res.Label, nil
 }
 
-// NewTrainInput stages a standalone training input for one dataset: an
-// oracle-labeled workload (all of it used for training), a join sample,
-// and the shared subset sizes. It is the serving path's onramp — the
-// /train endpoint feeds the result to a single registry model's Fit —
-// and generally the cheapest way to train one model outside a full
-// labeling run.
-func NewTrainInput(d *dataset.Dataset, cfg Config) *ce.TrainInput {
-	return NewTrainInputFor(d, cfg, ce.Hybrid)
-}
-
-// NewTrainInputFor is NewTrainInput specialized to the training kind of
-// the one model being fitted, building only the input halves that kind
-// consumes: query-driven models read no join sample or subset sizes
-// (skipping the exact subset-size enumeration), and data-driven models
-// read no labeled workload (skipping oracle labeling).
+// NewTrainInputFor stages a standalone training input for one model of
+// the given kind, building only the input halves that kind reads:
+// query-driven models read no join sample or subset sizes (skipping the
+// exact subset-size enumeration), and data-driven models read no labeled
+// workload (skipping oracle labeling). It is the serving path's onramp —
+// the /train endpoint feeds the result to a single registry model's Fit —
+// and generally the cheapest way to train one model outside a labeling
+// run; all of the workload trains.
 func NewTrainInputFor(d *dataset.Dataset, cfg Config, kind ce.Kind) *ce.TrainInput {
 	in, _ := NewTrainInputForCtx(context.Background(), d, cfg, kind)
 	return in
@@ -323,17 +373,10 @@ func NewTrainInputForCtx(ctx context.Context, d *dataset.Dataset, cfg Config, ki
 		}
 		in.Queries = workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
 	}
-	if kind != ce.QueryDriven {
-		if err := context.Cause(ctx); err != nil {
+	if readsData(kind) {
+		if err := stageData(ctx, in, cfg); err != nil {
 			return nil, err
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + 2))
-		in.Sample = engine.SampleJoin(d, cfg.SampleRows, rng)
-		sizes, err := ce.ComputeSubsetSizesCtx(ctx, d)
-		if err != nil {
-			return nil, err
-		}
-		in.Sizes = sizes
 	}
 	return in, nil
 }

@@ -85,15 +85,17 @@ func randomQuery(d *dataset.Dataset, adj [][]int, rng *rand.Rand, maxPreds int) 
 	nt := len(d.Tables)
 	want := 1 + rng.Intn(nt)
 
-	start := rng.Intn(nt)
-	chosen := map[int]bool{start: true}
+	chosen := make([]bool, nt)
+	chosen[rng.Intn(nt)] = true
 	var joins []engine.Join
-	// Grow a connected table set over FK edges.
-	for len(chosen) < want {
-		grew := false
-		// Collect candidate edges out of the chosen set.
+	// Grow a connected table set over FK edges. Candidate edges are
+	// collected in table order, so the draw below is reproducible.
+	for n := 1; n < want; n++ {
 		var cands []dataset.ForeignKey
 		for ti := range chosen {
+			if !chosen[ti] {
+				continue
+			}
 			for _, fki := range adj[ti] {
 				fk := d.FKs[fki]
 				other := fk.FromTable
@@ -118,13 +120,10 @@ func randomQuery(d *dataset.Dataset, adj [][]int, rng *rand.Rand, maxPreds int) 
 			LeftTable: fk.FromTable, LeftCol: fk.FromCol,
 			RightTable: fk.ToTable, RightCol: fk.ToCol,
 		})
-		grew = true
-		_ = grew
 	}
-
-	tables := make([]int, 0, len(chosen))
-	for ti := 0; ti < nt; ti++ {
-		if chosen[ti] {
+	tables := make([]int, 0, want)
+	for ti, in := range chosen {
+		if in {
 			tables = append(tables, ti)
 		}
 	}

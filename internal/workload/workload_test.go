@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -63,6 +64,25 @@ func TestGenerateDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i].TrueCard != b[i].TrueCard {
 			t.Fatal("same seed produced different workloads")
+		}
+	}
+}
+
+// TestGenerateUnlabeledReproducible: one dataset and seed give one query
+// stream. On the 8-table STATSLike schema, collecting the candidate join
+// edges in map order made nearly every rerun draw a different stream.
+func TestGenerateUnlabeledReproducible(t *testing.T) {
+	d := datagen.STATSLike(3)
+	want := GenerateUnlabeled(d, DefaultConfig(200, 7))
+	for run := 0; run < 3; run++ {
+		got := GenerateUnlabeled(d, DefaultConfig(200, 7))
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d queries, want %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if !reflect.DeepEqual(got[i].Query, want[i].Query) {
+				t.Fatalf("run %d query %d: %+v, want %+v", run, i, got[i].Query, want[i].Query)
+			}
 		}
 	}
 }
