@@ -163,7 +163,7 @@ func main() {
 	shardPeers := flag.String("shard-peers", "", "comma-separated base URLs of all shards (including this one); enables fleet-proxy forwarding of X-Shard-Key requests")
 	replicas := flag.Int("replicas", 2, "replica-set size per dataset: the rendezvous primary takes writes, runners-up also serve reads (clamped to -shard-count)")
 	peerTimeout := flag.Duration("peer-timeout", 0, "per-attempt timeout for forwarded reads in the fleet proxy (0 = default 5s)")
-	manifestPath := flag.String("manifest", "", "tenant manifest for restart recovery: a directory of per-tenant records, fsynced on write (default: <model-dir>/shard-<i>.manifest, or tenants.manifest unsharded; a v1 manifest file there is migrated; \"none\" disables)")
+	manifestPath := flag.String("manifest", "", "tenant manifest for restart recovery: a directory of per-tenant records, fsynced on write (default: <model-dir>/shard-<i>.manifest, or tenants.manifest unsharded; \"none\" disables)")
 	addrFile := flag.String("addr-file", "", "write the bound listen address to this file (useful with -addr :0)")
 	flag.Parse()
 	if *advisorPath == "" {

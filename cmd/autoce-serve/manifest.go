@@ -31,15 +31,10 @@ package main
 // own (renamed with the "#.corrupt" suffix) and every other tenant still
 // recovers. EscapeName always escapes '#', so temp files and quarantined
 // records, which both carry one, never collide with a tenant's record.
-//
-// The v1 manifest was a single file at the same path holding every
-// tenant's payload (gob-encoded, under magic CETENv1);
-// newTenantManifest migrates it to records once.
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -53,12 +48,9 @@ import (
 	"repro/internal/resilience"
 )
 
-// The magics begin every manifest file: format name plus version, so a
+// tenantRecordMagic begins every record: format name plus version, so a
 // layout change is detected by prefix, not by decode failure.
-var (
-	manifestV1Magic   = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '1', '\n'}
-	tenantRecordMagic = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '2', '\n'}
-)
+var tenantRecordMagic = [8]byte{'C', 'E', 'T', 'E', 'N', 'v', '2', '\n'}
 
 // recordTmpPattern and quarantineExt name the manifest directory's
 // non-record files; both contain '#', which no record name does.
@@ -78,12 +70,20 @@ type tenantManifest struct {
 }
 
 // newTenantManifest opens (or initializes) the manifest directory at
-// path, first migrating a v1 manifest file found there. A corrupt v1 file
-// is quarantined to path+".corrupt" and the manifest starts empty; the
-// error reports that, but the manifest is usable either way.
+// path. A file found at path holds no records: it is quarantined to
+// path+".corrupt" and the manifest starts empty; the error reports that,
+// but the manifest is usable either way.
 func newTenantManifest(path string) (*tenantManifest, error) {
 	m := &tenantManifest{dir: path, pending: map[string][]byte{}}
-	err := migrateManifestV1(path)
+	var err error
+	if fi, serr := os.Stat(path); serr == nil && !fi.IsDir() {
+		quarantine := path + ".corrupt"
+		if rerr := os.Rename(path, quarantine); rerr == nil {
+			err = fmt.Errorf("tenant manifest %s is a file, not a record directory; quarantined to %s, starting empty", path, quarantine)
+		} else {
+			err = fmt.Errorf("tenant manifest %s is a file, not a record directory (%v); starting empty", path, rerr)
+		}
+	}
 	if mkErr := os.MkdirAll(path, 0o755); mkErr != nil {
 		err = errors.Join(err, fmt.Errorf("creating tenant manifest %s: %w", path, mkErr))
 	}
@@ -224,75 +224,4 @@ func decodeTenantRecord(raw []byte) (name string, payload []byte, err error) {
 		return "", nil, fmt.Errorf("%w: name length %d exceeds the %d-byte record", envelope.ErrCorrupt, n, len(body)-4)
 	}
 	return string(body[4 : 4+n]), body[4+n:], nil
-}
-
-// migrateManifestV1 converts a v1 manifest file at path into a directory
-// of records at the same path. Records are written to path+".migrating"
-// first, and that directory is renamed into place only after the v1 file
-// is removed: a crash before the removal reruns the migration from the
-// v1 file; a crash after it finds only the complete migrated directory,
-// which is then renamed into place.
-func migrateManifestV1(path string) error {
-	migrating := path + ".migrating"
-	fi, err := os.Stat(path)
-	switch {
-	case os.IsNotExist(err):
-		if _, err := os.Stat(migrating); err == nil {
-			return os.Rename(migrating, path)
-		}
-		return nil
-	case err != nil:
-		return fmt.Errorf("reading tenant manifest %s: %w", path, err)
-	case fi.IsDir():
-		return nil
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading tenant manifest %s: %w", path, err)
-	}
-	entries, err := decodeManifest(raw)
-	if err != nil {
-		quarantine := path + ".corrupt"
-		if rerr := os.Rename(path, quarantine); rerr == nil {
-			return fmt.Errorf("tenant manifest %s is corrupt (%v); quarantined to %s, starting empty", path, err, quarantine)
-		}
-		return fmt.Errorf("tenant manifest %s is corrupt (%v); starting empty", path, err)
-	}
-	if err := os.RemoveAll(migrating); err != nil {
-		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
-	}
-	if err := os.Mkdir(migrating, 0o755); err != nil {
-		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
-	}
-	for name, payload := range entries {
-		if err := writeTenantRecord(migrating, name, payload); err != nil {
-			return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
-		}
-	}
-	if err := os.Remove(path); err != nil {
-		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
-	}
-	if err := os.Rename(migrating, path); err != nil {
-		return fmt.Errorf("migrating tenant manifest %s: %w", path, err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// decodeManifest verifies a v1 manifest — the whole file, with no bytes
-// after the frame — and decodes its entry map. The payload cannot be
-// larger than the file, so the file's length caps the declared size.
-func decodeManifest(raw []byte) (map[string][]byte, error) {
-	r := bytes.NewReader(raw)
-	payload, err := envelope.Read(r, manifestV1Magic, uint64(len(raw)))
-	if err != nil {
-		return nil, err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", envelope.ErrCorrupt, r.Len())
-	}
-	var entries map[string][]byte
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&entries); err != nil {
-		return nil, fmt.Errorf("decoding entries: %w", err)
-	}
-	return entries, nil
 }

@@ -431,13 +431,10 @@ func (s *server) onboard(req *datasetRequest) (*datasetResponse, int, error) {
 	h := s.fleet.getOrCreate(d.Name)
 	h.mu.Lock()
 	if old := h.snap.Load(); old != nil {
-		// Replacing a dataset drops its cached engine/statistics state;
-		// previously trained models describe the old data and are dropped
+		// Previously trained models describe the old data and are dropped
 		// with it (stored artifacts above were re-registered explicitly).
 		// forget, not evict: the old models' state must not be written
 		// back over artifacts the new tenant generation now owns.
-		engine.InvalidateIndex(old.d)
-		dataset.InvalidateStats(old.d)
 		for _, sm := range old.models {
 			s.cache.forget(sm)
 		}
@@ -647,11 +644,6 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	cur := h.snap.Load()
 	if cur == nil || cur.d != tn.d {
 		h.mu.Unlock()
-		// Training repopulated the replaced dataset's engine-index and
-		// stats caches after onboarding invalidated them; drop them again
-		// so the unreachable dataset is not pinned for process lifetime.
-		engine.InvalidateIndex(tn.d)
-		dataset.InvalidateStats(tn.d)
 		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q was replaced during training; re-train against the new data", req.Dataset))
 		return
 	}

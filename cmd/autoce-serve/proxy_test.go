@@ -7,14 +7,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"os"
 	"path/filepath"
 	"sync"
@@ -24,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/ce"
-	"repro/internal/envelope"
 	"repro/internal/resilience"
 )
 
@@ -248,133 +245,56 @@ func TestServeRestartRecovery(t *testing.T) {
 	}
 }
 
-// writeManifestV1 writes entries the way the v1 manifest did: one gob
-// map of every tenant's canonical JSON payload in a CETENv1 envelope.
-func writeManifestV1(t *testing.T, path string, entries map[string][]byte) {
-	t.Helper()
-	var payload, file bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(entries); err != nil {
-		t.Fatal(err)
-	}
-	if err := envelope.Write(&file, manifestV1Magic, payload.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestManifestMigrationResumes covers a crash at either point of the v1
-// migration: with the v1 file still in place a stale migration directory
-// is discarded and the migration reruns; with the v1 file removed the
-// complete migration directory is renamed into place.
-func TestManifestMigrationResumes(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "tenants.manifest")
-	migrating := path + ".migrating"
-	if err := os.Mkdir(migrating, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeTenantRecord(migrating, "stale", []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	writeManifestV1(t, path, map[string][]byte{"a": []byte(`{"gen":1}`)})
-	m, err := newTenantManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.snapshot(); len(got) != 1 || string(got["a"]) != `{"gen":1}` {
-		t.Fatalf("after rerun migration: %q, want just a", got)
-	}
-
-	// Crash after the v1 file was removed, before the rename.
-	if err := os.Rename(path, migrating); err != nil {
-		t.Fatal(err)
-	}
-	m, err = newTenantManifest(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.snapshot(); len(got) != 1 || string(got["a"]) != `{"gen":1}` {
-		t.Fatalf("after resumed rename: %q, want just a", got)
-	}
-	if _, err := os.Stat(migrating); !os.IsNotExist(err) {
-		t.Fatalf("migration directory left behind: %v", err)
-	}
-}
-
-// TestServeRestartMigratesV1Manifest: a server restarted over a v1
-// manifest file recovers every tenant in it — bit-identical estimates
-// from the stored artifacts — and leaves per-tenant records in its place,
-// which the next restart recovers from.
-func TestServeRestartMigratesV1Manifest(t *testing.T) {
+// TestServeRestartQuarantinesManifestFile: a file at the manifest path
+// holds no records, so the server moves it to path+".corrupt" and starts
+// with an empty record directory; a tenant onboarded afterwards is
+// recovered on restart with bit-identical estimates.
+func TestServeRestartQuarantinesManifestFile(t *testing.T) {
 	dir := t.TempDir()
 	manifest := filepath.Join(dir, "tenants.manifest")
-	store, err := ce.NewStore(dir)
+	junk := []byte("CETENv1\nnot a record directory")
+	if err := os.WriteFile(manifest, junk, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	store1, err := ce.NewStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts1 := serveWithOpts(t, store, serveOptions{})
-	entries := map[string][]byte{}
-	want := map[string]float64{}
-	queries := map[string]map[string]any{}
-	for i, name := range []string{"alpha", "beta/γ"} {
-		d := serveDataset(t, 1, 320+int64(i))
-		d.Name = name
-		onboardAndTrain(t, ts1, d, "Postgres")
-		// The v1 manifest stored json.Marshal of the decoded request.
-		body, err := json.Marshal(datasetBody(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var req datasetRequest
-		if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
-			t.Fatal(err)
-		}
-		if entries[name], err = json.Marshal(&req); err != nil {
-			t.Fatal(err)
-		}
-		queries[name] = rangeQueryBodies(d, 1)[0]
-		var est estimateResponse
-		if resp, data := postJSON(t, ts1, "/estimate", map[string]any{
-			"dataset": name, "query": queries[name]}); resp.StatusCode != http.StatusOK {
-			t.Fatalf("estimate %s: %d %s", name, resp.StatusCode, data)
-		} else if err := json.Unmarshal(data, &est); err != nil {
-			t.Fatal(err)
-		}
-		want[name] = est.Estimate
+	_, ts1 := serveWithOpts(t, store1, serveOptions{ManifestPath: manifest})
+	if got, err := os.ReadFile(manifest + ".corrupt"); err != nil || !bytes.Equal(got, junk) {
+		t.Fatalf("quarantined file = %q (%v), want %q", got, err, junk)
+	}
+	if fi, err := os.Stat(manifest); err != nil || !fi.IsDir() {
+		t.Fatalf("manifest is not a record directory (%v)", err)
+	}
+	d := serveDataset(t, 1, 320)
+	d.Name = "beta/γ"
+	onboardAndTrain(t, ts1, d, "Postgres")
+	q := rangeQueryBodies(d, 1)[0]
+	var before estimateResponse
+	if resp, data := postJSON(t, ts1, "/estimate", map[string]any{
+		"dataset": d.Name, "query": q}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("pre-restart estimate: %d %s", resp.StatusCode, data)
+	} else if err := json.Unmarshal(data, &before); err != nil {
+		t.Fatal(err)
 	}
 	ts1.Close()
-	writeManifestV1(t, manifest, entries)
 
-	for restart := 1; restart <= 2; restart++ {
-		store, err := ce.NewStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, ts := serveWithOpts(t, store, serveOptions{ManifestPath: manifest})
-		for name, q := range queries {
-			resp, data := postJSON(t, ts, "/estimate", map[string]any{"dataset": name, "query": q})
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("restart %d: estimate %s: %d %s", restart, name, resp.StatusCode, data)
-			}
-			var got estimateResponse
-			if err := json.Unmarshal(data, &got); err != nil {
-				t.Fatal(err)
-			}
-			if got.Estimate != want[name] {
-				t.Fatalf("restart %d: %s estimate %v, want %v", restart, name, got.Estimate, want[name])
-			}
-		}
-		ts.Close()
-		fi, err := os.Stat(manifest)
-		if err != nil || !fi.IsDir() {
-			t.Fatalf("restart %d: manifest is not a record directory (%v)", restart, err)
-		}
-		for name := range entries {
-			if _, err := os.Stat(filepath.Join(manifest, url.PathEscape(name))); err != nil {
-				t.Fatalf("restart %d: no record for %q: %v", restart, name, err)
-			}
-		}
+	store2, err := ce.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := serveWithOpts(t, store2, serveOptions{ManifestPath: manifest})
+	resp, data := postJSON(t, ts2, "/estimate", map[string]any{"dataset": d.Name, "query": q})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("post-restart estimate: %d %s", resp.StatusCode, data)
+	}
+	var after estimateResponse
+	if err := json.Unmarshal(data, &after); err != nil {
+		t.Fatal(err)
+	}
+	if after.Estimate != before.Estimate {
+		t.Fatalf("post-restart estimate %v, want %v", after.Estimate, before.Estimate)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/ce"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/feature"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
@@ -145,10 +144,6 @@ func (s *Sampling) Name() string { return "Sampling" }
 func (s *Sampling) Select(t Target, wa float64) int {
 	sampled := SampleDataset(t.Dataset, s.Fraction, s.Cfg.Seed)
 	res, err := testbed.Run(sampled, s.Cfg)
-	// The sampled dataset is discarded after the run; drop its cached
-	// join index and stats so the cache entries do not pin it in memory.
-	engine.InvalidateIndex(sampled)
-	dataset.InvalidateStats(sampled)
 	if err != nil {
 		return -1
 	}

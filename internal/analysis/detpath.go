@@ -200,6 +200,11 @@ func mapOrderSensitivity(pass *Pass, fnBody *ast.BlockStmt, rng *ast.RangeStmt) 
 				reason = "RNG draws made in iteration order"
 				return false
 			}
+			// A conversion such as int64(len(rows)) is no call; a real
+			// call inside it is visited on its own.
+			if tv, ok := info.Types[n.Fun]; ok && tv.IsType() {
+				return true
+			}
 			// Passing the iteration key/value into a call does work in
 			// iteration order (inference, accumulation behind an API).
 			if isBuiltinCall(info, n, "append") || isBuiltinCall(info, n, "len") ||

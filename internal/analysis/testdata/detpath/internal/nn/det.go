@@ -64,6 +64,22 @@ func mapCalls(m map[string]int, sink func(string)) {
 	}
 }
 
+// keyedConversion writes each count under its own key; int64(...) is a
+// conversion, not a call: clean.
+func keyedConversion(rows map[int64][]int32, counts map[int64]int64) {
+	for v, r := range rows {
+		counts[v] = int64(len(r))
+	}
+}
+
+// convertedCall wraps a real call on the iteration variable in a
+// conversion; the call is still made in iteration order.
+func convertedCall(m map[string]int, weigh func(string) int, counts map[string]int64) {
+	for k := range m { // want "calls made in iteration order"
+		counts[k] = int64(weigh(k))
+	}
+}
+
 // mapRNG draws per key while ranging a map: each key gets a different
 // part of the stream on every run, though no iteration variable reaches
 // the draw's arguments.

@@ -391,18 +391,9 @@ func looNearest(emb [][]float64, i int) float64 {
 // leave-one-out nearest-neighbor distance.
 func driftThresholdOf(emb [][]float64) float64 {
 	dists := make([]float64, 0, len(emb))
-	for i, e := range emb {
-		best := math.Inf(1)
-		for j, o := range emb {
-			if i == j {
-				continue
-			}
-			if d := metrics.EuclideanDistance(e, o); d < best {
-				best = d
-			}
-		}
-		if !math.IsInf(best, 1) {
-			dists = append(dists, best)
+	for i := range emb {
+		if d := looNearest(emb, i); !math.IsInf(d, 1) {
+			dists = append(dists, d)
 		}
 	}
 	return metrics.Percentile(dists, 90)

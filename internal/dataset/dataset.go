@@ -18,15 +18,16 @@
 // equal-fraction matrix — in a handful of cache-friendly sweeps with
 // reused scratch, and Stats derives every FK edge's join correlation from
 // one distinct-value set per endpoint column. Both layers are exact and
-// agree number for number. StatsFor caches one Stats per dataset
-// (mirroring engine.IndexFor); code that mutates a dataset in place, or
-// builds transient datasets, must call InvalidateStats just as it calls
-// engine.InvalidateIndex.
+// agree number for number. StatsFor keeps one Stats on each dataset
+// (Dataset.Derived, which engine.IndexFor uses too), so it is collected
+// with the dataset; only code that mutates table data in place must call
+// InvalidateStats.
 package dataset
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Column is a single named column of integer values.
@@ -161,11 +162,30 @@ type ForeignKey struct {
 }
 
 // Dataset is a named set of tables connected by PK-FK foreign keys.
+// State derived from its data (see Derived) lives on the dataset and is
+// collected with it. A Dataset must not be copied after first use.
 type Dataset struct {
 	Name   string
 	Tables []*Table
 	FKs    []ForeignKey
+
+	derived sync.Map
 }
+
+// Derived returns the value stored under key, storing build() on first
+// use. Racing first uses may each call build, but all of them get the one
+// value stored. Each package keys its values with an unexported type.
+func (d *Dataset) Derived(key any, build func() any) any {
+	if v, ok := d.derived.Load(key); ok {
+		return v
+	}
+	v, _ := d.derived.LoadOrStore(key, build())
+	return v
+}
+
+// DropDerived discards the value stored under key, so the next Derived
+// call rebuilds it. Call it after mutating table data in place.
+func (d *Dataset) DropDerived(key any) { d.derived.Delete(key) }
 
 // NumTables returns the number of tables in the dataset.
 func (d *Dataset) NumTables() int { return len(d.Tables) }
@@ -190,8 +210,8 @@ func (d *Dataset) TotalColumns() int {
 
 // TotalDomainSize returns the sum of distinct-value counts over all columns,
 // the "total domain size" statistic reported in the paper's Table I. It
-// reads through the dataset's cached Stats; callers that mutate the data
-// in place must InvalidateStats (stale summaries are never detected).
+// reads through the dataset's Stats; callers that mutate the data in
+// place must InvalidateStats (stale summaries are never detected).
 func (d *Dataset) TotalDomainSize() int {
 	return StatsFor(d).TotalDomainSize()
 }

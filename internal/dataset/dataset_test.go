@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/par"
 )
 
 func col(vals ...int64) *Column { return NewColumn("c", vals) }
@@ -243,5 +245,33 @@ func TestMeanDeviationVsStd(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDerivedConcurrentFirstUse races first uses of a dataset's derived
+// state: every caller gets the one value stored, under each key, until
+// DropDerived discards it.
+func TestDerivedConcurrentFirstUse(t *testing.T) {
+	type otherKey struct{}
+	d := &Dataset{Name: "d", Tables: []*Table{NewTable("t", col(1, 2, 2, 3))}}
+	const n = 16
+	stats := make([]*Stats, n)
+	others := make([]*int, n)
+	par.For(n, 8, func(i int) error {
+		stats[i] = StatsFor(d)
+		others[i] = d.Derived(otherKey{}, func() any { return new(int) }).(*int)
+		return nil
+	})
+	for i := 1; i < n; i++ {
+		if stats[i] != stats[0] || others[i] != others[0] {
+			t.Fatalf("caller %d got a different derived value", i)
+		}
+	}
+	d.DropDerived(otherKey{})
+	if d.Derived(otherKey{}, func() any { return new(int) }).(*int) == others[0] {
+		t.Fatal("DropDerived did not discard the value")
+	}
+	if StatsFor(d) != stats[0] {
+		t.Fatal("DropDerived discarded another key's value")
 	}
 }

@@ -35,9 +35,10 @@ import (
 //   - Stats is a per-dataset view: lazily built per-table Summaries plus
 //     every FK edge's join correlation, derived from one distinct-value
 //     set (dense bitset or hash set) per endpoint column — the naive
-//     path rebuilds the PK set once per incident FK. StatsFor caches one
-//     Stats per dataset, mirroring engine.IndexFor; mutation paths must
-//     call InvalidateStats, exactly like engine.InvalidateIndex.
+//     path rebuilds the PK set once per incident FK. StatsFor keeps one
+//     Stats on each dataset (Dataset.Derived, shared with
+//     engine.IndexFor), so it is collected with the dataset; only paths
+//     that mutate table data in place call InvalidateStats.
 //
 // Every number is exact: summaries are bit-identical to the per-call API
 // (ColumnStats shares colStatsKernel; equal fractions and join
@@ -851,31 +852,24 @@ func (st *Stats) TotalDomainSize() int {
 	return st.domains
 }
 
-// ------------------------------------------------------------- the cache
+// ------------------------------------------------------------- the view
 
-// statsCache maps *Dataset to its shared *Stats. Keying by
-// pointer is safe for the same reason as the engine's index cache: the
-// entry keeps the dataset reachable, so its address cannot be recycled
-// while the entry exists. The cost is the same too — a cached dataset is
-// pinned until InvalidateStats is called, so transient-dataset paths
-// (testbed sampling, datagen rebuilds, corpus labeling) must invalidate.
-var statsCache sync.Map
+// statsKey keys the Stats view in Dataset.Derived.
+type statsKey struct{}
 
-// StatsFor returns the shared cached statistics view of d, creating it on
-// first use.
+// StatsFor returns the shared statistics view of d, creating it on first
+// use. The view lives on d and is collected with it.
 func StatsFor(d *Dataset) *Stats {
-	if v, ok := statsCache.Load(d); ok {
-		return v.(*Stats)
-	}
-	v, _ := statsCache.LoadOrStore(d, &Stats{
-		d:       d,
-		tabOnce: make([]sync.Once, len(d.Tables)),
-		tabs:    make([]*Summary, len(d.Tables)),
-	})
-	return v.(*Stats)
+	return d.Derived(statsKey{}, func() any {
+		return &Stats{
+			d:       d,
+			tabOnce: make([]sync.Once, len(d.Tables)),
+			tabs:    make([]*Summary, len(d.Tables)),
+		}
+	}).(*Stats)
 }
 
-// InvalidateStats drops the cached statistics of d. Call it after
-// mutating d's table data in place (the cached summaries would be stale)
-// or when d is transient and its cache entry should not pin it in memory.
-func InvalidateStats(d *Dataset) { statsCache.Delete(d) }
+// InvalidateStats drops the statistics view of d, so the next StatsFor
+// builds a fresh one. Call it after mutating d's table data in place (the
+// summaries would be stale) or to time a cold build.
+func InvalidateStats(d *Dataset) { d.DropDerived(statsKey{}) }

@@ -17,15 +17,15 @@
 // Three entry tiers trade convenience for control:
 //
 //   - Cardinality / Selectivity / CrossProductSize: one-shot helpers that
-//     draw a pooled Evaluator from the dataset's cached Index.
+//     draw a pooled Evaluator from the dataset's shared Index.
 //   - Evaluator: owns all scratch buffers; repeated calls allocate
 //     nothing. One per goroutine.
 //   - CardinalityBatch: labels a whole workload through a worker pool
 //     sharing one Index — the Stage-1 labeling fast path.
 //
-// The per-dataset Index (prehashed join-key columns) is cached globally by
-// dataset identity; callers that mutate a dataset in place must call
-// InvalidateIndex.
+// The per-dataset Index (prehashed join-key columns) lives on its dataset
+// (dataset.Dataset.Derived) and is collected with it; callers that mutate
+// a dataset in place must call InvalidateIndex.
 package engine
 
 import (
@@ -90,7 +90,7 @@ func (q *Query) Validate(d *dataset.Dataset) error {
 }
 
 // Cardinality returns the exact number of result tuples of q over d,
-// through a pooled evaluator on the dataset's shared cached index. For
+// through a pooled evaluator on the dataset's shared index. For
 // many queries against the same dataset prefer CardinalityBatch or a
 // dedicated Evaluator.
 func Cardinality(d *dataset.Dataset, q *Query) int64 {

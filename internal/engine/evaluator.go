@@ -15,7 +15,7 @@ import (
 // An Evaluator is not safe for concurrent use; the Index it wraps is. Use
 // one Evaluator per goroutine (CardinalityBatch does this internally) or
 // the package-level Cardinality/Selectivity functions, which draw pooled
-// evaluators from the dataset's cached Index.
+// evaluators from the dataset's shared Index.
 type Evaluator struct {
 	d  *dataset.Dataset
 	ix *Index
@@ -86,7 +86,7 @@ type childMsg struct {
 }
 
 // NewEvaluator returns an evaluator over d backed by the dataset's shared
-// cached Index.
+// Index.
 func NewEvaluator(d *dataset.Dataset) *Evaluator {
 	ix := IndexFor(d)
 	return newEvaluator(d, ix)

@@ -57,7 +57,7 @@ type colKey struct{ table, col int }
 // Cardinality/Selectivity entry points are allocation-free in steady state.
 //
 // An Index must not outlive mutations of its dataset: callers that change
-// table data in place must drop the cached Index via InvalidateIndex.
+// table data in place must drop the shared Index via InvalidateIndex.
 type Index struct {
 	d    *dataset.Dataset
 	mu   sync.RWMutex
@@ -100,7 +100,6 @@ func (ix *Index) Col(ti, ci int) *ColIndex {
 	for r, v := range col.Data {
 		c.Rows[v] = append(c.Rows[v], int32(r))
 	}
-	//autoce:ignore detpath -- keyed writes: each count lands under its own value, so the iteration order cannot show
 	for v, rows := range c.Rows {
 		c.Counts[v] = int64(len(rows))
 	}
@@ -120,24 +119,16 @@ func (ix *Index) acquire() *Evaluator { return ix.evals.Get().(*Evaluator) }
 // release returns a pooled evaluator.
 func (ix *Index) release(e *Evaluator) { ix.evals.Put(e) }
 
-// indexCache maps *dataset.Dataset to its shared *Index. Keying by pointer
-// is safe because the cache entry keeps the dataset reachable, so its
-// address cannot be recycled while the entry exists; the cost is that a
-// cached dataset is not collectable until InvalidateIndex is called.
-// Long-running corpus labeling drops entries as soon as a dataset's
-// workload is labeled.
-var indexCache sync.Map
+// indexKey keys the shared Index in dataset.Dataset.Derived.
+type indexKey struct{}
 
-// IndexFor returns the shared cached index of d, creating it on first use.
+// IndexFor returns the shared index of d, creating it on first use. The
+// index lives on d and is collected with it.
 func IndexFor(d *dataset.Dataset) *Index {
-	if v, ok := indexCache.Load(d); ok {
-		return v.(*Index)
-	}
-	v, _ := indexCache.LoadOrStore(d, NewIndex(d))
-	return v.(*Index)
+	return d.Derived(indexKey{}, func() any { return NewIndex(d) }).(*Index)
 }
 
-// InvalidateIndex drops the cached index of d. Call it after mutating d's
-// table data in place (the cached hashes would be stale) or when d is
-// transient and its cache entry should not pin it in memory.
-func InvalidateIndex(d *dataset.Dataset) { indexCache.Delete(d) }
+// InvalidateIndex drops the shared index of d, so the next IndexFor
+// builds a fresh one. Call it after mutating d's table data in place (the
+// hashes would be stale) or to time a cold build.
+func InvalidateIndex(d *dataset.Dataset) { d.DropDerived(indexKey{}) }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// This file holds reproduction-specific ablations for design choices this
-// implementation had to make beyond the paper's text (DESIGN.md §2):
-// the adaptive similarity threshold and the KNN/IL interplay.
+// This file holds reproduction-specific ablations for design choices the
+// paper's text leaves open, so this implementation had to make them: the
+// adaptive similarity threshold and the KNN/IL interplay.
 
 // AblationTauResult compares the fixed similarity threshold τ (Eq. 7 as
 // written) against the per-batch adaptive quantile threshold this

@@ -130,26 +130,20 @@ func LabelDatasets(ds []*dataset.Dataset, sc Scale, featCfg feature.Config, seed
 	workers := maxInt(1, sc.Workers)
 
 	// Phase 0: feature graphs, with per-table summary builds fanned over
-	// the worker pool. Extraction populates the shared stats cache; the
-	// corpus datasets are transient at this scale, so each cache entry is
-	// dropped as soon as its graph is in hand (mirroring the join-index
-	// invalidation below).
+	// the worker pool.
 	graphs, err := feature.ExtractBatch(ds, featCfg, workers)
 	if err != nil {
 		return nil, fmt.Errorf("extracting features: %w", err)
 	}
 	for i := range ds {
+		// Corpus datasets outlive labeling; their statistics need not.
 		dataset.InvalidateStats(ds[i])
 	}
 
 	// Phase 1: workload + oracle truths + join sample + untrained models.
 	preps := make([]*testbed.Prepared, len(ds))
 	err = par.For(len(ds), workers, func(i int) error {
-		// Preparation runs thousands of oracle queries against ds[i]
-		// through its cached join index; drop the cache as soon as the
-		// truths are acquired (training and measurement never consult the
-		// engine again) so corpus-scale runs keep a bounded index
-		// footprint.
+		// Corpus datasets outlive labeling; their join index need not.
 		p, err := testbed.Prepare(ds[i], sc.TestbedConfig(seedBase+int64(i)*97))
 		engine.InvalidateIndex(ds[i])
 		if err != nil {
@@ -256,10 +250,6 @@ func (c *Corpus) SamplingLabels(test []*LabeledDataset) ([]*testbed.Label, error
 		cfg := c.Scale.TestbedConfig(c.Scale.Seed + 31 + int64(i)*13)
 		cfg.NumQueries = maxInt(30, c.Scale.Queries/3)
 		label, err := testbed.LabelOnly(sampled, cfg)
-		// The sampled dataset is transient; don't let its cached join
-		// index or stats pin it in memory.
-		engine.InvalidateIndex(sampled)
-		dataset.InvalidateStats(sampled)
 		if err != nil {
 			return err
 		}

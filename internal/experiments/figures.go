@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
-	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/testbed"
 )
@@ -32,14 +31,10 @@ func Fig1(sc Scale) (*Fig1Result, error) {
 	imdb := datagen.IMDBLike(sc.Seed)
 	power := datagen.PowerLike(sc.Seed)
 	li, err := testbed.LabelOnly(imdb, sc.TestbedConfig(sc.Seed+1))
-	engine.InvalidateIndex(imdb)
-	dataset.InvalidateStats(imdb)
 	if err != nil {
 		return nil, err
 	}
 	lp, err := testbed.LabelOnly(power, sc.TestbedConfig(sc.Seed+2))
-	engine.InvalidateIndex(power)
-	dataset.InvalidateStats(power)
 	if err != nil {
 		return nil, err
 	}

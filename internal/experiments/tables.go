@@ -64,9 +64,6 @@ func TableI(sc Scale) (*TableIResult, error) {
 			}
 			cols += d.TotalColumns()
 			dom += d.TotalDomainSize()
-			// The aggregate populated the shared stats cache; don't let
-			// the reporting pass re-pin corpus datasets.
-			dataset.InvalidateStats(d)
 		}
 		tables := fmt.Sprintf("%d", minT)
 		if maxT != minT {
@@ -233,14 +230,10 @@ func TableIII(c *Corpus) (*TableIIIResult, error) {
 	d := workload.CEBSchema(c.Scale.Seed + 5)
 	cfg := c.Scale.TestbedConfig(c.Scale.Seed + 71)
 	label, err := cebLabel(d, cfg)
-	// The CEB schema is rebuilt per run; drop its cached join index.
-	engine.InvalidateIndex(d)
 	if err != nil {
 		return nil, err
 	}
 	g, err := feature.Extract(d, c.FeatCfg)
-	// Extraction caches the dataset's stats; d is transient, drop them.
-	dataset.InvalidateStats(d)
 	if err != nil {
 		return nil, err
 	}
@@ -451,7 +444,7 @@ func TableV(c *Corpus) (*TableVResult, error) {
 	// the paper's, so multi-table joins execute proportionally too fast
 	// relative to (real, wall-clock) model inference; scaling the multi
 	// pool's simulated execution restores the paper's regime. Documented
-	// in DESIGN.md §2 and EXPERIMENTS.md.
+	// in EXPERIMENTS.md.
 	runPool := func(pool []*dataset.Dataset, agg map[string]*totals, execScale float64) error {
 		for di, d := range pool {
 			cfg := c.Scale.TestbedConfig(c.Scale.Seed + 401 + int64(di)*7)
@@ -505,9 +498,7 @@ func TableV(c *Corpus) (*TableVResult, error) {
 					agg[key].infer += r.InferTime
 				}
 			}
-			// The pool dataset is done being queried; drop its cached
-			// join index and stats so it does not stay pinned for
-			// process lifetime.
+			// The pool keeps d after its last query; drop its derived state.
 			engine.InvalidateIndex(d)
 			dataset.InvalidateStats(d)
 		}

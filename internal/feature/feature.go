@@ -76,8 +76,8 @@ func (g *Graph) Clone() *Graph {
 // triggers for the corpora in this repository.
 //
 // Every statistic is read from the dataset's shared dataset.StatsFor
-// cache — callers that mutate or discard the dataset afterwards must call
-// dataset.InvalidateStats, like engine.InvalidateIndex.
+// view, which lives on d; callers that mutate d's data in place
+// afterwards must call dataset.InvalidateStats.
 func Extract(d *dataset.Dataset, cfg Config) (*Graph, error) {
 	if cfg.MaxCols < 1 {
 		return nil, fmt.Errorf("feature: MaxCols must be positive")
@@ -148,10 +148,8 @@ func vertexFeatures(t *dataset.Table, sum *dataset.Summary, m int) []float64 {
 // ExtractBatch extracts the feature graphs of many datasets with every
 // per-table summary build (and per-dataset FK-correlation pass) fanned
 // over par.For with the given worker count (GOMAXPROCS when workers <= 0).
-// The result is byte-identical to calling Extract per dataset, in order.
-// The shared dataset.StatsFor cache is populated as a side effect —
-// transient-corpus callers should dataset.InvalidateStats each dataset
-// once its graph is in hand.
+// The result is byte-identical to calling Extract per dataset, in order,
+// and leaves each dataset's dataset.StatsFor view built.
 func ExtractBatch(ds []*dataset.Dataset, cfg Config, workers int) ([]*Graph, error) {
 	if cfg.MaxCols < 1 {
 		return nil, fmt.Errorf("feature: MaxCols must be positive")

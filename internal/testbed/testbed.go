@@ -104,8 +104,8 @@ type Config struct {
 }
 
 // DefaultConfig returns the labeling configuration used by the experiment
-// harness (a scaled-down version of the paper's 10,000-query workloads;
-// see DESIGN.md, substitutions).
+// harness: a scaled-down version of the paper's 10,000-query workloads,
+// as this repository's tables are about 100x smaller than the paper's.
 func DefaultConfig(seed int64) Config {
 	return Config{NumQueries: 220, TrainFrac: 0.55, SampleRows: 1200, Seed: seed}
 }

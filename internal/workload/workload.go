@@ -32,8 +32,9 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns a workload configuration matching the scaled-down
-// regime in DESIGN.md.
+// DefaultConfig returns a workload of n queries with at most two range
+// predicates per chosen table, sized for this repository's synthetic
+// tables, which are about 100x smaller than the paper's.
 func DefaultConfig(n int, seed int64) Config {
 	return Config{NumQueries: n, MaxPredsPerTable: 2, Seed: seed}
 }
