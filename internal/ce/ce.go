@@ -37,6 +37,7 @@ package ce
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -282,7 +283,7 @@ func binEdges(vals []int64, maxBins int) []int64 {
 		return []int64{0}
 	}
 	sorted := append([]int64(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	distinct := sorted[:0:0]
 	for i, v := range sorted {
 		if i == 0 || v != sorted[i-1] {

@@ -170,23 +170,32 @@ func (m *Model) extractSets(q *workload.Query) querySets {
 	return s
 }
 
-// batchTape is the recorded minibatch training graph for one batch size.
-// Each query owns a fixed-capacity row range in every set matrix; the
-// pooling matrices hold 1/count weights on the filled rows (or weight 1 on
-// a zero row for an empty set, the empty-set token), so the pooled
+// batchShape keys a recorded minibatch graph: the batch size and the
+// packed row count of each set matrix.
+type batchShape struct{ bsz, tRows, jRows, pRows int }
+
+// batchTape is the recorded minibatch training graph for one batch shape.
+// The set matrices are packed: the queries' element rows follow each other
+// in batch order, a query with an empty set contributing one zero row (the
+// empty-set token), and the trailing rows of the rounded-up row count stay
+// zero. The pooling matrices hold 1/count weights on each query's rows
+// (weight 1 on its empty-set token) and zero elsewhere, so the pooled
 // embeddings match per-query mean pooling exactly while the whole batch
 // runs as three dense matrix multiplies.
 type batchTape struct {
-	bsz        int
-	xT, xJ, xP *nn.Tensor // stacked set-element matrices
-	pT, pJ, pP *nn.Tensor // constant pooling matrices (bsz × bsz*cap)
+	xT, xJ, xP *nn.Tensor // packed set-element matrices
+	pT, pJ, pP *nn.Tensor // constant pooling matrices (bsz × rows)
 	targets    []float64
 	tape       *nn.Tape
 }
 
+// roundRows rounds a packed row count up to a multiple of trainBatch, so
+// a Fit records a handful of graph shapes rather than one per step.
+func roundRows(n int) int { return (n + trainBatch - 1) / trainBatch * trainBatch }
+
 // Fit implements ce.Model (query-driven: consumes Dataset and Queries):
-// true minibatch training over padded set matrices, with the graph
-// recorded once per batch size and replayed every step.
+// true minibatch training over packed set matrices, with the graph
+// recorded once per batch shape and replayed on every step of that shape.
 func (m *Model) Fit(in *ce.TrainInput) error {
 	train := in.Queries
 	if len(train) == 0 {
@@ -211,20 +220,16 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	for qi, q := range train {
 		sets[qi] = m.extractSets(q)
 	}
-	// Per-query row capacities: a query references at most every table,
-	// every FK edge, and every column slot once.
-	tCap, jCap, pCap := max(m.tDim, 1), max(m.jDim, 1), max(nCols, 1)
 
-	build := func(bsz int) *batchTape {
+	build := func(sh batchShape) *batchTape {
 		bt := &batchTape{
-			bsz:     bsz,
-			xT:      nn.Zeros(bsz*tCap, m.tDim),
-			xJ:      nn.Zeros(bsz*jCap, m.jDim),
-			xP:      nn.Zeros(bsz*pCap, m.pDim),
-			pT:      nn.Zeros(bsz, bsz*tCap),
-			pJ:      nn.Zeros(bsz, bsz*jCap),
-			pP:      nn.Zeros(bsz, bsz*pCap),
-			targets: make([]float64, bsz),
+			xT:      nn.Zeros(sh.tRows, m.tDim),
+			xJ:      nn.Zeros(sh.jRows, m.jDim),
+			xP:      nn.Zeros(sh.pRows, m.pDim),
+			pT:      nn.Zeros(sh.bsz, sh.tRows),
+			pJ:      nn.Zeros(sh.bsz, sh.jRows),
+			pP:      nn.Zeros(sh.bsz, sh.pRows),
+			targets: make([]float64, sh.bsz),
 		}
 		tEmb := nn.MatMul(bt.pT, m.tableMLP.Forward(bt.xT))
 		jEmb := nn.MatMul(bt.pJ, m.joinMLP.Forward(bt.xJ))
@@ -233,29 +238,39 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 		bt.tape = nn.NewTape(nn.MSE(pred, bt.targets))
 		return bt
 	}
+	shapeOf := func(batch []int) batchShape {
+		sh := batchShape{bsz: len(batch)}
+		for _, qi := range batch {
+			s := &sets[qi]
+			sh.tRows += max(len(s.tables), 1)
+			sh.jRows += max(len(s.joins), 1)
+			sh.pRows += max(len(s.preds), 1)
+		}
+		sh.tRows, sh.jRows, sh.pRows = roundRows(sh.tRows), roundRows(sh.jRows), roundRows(sh.pRows)
+		return sh
+	}
 	fill := func(bt *batchTape, batch []int) {
 		for _, t := range []*nn.Tensor{bt.xT, bt.xJ, bt.xP, bt.pT, bt.pJ, bt.pP} {
-			for i := range t.V {
-				t.V[i] = 0
-			}
+			clear(t.V)
 		}
+		var tRow, jRow, pRow int
 		for bi, qi := range batch {
 			s := &sets[qi]
-			fillSet(bt.pT.V, bi, bt.bsz*tCap, bi*tCap, len(s.tables))
 			for k, ti := range s.tables {
-				bt.xT.V[(bi*tCap+k)*m.tDim+ti] = 1
+				bt.xT.V[(tRow+k)*m.tDim+ti] = 1
 			}
-			fillSet(bt.pJ.V, bi, bt.bsz*jCap, bi*jCap, len(s.joins))
+			tRow = poolSet(bt.pT, bi, tRow, len(s.tables))
 			for k, fi := range s.joins {
-				bt.xJ.V[(bi*jCap+k)*m.jDim+fi] = 1
+				bt.xJ.V[(jRow+k)*m.jDim+fi] = 1
 			}
-			fillSet(bt.pP.V, bi, bt.bsz*pCap, bi*pCap, len(s.preds))
+			jRow = poolSet(bt.pJ, bi, jRow, len(s.joins))
 			for k, pr := range s.preds {
-				row := (bi*pCap + k) * m.pDim
+				row := (pRow + k) * m.pDim
 				bt.xP.V[row+int(pr[0])] = 1
 				bt.xP.V[row+nCols] = pr[1]
 				bt.xP.V[row+nCols+1] = pr[2]
 			}
+			pRow = poolSet(bt.pP, bi, pRow, len(s.preds))
 			bt.targets[bi] = s.target
 		}
 	}
@@ -271,12 +286,9 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += trainBatch {
-			end := start + trainBatch
-			if end > len(order) {
-				end = len(order)
-			}
-			bt := tapes.For(end - start)
-			fill(bt, order[start:end])
+			batch := order[start:min(start+trainBatch, len(order))]
+			bt := tapes.For(shapeOf(batch))
+			fill(bt, batch)
 			bt.tape.Forward()
 			bt.tape.BackwardScalar()
 			opt.Step()
@@ -285,18 +297,20 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	return nil
 }
 
-// fillSet writes one query's pooling-row weights: 1/cnt over the cnt
-// filled rows, or weight 1 on the query's first (zero) row when the set is
-// empty — the empty-set token of the per-query path.
-func fillSet(pool []float64, bi, stride, rowBase, cnt int) {
+// poolSet writes query bi's pooling weights for a set of cnt elements
+// packed from row on: 1/cnt over its cnt rows, or weight 1 on one zero
+// row when the set is empty — the empty-set token of the per-query path.
+// It returns the row after the query's last.
+func poolSet(pool *nn.Tensor, bi, row, cnt int) int {
 	if cnt == 0 {
-		pool[bi*stride+rowBase] = 1
-		return
+		pool.V[bi*pool.C+row] = 1
+		return row + 1
 	}
 	w := 1 / float64(cnt)
 	for k := 0; k < cnt; k++ {
-		pool[bi*stride+rowBase+k] = w
+		pool.V[bi*pool.C+row+k] = w
 	}
+	return row + cnt
 }
 
 // Estimate implements ce.Estimator.

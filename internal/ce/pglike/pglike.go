@@ -10,7 +10,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/ce"
 	"repro/internal/resilience"
@@ -44,7 +44,7 @@ func NewHistogram(data []int64, buckets int) *Histogram {
 		return h
 	}
 	sorted := append([]int64(nil), data...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	slices.Sort(sorted)
 	h.Min = sorted[0]
 	ndv := 1
 	for i := 1; i < len(sorted); i++ {

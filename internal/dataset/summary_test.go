@@ -273,8 +273,8 @@ func TestTotalDomainSizeMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestStatsCacheInvalidation is the regression test for the
-// transient-dataset paths: a cached Stats must not survive
+// TestStatsCacheInvalidation pins the in-place mutation contract of the
+// statistics a dataset keeps for itself: a cached Stats must not survive
 // InvalidateStats, and mutating data without invalidation is exactly the
 // stale-read hazard the mutation paths guard against.
 func TestStatsCacheInvalidation(t *testing.T) {

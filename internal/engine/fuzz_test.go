@@ -99,7 +99,6 @@ func FuzzEngineDifferential(f *testing.F) {
 			raw = raw[:256] // decision tape is short; bound oracle work
 		}
 		d, q := fuzzDecodeCase(raw)
-		defer InvalidateIndex(d) // the index cache is pointer-keyed
 		if err := q.Validate(d); err != nil {
 			t.Fatalf("decoder emitted an invalid query: %v\n%+v", err, q)
 		}

@@ -11,7 +11,7 @@ package gbt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Config controls ensemble training.
@@ -167,14 +167,13 @@ func bestSplit(xs [][]float64, target []float64, samples []int, cfg Config) (fea
 	baseSSE := totalSq - total*total/n
 
 	feat, gain = -1, 0
-	type pair struct{ x, y float64 }
 	buf := make([]pair, 0, len(samples))
 	for f := 0; f < nf; f++ {
 		buf = buf[:0]
 		for _, s := range samples {
 			buf = append(buf, pair{xs[s][f], target[s]})
 		}
-		sort.Slice(buf, func(i, j int) bool { return buf[i].x < buf[j].x })
+		slices.SortFunc(buf, byX)
 		if buf[0].x == buf[len(buf)-1].x {
 			continue
 		}
@@ -214,6 +213,23 @@ func bestSplit(xs [][]float64, target []float64, samples []int, cfg Config) (fea
 		return 0, 0, 0
 	}
 	return feat, thr, gain
+}
+
+// pair is one sample's (feature value, target) during split search.
+type pair struct{ x, y float64 }
+
+// byX orders pairs by feature value without sort.Slice's reflection. It
+// is negative exactly when a.x < b.x, and slices.SortFunc runs the same
+// pdqsort as sort.Slice, so the two make the same swaps (ties included)
+// and the split sums do not change.
+func byX(a, b pair) int {
+	switch {
+	case a.x < b.x:
+		return -1
+	case a.x > b.x:
+		return 1
+	}
+	return 0
 }
 
 func meanAt(ys []float64, samples []int) float64 {

@@ -120,27 +120,30 @@ func (tp *Tape) BackwardScalar() {
 	tp.Backward(scalarSeed)
 }
 
-// BatchTapes caches one recorded training graph per batch size — the
-// shared shape of every minibatch trainer in this repository, whose epochs
-// see exactly two sizes (the full batch and the tail remainder). T bundles
-// a Tape with whatever input buffers the trainer rewrites per step.
-type BatchTapes[T any] struct {
-	build func(bsz int) T
-	m     map[int]T
+// BatchTapes caches one recorded training graph per batch shape; every
+// minibatch trainer in this repository records through it. K is the
+// shape key: a plain batch size for trainers whose inputs have a fixed
+// width per sample (their epochs see two sizes, the full batch and the
+// tail remainder), or a struct of row counts for trainers that pack
+// variable-sized samples. T bundles a Tape with whatever input buffers the
+// trainer rewrites per step.
+type BatchTapes[K comparable, T any] struct {
+	build func(K) T
+	m     map[K]T
 }
 
 // NewBatchTapes returns a cache that records a training graph with build
-// on first use of each batch size.
-func NewBatchTapes[T any](build func(bsz int) T) *BatchTapes[T] {
-	return &BatchTapes[T]{build: build, m: map[int]T{}}
+// on first use of each shape.
+func NewBatchTapes[K comparable, T any](build func(K) T) *BatchTapes[K, T] {
+	return &BatchTapes[K, T]{build: build, m: map[K]T{}}
 }
 
-// For returns the recorded graph for the given batch size.
-func (c *BatchTapes[T]) For(bsz int) T {
-	t, ok := c.m[bsz]
+// For returns the recorded graph for the given shape.
+func (c *BatchTapes[K, T]) For(shape K) T {
+	t, ok := c.m[shape]
 	if !ok {
-		t = c.build(bsz)
-		c.m[bsz] = t
+		t = c.build(shape)
+		c.m[shape] = t
 	}
 	return t
 }
