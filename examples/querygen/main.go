@@ -69,8 +69,13 @@ func main() {
 	// Train both picks on the target and race them through the generator
 	// loop: propose a query, estimate its cardinality, keep it when the
 	// estimate falls in the wanted range.
-	tcfg := sc.TestbedConfig(31)
-	res, err := testbed.Run(target, tcfg)
+	// The picks are candidate-set positions, and a candidate-only run's
+	// Models are the candidates in that order.
+	prep, err := testbed.PrepareCandidates(target, sc.TestbedConfig(31))
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := prep.Run()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -205,3 +205,37 @@ func TestLearningAllPicksLabelOptimum(t *testing.T) {
 		t.Fatalf("learning-all pick %d, label best %d", pick, label.BestModel(1.0))
 	}
 }
+
+// TestOnlineSelectorsMatchFullRegistry: the online baselines label the
+// candidate set only, and pick what a full-registry run with the same
+// seed labels best. At wa=1 the pick depends on Sa alone, which is
+// deterministic.
+func TestOnlineSelectorsMatchFullRegistry(t *testing.T) {
+	_, ds := labeledCorpus(t, 3, 13)
+	for i, d := range ds {
+		cfg := testbed.DefaultConfig(20 + int64(i))
+		cfg.NumQueries = 40
+		cfg.SampleRows = 200
+		cfg.Fast = true
+		g, err := feature.Extract(d, feature.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		target := Target{Dataset: d, Graph: g}
+		for _, c := range []struct {
+			sel Selector
+			d   *dataset.Dataset
+		}{
+			{NewSampling(0.5, cfg), SampleDataset(d, 0.5, cfg.Seed)},
+			{NewLearningAll(cfg), d},
+		} {
+			label, err := testbed.LabelOnly(c.d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := c.sel.Select(target, 1), label.BestModel(1); got != want {
+				t.Errorf("dataset %d: %s picks %d, a full-registry run labels %d best", i, c.sel.Name(), got, want)
+			}
+		}
+	}
+}

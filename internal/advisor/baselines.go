@@ -123,8 +123,8 @@ func (r *RawKNN) Select(t Target, wa float64) int {
 // Sampling implements the paper's sampling-based online baseline: train
 // and test every candidate model against a row sample of the target
 // dataset, then pick the best performer under the requested weights. Its
-// cost is a full (reduced) testbed run per selection, and its quality
-// suffers from the variance the paper describes.
+// cost is a (reduced) candidate-only testbed run per selection, and its
+// quality suffers from the variance the paper describes.
 type Sampling struct {
 	// Fraction of rows retained per table.
 	Fraction float64
@@ -142,17 +142,12 @@ func (s *Sampling) Name() string { return "Sampling" }
 
 // Select implements Selector.
 func (s *Sampling) Select(t Target, wa float64) int {
-	sampled := SampleDataset(t.Dataset, s.Fraction, s.Cfg.Seed)
-	res, err := testbed.Run(sampled, s.Cfg)
-	if err != nil {
-		return -1
-	}
-	return res.Label.BestModel(wa)
+	return bestCandidate(SampleDataset(t.Dataset, s.Fraction, s.Cfg.Seed), s.Cfg, wa)
 }
 
-// LearningAll implements Figure 12's "learning-all" online method: a full
-// testbed run on the complete dataset per selection — near-optimal quality
-// at maximal cost.
+// LearningAll implements Figure 12's "learning-all" online method: a
+// testbed run of every candidate on the complete dataset per selection —
+// near-optimal quality at maximal cost.
 type LearningAll struct {
 	Cfg testbed.Config
 }
@@ -165,7 +160,19 @@ func (l *LearningAll) Name() string { return "Learning-All" }
 
 // Select implements Selector.
 func (l *LearningAll) Select(t Target, wa float64) int {
-	res, err := testbed.Run(t.Dataset, l.Cfg)
+	return bestCandidate(t.Dataset, l.Cfg, wa)
+}
+
+// bestCandidate labels the candidate set M on d and returns the best
+// candidate under weight wa, or -1 when labeling fails. The label is the
+// candidates' part of a full-registry run with the same cfg, so the pick
+// is too.
+func bestCandidate(d *dataset.Dataset, cfg testbed.Config, wa float64) int {
+	p, err := testbed.PrepareCandidates(d, cfg)
+	if err != nil {
+		return -1
+	}
+	res, err := p.Run()
 	if err != nil {
 		return -1
 	}

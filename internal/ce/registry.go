@@ -290,3 +290,16 @@ func NewModels(c Config) []Model {
 	}
 	return out
 }
+
+// NewCandidates instantiates the candidate set M (rank order) for one run
+// configuration: the models the advisor learns to select among, without
+// the comparison-only baselines.
+func NewCandidates(c Config) []Model {
+	var out []Model
+	for _, s := range Specs() {
+		if s.Candidate {
+			out = append(out, s.New(c))
+		}
+	}
+	return out
+}

@@ -117,16 +117,31 @@ type Corpus struct {
 	Scale       Scale
 }
 
-// LabelDatasets labels a slice of datasets and pairs them with feature
-// graphs. It is the parallel Stage-1 corpus driver: labeling runs in three
+// LabelDatasets labels a slice of datasets on the candidate set M
+// (testbed.PrepareCandidates) and pairs them with feature graphs: each
+// label's Perfs holds the NumCandidates candidates, bit for bit what a
+// full-registry run measures for them, with Postgres and the ensemble
+// neither fitted nor measured. It labels everything the advisor learns
+// from — cmd/autoce, the examples, BuildCorpus's training half and the
+// Figure 10/13 evaluation sets; BuildCorpus's test half keeps the full
+// registry, because Figure 9 scores Postgres and the ensemble on it.
+//
+// It is the parallel Stage-1 corpus driver: labeling runs in three
 // phases — workload generation + oracle labeling per dataset, then every
 // (dataset, model) training job fanned over one global sc.Workers pool
-// (testbed.TrainAll), then measurement + feature extraction per dataset —
+// (testbed.TrainAll), then measurement and scoring per dataset —
 // so training throughput scales with cores even when datasets outnumber or
 // undercount the workers. Per-job RNG seeding is deterministic (each model
 // derives its RNG from the run seed), so the labels are identical to the
 // serial path; see TestParallelCorpusTrainingDeterministic.
 func LabelDatasets(ds []*dataset.Dataset, sc Scale, featCfg feature.Config, seedBase int64) ([]*LabeledDataset, error) {
+	return labelDatasets(ds, sc, featCfg, seedBase, testbed.PrepareCandidates)
+}
+
+// labelDatasets is LabelDatasets with the model set chosen by prepare
+// (testbed.PrepareCandidates or testbed.Prepare).
+func labelDatasets(ds []*dataset.Dataset, sc Scale, featCfg feature.Config, seedBase int64,
+	prepare func(*dataset.Dataset, testbed.Config) (*testbed.Prepared, error)) ([]*LabeledDataset, error) {
 	workers := maxInt(1, sc.Workers)
 
 	// Phase 0: feature graphs, with per-table summary builds fanned over
@@ -144,7 +159,7 @@ func LabelDatasets(ds []*dataset.Dataset, sc Scale, featCfg feature.Config, seed
 	preps := make([]*testbed.Prepared, len(ds))
 	err = par.For(len(ds), workers, func(i int) error {
 		// Corpus datasets outlive labeling; their join index need not.
-		p, err := testbed.Prepare(ds[i], sc.TestbedConfig(seedBase+int64(i)*97))
+		p, err := prepare(ds[i], sc.TestbedConfig(seedBase+int64(i)*97))
 		engine.InvalidateIndex(ds[i])
 		if err != nil {
 			return fmt.Errorf("preparing %s: %w", ds[i].Name, err)
@@ -191,7 +206,8 @@ func BuildCorpus(sc Scale) (*Corpus, error) {
 	if err != nil {
 		return nil, err
 	}
-	test, err := LabelDatasets(testDS, sc, featCfg, sc.Seed*5+11)
+	// Figure 9 scores Postgres and the ensemble on the test half.
+	test, err := labelDatasets(testDS, sc, featCfg, sc.Seed*5+11, testbed.Prepare)
 	if err != nil {
 		return nil, err
 	}
@@ -239,21 +255,25 @@ func (c *Corpus) TrainAutoCE() (*core.Advisor, error) {
 	return adv, nil
 }
 
-// SamplingLabels labels a row-sample of every test dataset once; the
-// sampling baseline then answers any weight from these labels. This avoids
-// re-running the sampled testbed per weight while keeping its cost honest
-// (one full sampled run per dataset).
+// SamplingLabels labels the candidates on a row-sample of every test
+// dataset once; the sampling baseline then answers any weight from these
+// labels. This avoids re-running the sampled testbed per weight while
+// keeping its cost honest (one candidate-only sampled run per dataset).
 func (c *Corpus) SamplingLabels(test []*LabeledDataset) ([]*testbed.Label, error) {
 	out := make([]*testbed.Label, len(test))
 	err := par.For(len(test), c.Scale.Workers, func(i int) error {
 		sampled := advisor.SampleDataset(test[i].D, 0.25, c.Scale.Seed+int64(i))
 		cfg := c.Scale.TestbedConfig(c.Scale.Seed + 31 + int64(i)*13)
 		cfg.NumQueries = maxInt(30, c.Scale.Queries/3)
-		label, err := testbed.LabelOnly(sampled, cfg)
+		p, err := testbed.PrepareCandidates(sampled, cfg)
 		if err != nil {
 			return err
 		}
-		out[i] = label
+		res, err := p.Run()
+		if err != nil {
+			return err
+		}
+		out[i] = res.Label
 		return nil
 	})
 	if err != nil {

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/testbed"
 )
 
 // quickCorpus is shared across tests in this package (building it labels
@@ -117,6 +120,30 @@ func TestFig9FixedModels(t *testing.T) {
 		t.Fatalf("Fig9 has %d columns", len(res.Names))
 	}
 	_ = res.Render()
+}
+
+// TestFig9ScoresEveryModel: the test corpus is labeled on the full
+// registry, so Figure 9 scores Postgres and the ensemble like every other
+// model. metrics.DError reads an index past a candidate-only score vector
+// as +Inf, so a candidate-only test corpus shows here as infinite cells.
+func TestFig9ScoresEveryModel(t *testing.T) {
+	c := quickCorpus(t)
+	for _, ld := range c.Test {
+		if len(ld.Label.Perfs) != testbed.NumModels {
+			t.Fatalf("test dataset %s has %d perfs, want %d", ld.D.Name, len(ld.Label.Perfs), testbed.NumModels)
+		}
+	}
+	res, err := Fig9(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wi, wa := range res.Weights {
+		for mi, d := range res.DError[wi] {
+			if math.IsInf(d, 0) || math.IsNaN(d) {
+				t.Errorf("wa=%.1f %s: D-error %v", wa, res.Names[mi], d)
+			}
+		}
+	}
 }
 
 func TestFig11aDMLAblation(t *testing.T) {

@@ -111,3 +111,40 @@ func TestLabelDatasetsReproducible(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelDatasetsLabelsCandidates: LabelDatasets measures the
+// NumCandidates candidates only, and each candidate's Perfs entry and Sa
+// match the same corpus labeled on the full registry bit for bit.
+func TestLabelDatasetsLabelsCandidates(t *testing.T) {
+	p := datagen.DefaultParams(0)
+	p.MinRows, p.MaxRows = 120, 250
+	ds, err := datagen.GenerateCorpus(3, 4, p, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := QuickScale()
+	sc.Workers = 2
+	cand, err := LabelDatasets(ds, sc, feature.DefaultConfig(), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := labelDatasets(ds, sc, feature.DefaultConfig(), 5, testbed.Prepare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ds {
+		c, f := cand[i].Label, full[i].Label
+		if len(c.Perfs) != testbed.NumCandidates || len(f.Perfs) != testbed.NumModels {
+			t.Fatalf("%s: %d candidate-run perfs, %d full-run perfs; want %d and %d",
+				ds[i].Name, len(c.Perfs), len(f.Perfs), testbed.NumCandidates, testbed.NumModels)
+		}
+		for j, m := range testbed.Candidates() {
+			if c.Perfs[j].QErrorMean != f.Perfs[m].QErrorMean {
+				t.Errorf("%s %s: Q-error %v, full registry %v", ds[i].Name, testbed.ModelNames[m], c.Perfs[j].QErrorMean, f.Perfs[m].QErrorMean)
+			}
+			if c.Sa[j] != f.Sa[j] {
+				t.Errorf("%s %s: Sa %v, full registry %v", ds[i].Name, testbed.ModelNames[m], c.Sa[j], f.Sa[j])
+			}
+		}
+	}
+}

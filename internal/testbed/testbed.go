@@ -6,18 +6,29 @@
 // measurements over the run's candidates into score vectors (Eq. 2-4) —
 // the labels that AutoCE's graph encoder learns from.
 //
-// There is one labeling path, Prepare/PrepareModels → TrainModel (or
-// TrainAll) → Finish, and every run is defined by three things:
+// There is one labeling path, Prepare/PrepareCandidates/PrepareModels →
+// TrainModel (or TrainAll) → Finish, and every run is defined by three
+// things:
 //
-//   - the model set: the full registry (Prepare) or any caller's
+//   - the model set: the full registry (Prepare), the candidate set M
+//     (PrepareCandidates, what the advisor paths label) or any caller's
 //     []ce.Model (PrepareModels) — a newly emerged estimator only has to
 //     implement ce.Model to be labeled, registering it joins the zoo;
-//   - the workload: generated and oracle-labeled (Prepare) or supplied,
-//     such as the CEB template workload of Table III (PrepareModels);
+//   - the workload: generated and oracle-labeled (Prepare,
+//     PrepareCandidates) or supplied, such as the CEB template workload
+//     of Table III (PrepareModels);
 //   - the candidate rule: a model is a candidate unless the registry
 //     lists it with Candidate: false, and a model the registry does not
 //     list is a candidate being onboarded. Sa/Se normalize over the
 //     candidates, and composite models combine them.
+//
+// Finish measures the non-composite models first and fits the composites
+// only afterwards, because a composite's calibration runs its members'
+// estimators and so advances the RNG streams of sampling-based members
+// (NeuroCard, UAE). A model's measurement therefore depends only on its
+// own Fit, seeded from the run configuration, and the testing queries: a
+// candidate is labeled the same in a candidate-only run as in a
+// full-registry run with the same seed.
 //
 // The model zoo itself lives in the ce registry (populated by the blank
 // zoo import below); the testbed derives model order, names, kinds and the
@@ -137,9 +148,9 @@ func (l *Label) BestModel(wa float64) int {
 	return metrics.ArgMax(l.ScoreVector(wa))
 }
 
-// FullScoreVector normalizes over every measured model (including
-// Postgres and the ensemble) — the scale used when Figure 9 reports
-// D-error for the non-candidate baselines.
+// FullScoreVector normalizes over every measured model — on a
+// full-registry label, Postgres and the ensemble included — the scale
+// used when Figure 9 reports D-error for the non-candidate baselines.
 func (l *Label) FullScoreVector(wa float64) []float64 {
 	sa, se := metrics.NormalizeScores(l.Perfs)
 	return metrics.CombineScores(sa, se, wa)
@@ -182,8 +193,24 @@ type Prepared struct {
 // oracle (shared per-dataset join index, one evaluator per worker; see
 // workload.Label) and hands it to PrepareModels.
 func Prepare(d *dataset.Dataset, cfg Config) (*Prepared, error) {
-	qs := workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
-	return PrepareModels(d, cfg, qs, ce.NewModels(cfg.zooConfig()))
+	return PrepareModels(d, cfg, generateWorkload(d, cfg), ce.NewModels(cfg.zooConfig()))
+}
+
+// PrepareCandidates is Prepare for the candidate set M alone: the same
+// generated, oracle-labeled workload, and only the models the advisor
+// selects among, in rank order. Postgres and the ensemble, which only the
+// Figure 9 and Table V comparisons read, are neither fitted nor measured.
+// A candidate's Perfs entry, and Sa/Se, are bit for bit those of a
+// Prepare run with the same d and cfg (see Finish); Se is measured latency
+// and equal in distribution only.
+func PrepareCandidates(d *dataset.Dataset, cfg Config) (*Prepared, error) {
+	return PrepareModels(d, cfg, generateWorkload(d, cfg), ce.NewCandidates(cfg.zooConfig()))
+}
+
+// generateWorkload draws cfg's workload on d and labels it with true
+// cardinalities.
+func generateWorkload(d *dataset.Dataset, cfg Config) []*workload.Query {
+	return workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
 }
 
 // PrepareModels stages a labeling run of models on the labeled workload
@@ -262,18 +289,46 @@ func (p *Prepared) TrainModel(i int) error {
 	return nil
 }
 
-// Finish fits the composite models on the trained candidates, measures
-// every model on the testing queries through the batched estimation path,
-// and normalizes the candidates' scores into the label.
+// Finish measures every model of the run on the testing queries through
+// the batched estimation path and normalizes the candidates' scores into
+// the label. The non-composite models are measured first, in model order;
+// then each composite is fitted on the trained candidates and measured.
+// Its calibration advances the RNG streams of sampling-based members, so
+// it must not run before they are measured: that keeps a candidate's
+// label the same whether or not the run includes the composites (see the
+// package doc). Perfs keeps model order.
 func (p *Prepared) Finish() (*Result, error) {
 	models := p.Models
+	// Truths are assembled outside the timed region, so LatencyMean
+	// measures estimation alone. Measurement rides EstimateBatch — the
+	// serving hot path — deliberately: Se scores efficiency as served,
+	// so models whose batch path parallelizes or vectorizes are credited
+	// for it (on a single-core box this coincides with the historical
+	// per-query loop; estimates themselves are bit-identical either way).
+	truths := make([]float64, len(p.Test))
+	for qi, q := range p.Test {
+		truths[qi] = float64(q.TrueCard)
+	}
+	label := &Label{DatasetName: p.D.Name, Perfs: make([]metrics.Perf, len(models))}
+	measure := func(i int) {
+		//autoce:ignore detpath -- measured inference latency IS the Se efficiency signal (paper Eq. 4); only the Sa/Se normalization is pinned deterministic
+		t0 := time.Now()
+		ests := models[i].EstimateBatch(p.Test)
+		elapsed := time.Since(t0)
+		label.Perfs[i] = metrics.Perf{
+			QErrorMean:  metrics.MeanQError(ests, truths),
+			LatencyMean: elapsed.Seconds() / float64(len(p.Test)),
+		}
+	}
+	for i, kind := range p.kinds {
+		if kind != ce.Composite {
+			measure(i)
+		}
+	}
+
 	// Calibrate composites on a cloned (not aliased) bounded slice of the
 	// training queries to keep labeling cost bounded.
-	calibN := len(p.Train)
-	if calibN > 40 {
-		calibN = 40
-	}
-	calib := append([]*workload.Query(nil), p.Train[:calibN]...)
+	calib := append([]*workload.Query(nil), p.Train[:min(len(p.Train), 40)]...)
 	members := make([]ce.Estimator, 0, len(p.candidates))
 	for _, ci := range p.candidates {
 		members = append(members, models[ci])
@@ -286,29 +341,9 @@ func (p *Prepared) Finish() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("testbed: assembling %s on %s: %w", models[i].Name(), p.D.Name, err)
 		}
+		measure(i)
 	}
 
-	// Truths are assembled outside the timed region, so LatencyMean
-	// measures estimation alone. Measurement rides EstimateBatch — the
-	// serving hot path — deliberately: Se scores efficiency as served,
-	// so models whose batch path parallelizes or vectorizes are credited
-	// for it (on a single-core box this coincides with the historical
-	// per-query loop; estimates themselves are bit-identical either way).
-	truths := make([]float64, len(p.Test))
-	for qi, q := range p.Test {
-		truths[qi] = float64(q.TrueCard)
-	}
-	label := &Label{DatasetName: p.D.Name, Perfs: make([]metrics.Perf, len(models))}
-	for i, m := range models {
-		//autoce:ignore detpath -- measured inference latency IS the Se efficiency signal (paper Eq. 4); only the Sa/Se normalization is pinned deterministic
-		t0 := time.Now()
-		ests := m.EstimateBatch(p.Test)
-		elapsed := time.Since(t0)
-		label.Perfs[i] = metrics.Perf{
-			QErrorMean:  metrics.MeanQError(ests, truths),
-			LatencyMean: elapsed.Seconds() / float64(len(p.Test)),
-		}
-	}
 	perfs := make([]metrics.Perf, len(p.candidates))
 	for j, ci := range p.candidates {
 		perfs[j] = label.Perfs[ci]
@@ -371,7 +406,7 @@ func NewTrainInputForCtx(ctx context.Context, d *dataset.Dataset, cfg Config, ki
 		if err := context.Cause(ctx); err != nil {
 			return nil, err
 		}
-		in.Queries = workload.Generate(d, workload.DefaultConfig(cfg.NumQueries, cfg.Seed))
+		in.Queries = generateWorkload(d, cfg)
 	}
 	if readsData(kind) {
 		if err := stageData(ctx, in, cfg); err != nil {
