@@ -108,3 +108,43 @@ func BenchmarkServeEstimateBatch64(b *testing.B) {
 	ts, bodies := benchServe(b, 8, 64)
 	benchRequests(b, ts, bodies)
 }
+
+// BenchmarkDecodeDatasetPayload decodes one /datasets body the size of
+// the largest tenant-churn arrival (3 tables × 50k rows × 4 columns)
+// through the request decoder.
+func BenchmarkDecodeDatasetPayload(b *testing.B) {
+	benchDecode[datasetRequest](b, largestArrivalBody(b))
+}
+
+// BenchmarkDecodeDeclinedDatasetPayload decodes the same body with one
+// case-variant key near its end ("Name" for the last table's name): the
+// scanner reads and allocates nearly all of it before it declines, and
+// encoding/json then decodes it again. This is the worst case a
+// non-canonical body pays for the scanner.
+func BenchmarkDecodeDeclinedDatasetPayload(b *testing.B) {
+	body := largestArrivalBody(b)
+	i := bytes.LastIndex(body, []byte(`"name":`))
+	copy(body[i:], `"Name":`)
+	if scanCanonical(body, new(datasetRequest)) {
+		b.Fatal("scanner accepted a case-variant key")
+	}
+	benchDecode[datasetRequest](b, body)
+}
+
+// BenchmarkDecodeEstimateBatch64 decodes one 64-query /estimate body
+// through the request decoder.
+func BenchmarkDecodeEstimateBatch64(b *testing.B) {
+	benchDecode[estimateRequest](b, estimateBatchBody(b, 64))
+}
+
+// benchDecode times decodeBody on body. It reports no MB/s: benchcheck
+// gates every reported unit as lower-is-better.
+func benchDecode[T any](b *testing.B, body []byte) {
+	b.ReportAllocs()
+	for b.Loop() {
+		var req T
+		if err := decodeBody(body, &req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

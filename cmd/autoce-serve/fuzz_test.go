@@ -3,8 +3,10 @@ package main
 // Native fuzzers for the two request decoders with the largest attack
 // surface: the /datasets columnar payload (drives dataset construction
 // and validation) and the /estimate payload (drives query validation
-// against an onboarded schema). Neither may panic on any input, and
-// anything they accept must satisfy the invariants the handlers rely on.
+// against an onboarded schema). Both are differential: on every input the
+// canonical-body scanner (canonical.go) either declines, or encoding/json
+// accepts too and decodes the same value. Neither decoder may panic, and
+// anything accepted must satisfy the invariants the handlers rely on.
 // FuzzTenantRecord covers the persisted tenant-manifest record the same
 // way. Corpus seeds live in testdata/fuzz; CI fuzzes each briefly.
 
@@ -12,15 +14,39 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/envelope"
 )
 
-// FuzzDatasetPayload: arbitrary JSON through the strict decoder and
-// toDataset must never panic; an accepted dataset passes Validate and
-// respects the onboarding limits.
+// strictDecode is the reference decode of raw into a new T: the strict
+// encoding/json path every non-canonical body takes. It fails the test
+// when the canonical scanner accepts raw and decodes anything else, or
+// declines raw and writes to its destination anyway.
+func strictDecode[T any](t *testing.T, raw []byte) (T, error) {
+	var want, got, zero T
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&want)
+	switch {
+	case !scanCanonical(raw, &got):
+		if !reflect.DeepEqual(got, zero) {
+			t.Fatalf("scanner declined %q but wrote %+v", raw, got)
+		}
+	case err != nil:
+		t.Fatalf("scanner accepted %q, which encoding/json rejects: %v", raw, err)
+	case !reflect.DeepEqual(got, want):
+		t.Fatalf("scanner decoded %q as\n%+v\nencoding/json as\n%+v", raw, got, want)
+	}
+	return want, err
+}
+
+// FuzzDatasetPayload: the canonical scanner agrees with encoding/json or
+// declines; arbitrary JSON through the strict decoder and toDataset must
+// never panic; an accepted dataset passes Validate and respects the
+// onboarding limits.
 func FuzzDatasetPayload(f *testing.F) {
 	f.Add([]byte(`{"name":"db1","tables":[{"name":"t0","pk":0,"cols":[{"name":"c0","data":[1,2,3]},{"name":"c1","data":[4,5,6]}]}]}`))
 	f.Add([]byte(`{"name":"db2","tables":[{"cols":[{"data":[1]}]},{"cols":[{"data":[2,3]}]}],"fks":[{"from_table":1,"from_col":0,"to_table":0,"to_col":0}]}`))
@@ -29,10 +55,8 @@ func FuzzDatasetPayload(f *testing.F) {
 	f.Add([]byte(`{"tables":[{"cols":[{"data":null}]}]}`))
 	f.Add([]byte(`{`))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var req datasetRequest
-		if err := dec.Decode(&req); err != nil {
+		req, err := strictDecode[datasetRequest](t, raw)
+		if err != nil {
 			return
 		}
 		d, err := req.toDataset()
@@ -57,9 +81,10 @@ func FuzzDatasetPayload(f *testing.F) {
 	})
 }
 
-// FuzzEstimatePayload: arbitrary JSON through the strict decoder and
-// toQuery against a fixed two-table schema must never panic; the
-// handlers index datasets with whatever toQuery accepts.
+// FuzzEstimatePayload: the canonical scanner agrees with encoding/json or
+// declines; arbitrary JSON through the strict decoder and toQuery
+// against a fixed two-table schema must never panic; the handlers index
+// datasets with whatever toQuery accepts.
 func FuzzEstimatePayload(f *testing.F) {
 	f.Add([]byte(`{"dataset":"db1","query":{"tables":[0],"preds":[{"table":0,"col":1,"lo":1,"hi":5}]}}`))
 	f.Add([]byte(`{"dataset":"db1","queries":[{"tables":[0,1],"joins":[{"left_table":1,"left_col":1,"right_table":0,"right_col":0}]}]}`))
@@ -89,10 +114,8 @@ func FuzzEstimatePayload(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var req estimateRequest
-		if err := dec.Decode(&req); err != nil {
+		req, err := strictDecode[estimateRequest](t, raw)
+		if err != nil {
 			return
 		}
 		payloads := req.Queries

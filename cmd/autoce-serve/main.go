@@ -135,7 +135,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -413,7 +412,7 @@ type recommendResponse struct {
 
 func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
-	if !decodePost(w, r, &req) {
+	if _, ok := decodePost(w, r, &req, 0); !ok {
 		return
 	}
 	if req.Wa < 0 || req.Wa > 1 {
@@ -473,7 +472,7 @@ type driftResponse struct {
 
 func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	var req graphPayload
-	if !decodePost(w, r, &req) {
+	if _, ok := decodePost(w, r, &req, 0); !ok {
 		return
 	}
 	snap := s.adv.Serving()
@@ -503,7 +502,7 @@ type adaptResponse struct {
 
 func (s *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	var req adaptRequest
-	if !decodePost(w, r, &req) {
+	if _, ok := decodePost(w, r, &req, 0); !ok {
 		return
 	}
 	snap := s.adv.Serving()
@@ -596,43 +595,50 @@ func graphFor(w http.ResponseWriter, p *graphPayload, inDim int) *feature.Graph 
 // Feature-graph payloads (/recommend, /adapt) stay far smaller.
 const maxBodyBytes = 64 << 20
 
-// decodePost enforces the POST method, the body size cap, and strict JSON
-// decoding; it writes the error response itself and reports whether the
-// handler should proceed.
-func decodePost(w http.ResponseWriter, r *http.Request, dst any) bool {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "use POST")
-		return false
-	}
-	return decodeOK(w, decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), dst))
-}
-
-// decodePostBody is decodePost that first reads the body, once and under
-// the same cap, and returns it for handlers that persist or forward it.
-func decodePostBody(w http.ResponseWriter, r *http.Request, dst any) ([]byte, bool) {
+// decodePost enforces the POST method, reads the body once under the
+// size cap, and decodes it with decodeBody. It writes the error response
+// itself and reports whether the handler should proceed; the body is
+// returned for handlers that persist or forward it. A body over the cap
+// answers 413 even when its first JSON value ends before the cap.
+// sizeHint is passed on to readBody.
+func decodePost(w http.ResponseWriter, r *http.Request, dst any, sizeHint int64) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return nil, false
 	}
-	// Size the buffer from the declared length when there is one, so a
-	// large onboarding body is not regrown and copied on its way in.
-	var buf bytes.Buffer
-	if r.ContentLength > 0 && r.ContentLength <= maxBodyBytes {
-		buf.Grow(int(r.ContentLength) + bytes.MinRead)
-	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r, sizeHint)
 	if err == nil {
-		err = decodeStrict(bytes.NewReader(buf.Bytes()), dst)
+		err = decodeBody(body, dst)
 	}
-	return buf.Bytes(), decodeOK(w, err)
+	return body, decodeOK(w, err)
 }
 
-// decodeStrict decodes the first JSON value from r into dst, rejecting
-// unknown fields; anything after that value is ignored. Live requests
-// and manifest replay both decode through it, so a recorded body
-// replays exactly as it was accepted.
-func decodeStrict(r io.Reader, dst any) error {
-	dec := json.NewDecoder(r)
+// readBody reads r's body once, under maxBodyBytes. A positive sizeHint
+// (at most the cap) sizes the buffer up front, so a large onboarding body
+// is not regrown and copied on its way in. Only a caller already admitted
+// for that much memory may pass one: a hint taken from the declared
+// Content-Length commits memory on headers alone. With 0 the buffer grows
+// only as bytes arrive.
+func readBody(w http.ResponseWriter, r *http.Request, sizeHint int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if sizeHint > 0 && sizeHint <= maxBodyBytes {
+		buf.Grow(int(sizeHint) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// decodeBody decodes a request body into dst. A canonical /datasets or
+// /estimate body takes the reflection-free scanner (canonical.go); any
+// other body decodes the first JSON value strictly, rejecting unknown
+// fields and ignoring anything after that value. Live requests and
+// manifest replay both decode through it, so a recorded body replays
+// exactly as it was accepted.
+func decodeBody(body []byte, dst any) error {
+	if scanCanonical(body, dst) {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	return dec.Decode(dst)
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -373,4 +375,49 @@ func TestServeConcurrentTraffic(t *testing.T) {
 		t.Fatalf("/adapt returned %d: %s", resp.StatusCode, data)
 	}
 	wg.Wait()
+}
+
+// TestServeOversizedBodyAfterValue: a body over the cap answers 413 on
+// every decoding endpoint, even when its first JSON value ends well
+// before the cap (that value alone would answer 404 here).
+func TestServeOversizedBodyAfterValue(t *testing.T) {
+	srv, _ := serveWithOpts(t, nil, serveOptions{})
+	body := bytes.Repeat([]byte(" "), maxBodyBytes+1)
+	for path, value := range map[string]string{
+		"/estimate":  `{"dataset":"absent","query":{"tables":[0]}}`,
+		"/recommend": `{"dataset":"absent"}`,
+		"/train":     `{"dataset":"absent"}`,
+	} {
+		copy(body, bytes.Repeat([]byte(" "), 64)) // clear the last value
+		copy(body, value)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s with a complete value before the cap: %d %s, want 413", path, w.Code, w.Body)
+		}
+	}
+}
+
+// TestServeDeclaredLengthCommitsNoMemory: the endpoints that read their
+// body before any admission grow the read buffer only as bytes arrive,
+// so a request that declares a body at the cap but sends almost none of
+// it cannot make the server allocate the declared length.
+func TestServeDeclaredLengthCommitsNoMemory(t *testing.T) {
+	srv, _ := serveWithOpts(t, nil, serveOptions{})
+	for _, path := range []string{"/estimate", "/recommend", "/drift", "/adapt", "/train"} {
+		r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(`{}`))
+		r.ContentLength = maxBodyBytes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv.ServeHTTP(httptest.NewRecorder(), r)
+		runtime.ReadMemStats(&after)
+		if d := after.TotalAlloc - before.TotalAlloc; d > maxBodyBytes/16 {
+			t.Errorf("%s: a 2-byte body declaring %d bytes allocated %d bytes", path, maxBodyBytes, d)
+		}
+	}
+	r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(`{}`))
+	r.ContentLength = maxBodyBytes
+	if body, err := readBody(httptest.NewRecorder(), r, 0); err != nil || cap(body) > 4096 {
+		t.Errorf("readBody without a size hint: capacity %d, err %v", cap(body), err)
+	}
 }

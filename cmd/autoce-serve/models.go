@@ -18,7 +18,6 @@ package main
 // that survive eviction.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -307,8 +306,10 @@ func (s *server) onboardHeavy(w http.ResponseWriter, r *http.Request) (string, [
 		return "", nil, nil
 	}
 	defer release()
+	// The heavy slot bounds how many onboarding bodies are read at once,
+	// so this one may size its buffer from the declared length.
 	var req datasetRequest
-	body, ok := decodePostBody(w, r, &req)
+	body, ok := decodePost(w, r, &req, r.ContentLength)
 	if !ok {
 		return "", nil, nil
 	}
@@ -464,7 +465,7 @@ func (s *server) recoverTenants() {
 			return
 		}
 		var req datasetRequest
-		if err := decodeStrict(bytes.NewReader(payload), &req); err != nil {
+		if err := decodeBody(payload, &req); err != nil {
 			log.Printf("manifest recovery: decoding %q: %v", name, err)
 			return
 		}
@@ -507,7 +508,7 @@ type trainResponse struct {
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
-	if !decodePost(w, r, &req) {
+	if _, ok := decodePost(w, r, &req, 0); !ok {
 		return
 	}
 	if !s.shardPrimaryOK(w, req.Dataset) {
@@ -684,19 +685,23 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 // --------------------------------------------------------------- estimate
 
 type queryPayload struct {
-	Tables []int `json:"tables"`
-	Joins  []struct {
-		LeftTable  int `json:"left_table"`
-		LeftCol    int `json:"left_col"`
-		RightTable int `json:"right_table"`
-		RightCol   int `json:"right_col"`
-	} `json:"joins"`
-	Preds []struct {
-		Table int   `json:"table"`
-		Col   int   `json:"col"`
-		Lo    int64 `json:"lo"`
-		Hi    int64 `json:"hi"`
-	} `json:"preds"`
+	Tables []int         `json:"tables"`
+	Joins  []joinPayload `json:"joins"`
+	Preds  []predPayload `json:"preds"`
+}
+
+type joinPayload struct {
+	LeftTable  int `json:"left_table"`
+	LeftCol    int `json:"left_col"`
+	RightTable int `json:"right_table"`
+	RightCol   int `json:"right_col"`
+}
+
+type predPayload struct {
+	Table int   `json:"table"`
+	Col   int   `json:"col"`
+	Lo    int64 `json:"lo"`
+	Hi    int64 `json:"hi"`
 }
 
 func (p *queryPayload) toQuery(d *dataset.Dataset) (*workload.Query, error) {
@@ -737,7 +742,7 @@ type estimateResponse struct {
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateRequest
-	if !decodePost(w, r, &req) {
+	if _, ok := decodePost(w, r, &req, 0); !ok {
 		return
 	}
 	if !s.shardReadOK(w, req.Dataset) {

@@ -173,15 +173,6 @@ func (m *Made) Forward(x *nn.Tensor) *nn.Tensor {
 // Params returns the trainable tensors.
 func (m *Made) Params() []*nn.Tensor { return []*nn.Tensor{m.W1, m.B1, m.W2, m.B2} }
 
-// OneHotRow encodes a binned row into the network's input layout.
-func (m *Made) OneHotRow(binned []int) []float64 {
-	v := make([]float64, m.InDim)
-	for c, b := range binned {
-		v[m.Offsets[c]+b] = 1
-	}
-	return v
-}
-
 // ColumnDist returns the softmax distribution of column c's logits given
 // the (partially filled) one-hot input row.
 func (m *Made) ColumnDist(input []float64, c int) []float64 {

@@ -234,12 +234,3 @@ func (e *Encoder) Embed(g *feature.Graph) []float64 {
 	pool.Put(it)
 	return out
 }
-
-// EmbedAll encodes a slice of graphs.
-func (e *Encoder) EmbedAll(gs []*feature.Graph) [][]float64 {
-	out := make([][]float64, len(gs))
-	for i, g := range gs {
-		out[i] = e.Embed(g)
-	}
-	return out
-}

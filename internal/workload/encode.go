@@ -94,15 +94,6 @@ func (e *Encoder) Encode(q *Query) []float64 {
 	return v
 }
 
-// EncodeBatch encodes a slice of queries into a row-major matrix.
-func (e *Encoder) EncodeBatch(qs []*Query) [][]float64 {
-	out := make([][]float64, len(qs))
-	for i, q := range qs {
-		out[i] = e.Encode(q)
-	}
-	return out
-}
-
 // encoderState is the gob form of an Encoder.
 type encoderState struct {
 	ColKeys          [][2]int
