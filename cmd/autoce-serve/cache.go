@@ -15,16 +15,13 @@ package main
 //   - The first estimate against an evicted model cold-loads it
 //     transparently (single-flight per model; concurrent estimators wait
 //     for one load rather than thundering the store).
-//   - Eviction picks the least-recently-used unpinned model. A model whose
-//     inference mutates internal state (sampling RNG streams) is written
-//     back to the store before being dropped, so the cold load that
-//     follows resumes the exact stream position — eviction is invisible in
-//     the estimate sequence, bit for bit.
+//   - Eviction drops the least-recently-used unpinned model. Inference
+//     never changes a model (sampling models draw a fresh stream per
+//     query), so the stored artifact is always current and the cold load
+//     that follows answers bit for bit as the evicted model did.
 //   - Quarantine flags live outside the residency state: an evicted
 //     quarantined model stays quarantined (the flag is on the servedModel,
-//     which snapshots share), and a quarantined victim is dropped without
-//     write-back — post-panic state is never persisted over a good
-//     artifact.
+//     which snapshots share).
 //
 // Without a store the cache never evicts (there is nowhere to page to);
 // without a budget it is an accounting layer only.
@@ -45,15 +42,12 @@ import (
 
 // servedModel is one trained (dataset, model) pair published in a tenant's
 // serving snapshot. Its identity and guards are immutable; its residency
-// state (model, size, dirty, pins, elem, gone) is owned by the modelCache
-// and guarded by the cache's mutex.
+// state (model, size, pins, elem, gone) is owned by the modelCache and
+// guarded by the cache's mutex.
 type servedModel struct {
 	spec   ce.Spec
 	tenant string // dataset name: the store key this model pages under
 	schema string // schema fingerprint of the dataset it was trained on
-	// mu guards models whose inference mutates internal state (sampling
-	// RNGs); nil for concurrent-safe models.
-	mu *sync.Mutex
 	// quarantined marks a model whose inference panicked. Snapshot clones
 	// share servedModel pointers, so the flag survives republishes of
 	// other models — and eviction/cold-load cycles — and clears only when
@@ -64,21 +58,15 @@ type servedModel struct {
 	loadMu sync.Mutex
 
 	// Residency, guarded by the owning modelCache's mu.
-	model   ce.Model      // nil while evicted
-	size    int64         // artifact bytes, reported as resident_bytes and /models size_bytes
-	dirty   bool          // stateful inference advanced internal state since last persist
-	pins    int           // in-flight estimates; evictable only at 0
-	elem    *list.Element // LRU position; nil while evicted
-	gone    bool          // superseded by retrain/re-onboard; never resurrect
-	noEvict bool          // a write-back failed; pinned resident to preserve state
+	model ce.Model      // nil while evicted
+	size  int64         // artifact bytes, reported as resident_bytes and /models size_bytes
+	pins  int           // in-flight estimates; evictable only at 0
+	elem  *list.Element // LRU position; nil while evicted
+	gone  bool          // superseded by retrain/re-onboard; never resurrect
 }
 
 func newServedModel(spec ce.Spec, m ce.Model, tenantName, schema string) *servedModel {
-	sm := &servedModel{spec: spec, model: m, tenant: tenantName, schema: schema}
-	if !spec.Concurrent {
-		sm.mu = &sync.Mutex{}
-	}
-	return sm
+	return &servedModel{spec: spec, model: m, tenant: tenantName, schema: schema}
 }
 
 // newStubModel registers a stored artifact as cold-loadable without
@@ -100,7 +88,7 @@ var errModelQuarantined = errors.New("model is quarantined after an inference pa
 var errModelSuperseded = errors.New("model was superseded mid-request; retry")
 
 // estimate runs the batched hot path against the (possibly cold-loaded)
-// model under its guard, fenced: a panic inside this model's inference is
+// model, fenced: a panic inside this model's inference is
 // converted to an error and quarantines the model — subsequent estimates
 // against it fail fast with 503 while every other served model keeps
 // answering. The context bounds the batch (chunked, cooperative).
@@ -112,15 +100,9 @@ func (sm *servedModel) estimate(ctx context.Context, cache *modelCache, qs []*wo
 	if err != nil {
 		return nil, err
 	}
-	// Non-concurrent inference consumes the model's internal sampling
-	// stream: mark it dirty so eviction writes the advanced state back.
-	defer cache.release(sm, !sm.spec.Concurrent)
+	defer cache.release(sm)
 	var out []float64
 	err = resilience.Guard("estimate:"+sm.spec.Name, func() error {
-		if sm.mu != nil {
-			sm.mu.Lock()
-			defer sm.mu.Unlock()
-		}
 		var err error
 		out, err = ce.EstimateBatchContext(ctx, m, qs)
 		return err
@@ -135,9 +117,8 @@ func (sm *servedModel) estimate(ctx context.Context, cache *modelCache, qs []*wo
 }
 
 // modelCache is the LRU paging layer. All residency mutations happen under
-// mu; store I/O for write-backs also runs under mu (artifacts are small —
-// the simplicity of a single lock beats a pin/handoff protocol at this
-// artifact scale, and cold loads, the common slow path, run outside it).
+// mu; no store I/O does (cold loads run outside it, and eviction only
+// drops the decoded model).
 type modelCache struct {
 	store     *ce.Store // nil: nothing to page to; the cache never evicts
 	maxModels int       // 0 = unlimited
@@ -147,10 +128,8 @@ type modelCache struct {
 	count int
 	bytes int64
 
-	coldLoads        atomic.Int64
-	evictions        atomic.Int64
-	writebacks       atomic.Int64
-	evictionFailures atomic.Int64
+	coldLoads atomic.Int64
+	evictions atomic.Int64
 }
 
 func newModelCache(store *ce.Store, maxModels int) *modelCache {
@@ -231,15 +210,10 @@ func (c *modelCache) coldLoad(sm *servedModel) (ce.Model, error) {
 	return m, nil
 }
 
-// release unpins sm after an estimate. mutated records that the inference
-// advanced the model's internal state (sampling streams), so eviction must
-// write it back before dropping it.
-func (c *modelCache) release(sm *servedModel, mutated bool) {
+// release unpins sm after an estimate.
+func (c *modelCache) release(sm *servedModel) {
 	c.mu.Lock()
 	sm.pins--
-	if mutated {
-		sm.dirty = true
-	}
 	if sm.gone && sm.pins == 0 {
 		sm.model = nil
 	}
@@ -261,13 +235,11 @@ func (c *modelCache) install(sm *servedModel, size int64) {
 	c.mu.Unlock()
 }
 
-// forget removes a superseded model from the cache without write-back: its
-// artifact slot now belongs to a successor, and persisting the old state
-// over it would resurrect a model the tenant no longer holds.
+// forget removes a superseded model from the cache: its artifact slot now
+// belongs to a successor.
 func (c *modelCache) forget(sm *servedModel) {
 	c.mu.Lock()
 	sm.gone = true
-	sm.dirty = false
 	if sm.elem != nil {
 		c.lru.Remove(sm.elem)
 		sm.elem = nil
@@ -295,9 +267,7 @@ func (c *modelCache) unforget(sm *servedModel) {
 }
 
 // evictLocked pages out least-recently-used unpinned models until the
-// cache is back under budget. Dirty stateful models are written back
-// first; quarantined models are dropped without write-back (post-panic
-// state must not overwrite a good artifact). Called with c.mu held.
+// cache is back under budget. Called with c.mu held.
 func (c *modelCache) evictLocked() {
 	if c.store == nil || c.maxModels <= 0 {
 		return
@@ -306,26 +276,13 @@ func (c *modelCache) evictLocked() {
 		var victim *servedModel
 		for e := c.lru.Back(); e != nil; e = e.Prev() {
 			sm := e.Value.(*servedModel)
-			if sm.pins == 0 && !sm.noEvict {
+			if sm.pins == 0 {
 				victim = sm
 				break
 			}
 		}
 		if victim == nil {
 			return // everything pinned; the next release retries
-		}
-		if victim.dirty && !victim.quarantined.Load() {
-			if _, err := c.store.Save(victim.tenant, victim.schema, victim.model); err != nil {
-				// Losing the advanced sampler state would break the
-				// bit-exact estimate sequence; keep the model resident
-				// (over budget) rather than silently rewinding it.
-				c.evictionFailures.Add(1)
-				victim.noEvict = true
-				log.Printf("eviction write-back of %s/%s failed; pinning it resident: %v", victim.tenant, victim.spec.Name, err)
-				continue
-			}
-			victim.dirty = false
-			c.writebacks.Add(1)
 		}
 		c.lru.Remove(victim.elem)
 		victim.elem = nil
@@ -347,13 +304,11 @@ func (c *modelCache) residency(sm *servedModel) (resident bool, size int64) {
 // cacheStats is a point-in-time view of the paging layer for /models and
 // /healthz.
 type cacheStats struct {
-	BudgetModels     int   `json:"budget_models,omitempty"`
-	ResidentModels   int   `json:"resident_models"`
-	ResidentBytes    int64 `json:"resident_bytes"`
-	ColdLoads        int64 `json:"cold_loads"`
-	Evictions        int64 `json:"evictions"`
-	Writebacks       int64 `json:"writebacks"`
-	EvictionFailures int64 `json:"eviction_failures,omitempty"`
+	BudgetModels   int   `json:"budget_models,omitempty"`
+	ResidentModels int   `json:"resident_models"`
+	ResidentBytes  int64 `json:"resident_bytes"`
+	ColdLoads      int64 `json:"cold_loads"`
+	Evictions      int64 `json:"evictions"`
 }
 
 func (c *modelCache) stats() cacheStats {
@@ -361,12 +316,10 @@ func (c *modelCache) stats() cacheStats {
 	count, bytes := c.count, c.bytes
 	c.mu.Unlock()
 	return cacheStats{
-		BudgetModels:     c.maxModels,
-		ResidentModels:   count,
-		ResidentBytes:    bytes,
-		ColdLoads:        c.coldLoads.Load(),
-		Evictions:        c.evictions.Load(),
-		Writebacks:       c.writebacks.Load(),
-		EvictionFailures: c.evictionFailures.Load(),
+		BudgetModels:   c.maxModels,
+		ResidentModels: count,
+		ResidentBytes:  bytes,
+		ColdLoads:      c.coldLoads.Load(),
+		Evictions:      c.evictions.Load(),
 	}
 }

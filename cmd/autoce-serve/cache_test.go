@@ -2,7 +2,8 @@ package main
 
 // Tests for the multi-tenant serving core: per-tenant snapshot isolation,
 // budgeted eviction with transparent cold loads, quarantine surviving
-// eviction, and concurrent single-query estimates matching solo results.
+// eviction, concurrent single-query estimates matching solo results, and
+// sampling models answering alike across cold loads and servers.
 
 import (
 	"bytes"
@@ -10,6 +11,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -369,4 +372,90 @@ func TestServeEstimateEvictRetrainRace(t *testing.T) {
 	if ests := batchEstimates(t, ts, "tenantB", rangeQueryBodies(dB, 2)); len(ests) != 2 {
 		t.Fatalf("tenantB after storm: %v", ests)
 	}
+}
+
+// TestServeSamplingModelsAnswerAlike pins stateless sampling end to end:
+// a NeuroCard and a UAE tenant on one store-backed server with a 1-model
+// budget answer byte-identically before eviction and after the cold load
+// that follows, and a second server over the same store and manifest
+// (a replica, or the restarted process) answers byte-identically too —
+// however many estimates either server made before.
+func TestServeSamplingModelsAnswerAlike(t *testing.T) {
+	dir := t.TempDir()
+	opts := serveOptions{ModelBudget: 1, ManifestPath: filepath.Join(dir, "tenants.manifest")}
+	store1, err := ce.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1, ts1 := serveWithOpts(t, store1, opts)
+	tenants := []struct {
+		name, model string
+		seed        int64
+	}{{"ncTenant", "NeuroCard", 211}, {"uaeTenant", "UAE", 212}}
+	// One batch body and its queries one at a time, per tenant. Each
+	// query also bounds a later column, whose mass depends on the bins
+	// sampled for the columns before it; the 2-table join query brings
+	// the subset key into the stream seed.
+	bodies := map[string][]map[string]any{}
+	for _, tn := range tenants {
+		d := serveDataset(t, 2, tn.seed)
+		d.Name = tn.name
+		onboardAndTrain(t, ts1, d, tn.model)
+		qs := rangeQueryBodies(d, 5)
+		for ti := range d.Tables {
+			lo, hi := d.Tables[ti].Col(1).MinMax()
+			qs[ti]["preds"] = append(qs[ti]["preds"].([]map[string]any),
+				map[string]any{"table": ti, "col": 1, "lo": lo + (hi-lo)/4, "hi": hi - (hi-lo)/4})
+			qs[ti]["tables"] = []int{0, ti}
+		}
+		bodies[tn.name] = []map[string]any{{"dataset": tn.name, "model": tn.model, "queries": qs}}
+		for _, q := range qs {
+			bodies[tn.name] = append(bodies[tn.name], map[string]any{"dataset": tn.name, "model": tn.model, "query": q})
+		}
+	}
+	answers := func(ts *httptest.Server, tenant string) []string {
+		t.Helper()
+		var out []string
+		for _, body := range bodies[tenant] {
+			resp, data := postJSON(t, ts, "/estimate", body)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/estimate on %s returned %d: %s", tenant, resp.StatusCode, data)
+			}
+			out = append(out, string(data))
+		}
+		return out
+	}
+	same := func(what string, got, want []string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s:\n got %q\nwant %q", what, got, want)
+		}
+	}
+
+	// Training UAE evicted NeuroCard, so UAE answers resident and
+	// NeuroCard's answers come from a cold load that evicts UAE in turn.
+	if res, _ := residencyOf(t, ts1); res["ncTenant/NeuroCard"] != "evicted" || res["uaeTenant/UAE"] != "loaded" {
+		t.Fatalf("residency after training: %v", res)
+	}
+	uaeResident := answers(ts1, "uaeTenant")
+	same("UAE repeated", answers(ts1, "uaeTenant"), uaeResident)
+	ncCold := answers(ts1, "ncTenant")
+	if res, _ := residencyOf(t, ts1); res["ncTenant/NeuroCard"] != "loaded" || res["uaeTenant/UAE"] != "evicted" {
+		t.Fatalf("residency after the NeuroCard cold load: %v", res)
+	}
+	ncResident := answers(ts1, "ncTenant")
+	same("NeuroCard resident vs cold-loaded", ncResident, ncCold)
+	same("UAE cold-loaded vs resident", answers(ts1, "uaeTenant"), uaeResident)
+	if got := s1.cache.stats().ColdLoads; got < 2 {
+		t.Fatalf("%d cold loads, want at least 2", got)
+	}
+
+	// A second server over the same store and manifest answers alike.
+	store2, err := ce.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := serveWithOpts(t, store2, opts)
+	same("UAE on the second server", answers(ts2, "uaeTenant"), uaeResident)
+	same("NeuroCard on the second server", answers(ts2, "ncTenant"), ncResident)
 }

@@ -648,9 +648,8 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q was replaced during training; re-train against the new data", req.Dataset))
 		return
 	}
-	// Forget the superseded model before writing the new artifact: its
-	// eviction write-back racing the new Save would clobber the fresh
-	// artifact with pre-retrain state.
+	// Forget the superseded model before writing the new artifact, so a
+	// cold load of it cannot page in its successor's artifact.
 	old := cur.models[name]
 	if old != nil {
 		s.cache.forget(old)
@@ -891,10 +890,9 @@ func (s *server) discoverStored(dsName, model string) *servedModel {
 // ----------------------------------------------------------------- models
 
 type modelInfo struct {
-	Name       string `json:"name"`
-	Kind       string `json:"kind"`
-	Candidate  bool   `json:"candidate"`
-	Concurrent bool   `json:"concurrent"`
+	Name      string `json:"name"`
+	Kind      string `json:"kind"`
+	Candidate bool   `json:"candidate"`
 }
 
 type trainedInfo struct {
@@ -926,8 +924,7 @@ func (s *server) handleModels(w http.ResponseWriter, r *http.Request) {
 	resp := modelsResponse{Trained: []trainedInfo{}, Cache: s.cache.stats()}
 	for _, spec := range ce.Specs() {
 		resp.Models = append(resp.Models, modelInfo{
-			Name: spec.Name, Kind: spec.Kind.String(),
-			Candidate: spec.Candidate, Concurrent: spec.Concurrent,
+			Name: spec.Name, Kind: spec.Kind.String(), Candidate: spec.Candidate,
 		})
 	}
 	tenants := s.fleet.snapshot()

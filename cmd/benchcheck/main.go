@@ -8,7 +8,10 @@
 // gateable key, "BenchmarkName/unit"; ns/op keeps the bare benchmark name
 // so existing baselines stay valid. A baseline that pins
 // "BenchmarkServeEstimate/p99-ns" therefore fails the build on a tail
-// regression even when the mean stays flat.
+// regression even when the mean stays flat. Every key gates as
+// lower-is-better, so throughput columns (any unit ending in "/s", such
+// as the MB/s of b.SetBytes) are not recorded: they are higher-is-better,
+// and ns/op already gates the same operation.
 //
 // Benchmarks may additionally print full latency histograms as
 //
@@ -136,6 +139,9 @@ func recordMetrics(metrics map[string]float64, name, line string) bool {
 		v, err := strconv.ParseFloat(m[1], 64)
 		if err != nil {
 			continue
+		}
+		if strings.HasSuffix(m[2], "/s") {
+			continue // throughput: higher is better, and ns/op gates the op
 		}
 		key := name
 		if m[2] != "ns/op" {

@@ -94,6 +94,26 @@ BenchmarkX-8	100	3000 ns/op	700 p99-ns
 	}
 }
 
+// TestParseBenchSkipsThroughput: a b.SetBytes benchmark's MB/s column is
+// higher-is-better, so recording it would fail a faster run as REGRESSED;
+// only its lower-is-better columns become keys.
+func TestParseBenchSkipsThroughput(t *testing.T) {
+	in := "BenchmarkDecode-2\t1000\t1500 ns/op\t 873.81 MB/s\t  256 B/op\t       3 allocs/op\n"
+	res, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{"BenchmarkDecode": 1500, "BenchmarkDecode/B/op": 256, "BenchmarkDecode/allocs/op": 3}
+	if len(res.Metrics) != len(want) {
+		t.Fatalf("metrics %v, want %v", res.Metrics, want)
+	}
+	for k, v := range want {
+		if res.Metrics[k] != v {
+			t.Errorf("%s = %v, want %v", k, res.Metrics[k], v)
+		}
+	}
+}
+
 func TestParseBenchRejectsMalformedHist(t *testing.T) {
 	if _, err := parseBench(strings.NewReader("HIST BenchmarkX 999999:1\n")); err == nil {
 		t.Fatal("out-of-range HIST bucket accepted")

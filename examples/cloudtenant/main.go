@@ -170,9 +170,8 @@ func run() error {
 		}
 	}
 	fmt.Printf("  storm: %d requests, %d wrong-tenant answers, %d shed (429/503)\n", requests, wrong, shed)
-	fmt.Printf("  cache: %v/%d models resident, %v evictions, %v cold loads, %v write-backs, %v eviction failures\n",
-		stats["resident_models"], *modelBudget, stats["evictions"], stats["cold_loads"],
-		stats["writebacks"], stats["eviction_failures"])
+	fmt.Printf("  cache: %v/%d models resident, %v evictions, %v cold loads\n",
+		stats["resident_models"], *modelBudget, stats["evictions"], stats["cold_loads"])
 
 	if err := srv.stop(); err != nil {
 		return err
@@ -184,8 +183,6 @@ func run() error {
 		return fmt.Errorf("no eviction churn (evictions=%v cold_loads=%v) — the budget never bound", stats["evictions"], stats["cold_loads"])
 	case int(stats["resident_models"]) > *modelBudget:
 		return fmt.Errorf("cache over budget: %v resident > %d", stats["resident_models"], *modelBudget)
-	case stats["eviction_failures"] > 0:
-		return srv.failWithLog(fmt.Errorf("%v eviction write-backs failed", stats["eviction_failures"]))
 	}
 	return nil
 }

@@ -19,6 +19,9 @@ import (
 //     rand.Float64, rand.Shuffle, ...): the global stream is shared
 //     mutable state seeded per process. Constructing seeded generators
 //     (rand.New, rand.NewSource, rand.NewPCG, ...) is fine.
+//   - any use of hash/maphash: its seeds are random per process, so a
+//     value built on it (a per-query sampling seed, say) differs across
+//     replicas and restarts. Hash with hash/fnv instead.
 //   - ranging over a map where the iteration feeds computation or output
 //     order: the body draws from a *rand.Rand (each key then gets a
 //     different part of the stream on every run), appends to a slice
@@ -77,6 +80,10 @@ func runDetPath(pass *Pass) []Finding {
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && qualifierPath(info, sel) == "hash/maphash" {
+				out = append(out, pass.finding(n.Pos(), "detpath",
+					"hash/maphash is seeded per process, so its hashes differ across replicas and restarts; use hash/fnv"))
+			}
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -105,6 +112,21 @@ func runDetPath(pass *Pass) []Finding {
 	return out
 }
 
+// qualifierPath returns the import path of the package a
+// package-qualified selector (pkg.X) refers into, or "" when sel.X is not
+// a package name.
+func qualifierPath(info *types.Info, sel *ast.SelectorExpr) string {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	pn, ok := info.Uses[id].(*types.PkgName)
+	if !ok {
+		return ""
+	}
+	return pn.Imported().Path()
+}
+
 // calleePkgFunc resolves a call to a package-level function object
 // (pkg.F form), or nil.
 func calleePkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
@@ -113,11 +135,7 @@ func calleePkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 		return nil
 	}
 	// Only package-qualified calls: the X must be a package name.
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if _, isPkg := info.Uses[id].(*types.PkgName); !isPkg {
+	if qualifierPath(info, sel) == "" {
 		return nil
 	}
 	fn, _ := info.Uses[sel.Sel].(*types.Func)

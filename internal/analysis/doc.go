@@ -25,8 +25,9 @@
 //	              index — internal/core and internal/ann — and every
 //	              package feeding a label: workload, datagen, dataset,
 //	              engine, pgsim, feature, gbt and advisor) must not call
-//	              time.Now, draw from the global math/rand state, or let
-//	              map iteration order feed computation or output order
+//	              time.Now, draw from the global math/rand state, use
+//	              hash/maphash (seeded per process), or let map
+//	              iteration order feed computation or output order
 //	              (a *rand.Rand draw inside a map range included) —
 //	              byte-identical labels, replayable tapes, and
 //	              bit-reproducible index builds are load-bearing.

@@ -14,18 +14,6 @@ type singleEstimator interface {
 	Estimate(q *workload.Query) float64
 }
 
-// SerialEstimates implements EstimateBatch as an in-order loop — the
-// correct default for models whose inference advances internal state (the
-// progressive-sampling RNG of NeuroCard/UAE, or an ensemble containing
-// them), where the estimate stream must match per-query calls exactly.
-func SerialEstimates(e singleEstimator, qs []*workload.Query) []float64 {
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		out[i] = e.Estimate(q)
-	}
-	return out
-}
-
 // estimateBatchChunk bounds how much work EstimateBatchContext commits to
 // between cancellation checks. Batch rows are computed independently, so
 // slicing a batch changes nothing about the values (the conformance suite
@@ -62,8 +50,9 @@ func EstimateBatchContext(ctx context.Context, est Estimator, qs []*workload.Que
 // ParallelEstimates implements EstimateBatch by fanning Estimate over
 // par.For with GOMAXPROCS workers. Each query's estimate is computed by
 // the unchanged per-query path, so values are bit-identical to a serial
-// loop regardless of scheduling; only models whose Estimate is safe for
-// concurrent use (Spec.Concurrent) may use it. A panicking Estimate
+// loop regardless of scheduling. Every model's Estimate is safe for
+// concurrent use: inference reads the trained state only, and sampling
+// models draw a fresh stream per query. A panicking Estimate
 // reaches the caller as a *resilience.PanicError, where the serving
 // layer's panic fence quarantines the model.
 func ParallelEstimates(e singleEstimator, qs []*workload.Query) []float64 {

@@ -22,8 +22,10 @@
 // (EstimateBatch, the serving hot path — vectorized or parallel where the
 // model allows, bit-identical to per-query calls), and persist through gob
 // (Persistable, SaveModel/LoadModel, Store) with bit-identical estimates
-// after a round trip — sampling-based models carry their RNG stream
-// position across the trip (RNG).
+// after a round trip. Inference is stateless: the sampling-based models
+// seed each query's stream from the model and the query alone, so a
+// model answers a query the same way however many estimates came before,
+// in whichever process loaded it.
 //
 // # Shared estimator substrate
 //

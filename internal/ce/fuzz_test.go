@@ -1,12 +1,14 @@
 package ce_test
 
-// Native fuzzers for the subset-key codec and the artifact name escaping.
-// SubsetKey strings are map keys inside persisted artifacts, so the
-// canonical form must be a bijection: every table set has exactly one
-// spelling, and every accepted spelling round-trips. Corpus seeds live in testdata/fuzz; CI runs each fuzzer
+// Native fuzzers for the subset-key codec, the artifact name escaping and
+// the model-artifact format. SubsetKey strings are map keys inside
+// persisted artifacts, so the canonical form must be a bijection: every
+// table set has exactly one spelling, and every accepted spelling
+// round-trips. Corpus seeds live in testdata/fuzz; CI runs each fuzzer
 // briefly (-fuzz=... -fuzztime=10s) to keep the corpus honest.
 
 import (
+	"bytes"
 	"net/url"
 	"path/filepath"
 	"sort"
@@ -14,7 +16,50 @@ import (
 	"testing"
 
 	"repro/internal/ce"
+	"repro/internal/datagen"
+	"repro/internal/envelope"
 )
+
+// FuzzLoadModel: whatever gob payload a model artifact carries, LoadModel
+// returns a model or an error, and never panics. The seeds are the
+// artifacts of every registry model trained on a tiny dataset; each
+// mutated payload is framed in a valid envelope, so mutations get past
+// the checksum and reach gob and every model's GobDecode.
+func FuzzLoadModel(f *testing.F) {
+	models, _, _ := trainZoo(f, datagen.Params{
+		Tables:  2,
+		MinCols: 2, MaxCols: 2,
+		MinRows: 30, MaxRows: 40,
+		Domain: 8,
+		SkewLo: 0, SkewHi: 0.8,
+		CorrLo: 0, CorrHi: 0.5,
+		JoinLo: 0.5, JoinHi: 1,
+		Seed: 5151,
+	}, 60, 40)
+	var magic [8]byte
+	for _, m := range models {
+		var buf bytes.Buffer
+		if err := ce.SaveModel(&buf, m); err != nil {
+			f.Fatalf("SaveModel(%s): %v", m.Name(), err)
+		}
+		copy(magic[:], buf.Bytes())
+		payload, err := envelope.Read(&buf, magic, 1<<30)
+		if err != nil {
+			f.Fatalf("reading back the %s artifact: %v", m.Name(), err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var buf bytes.Buffer
+		if err := envelope.Write(&buf, magic, payload); err != nil {
+			t.Fatal(err)
+		}
+		m, err := ce.LoadModel(&buf)
+		if (m == nil) == (err == nil) {
+			t.Fatalf("LoadModel returned model %v with error %v", m, err)
+		}
+	})
+}
 
 // FuzzSubsetKeyRoundTrip: for any table set, ParseSubsetKey(SubsetKey(x))
 // returns the sorted, deduplicated set, and re-encoding is a fixed point.

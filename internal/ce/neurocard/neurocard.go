@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ce"
 	"repro/internal/nn"
@@ -24,9 +25,7 @@ import (
 )
 
 func init() {
-	// Registry rank 5: the paper's data-driven baseline (6). Progressive
-	// sampling advances the model's RNG and shares sampler scratch, so
-	// inference is NOT concurrent; EstimateBatch stays sequential.
+	// Registry rank 5: the paper's data-driven baseline (6).
 	ce.Register(ce.Spec{
 		Rank: 5, Name: "NeuroCard", Kind: ce.DataDriven, Candidate: true, Concurrent: false,
 		New: func(c ce.Config) ce.Model {
@@ -71,8 +70,11 @@ type Made struct {
 	mask1  []float64
 	mask2  []float64
 
-	// samp is the cached inference sampler; invalidated by TrainMade.
-	samp *Sampler
+	// inf is the inference view of the trained weights, rebuilt whenever
+	// they change and only read by ProgressiveSample; scratch pools the
+	// per-call path buffers, so concurrent calls share nothing mutable.
+	inf     *sampler
+	scratch sync.Pool
 }
 
 // NewMade builds the masked network for the given per-column bin counts.
@@ -91,6 +93,7 @@ func NewMade(rng *rand.Rand, bins []int, hidden int) *Made {
 	m.W2 = nn.XavierParam(rng, hidden, m.InDim)
 	m.B2 = nn.NewParam(1, m.InDim)
 	m.buildMasks(hidden)
+	m.inf = m.newSampler()
 	return m
 }
 
@@ -154,13 +157,22 @@ func (m *Made) GobDecode(data []byte) error {
 	}
 	*m = Made{Bins: st.Bins, W1: st.W1, B1: st.B1, W2: st.W2, B2: st.B2}
 	for _, b := range st.Bins {
+		if b < 1 || b > math.MaxInt-m.InDim {
+			return fmt.Errorf("neurocard: MADE column with %d bins", b)
+		}
 		m.Offsets = append(m.Offsets, m.InDim)
 		m.InDim += b
 	}
-	if m.W1 == nil || m.W1.R != m.InDim {
+	// Every weight must match the layout before the masks are sized from
+	// it: with at least one bin per column, W1's own values bound the
+	// hidden width.
+	if len(m.Bins) == 0 || m.W1 == nil || m.B1 == nil || m.W2 == nil || m.B2 == nil ||
+		m.W1.R != m.InDim || m.W1.C < 1 || m.B1.R != 1 || m.B1.C != m.W1.C ||
+		m.W2.R != m.W1.C || m.W2.C != m.InDim || m.B2.R != 1 || m.B2.C != m.InDim {
 		return fmt.Errorf("neurocard: MADE weights do not match bin layout")
 	}
 	m.buildMasks(m.W1.C)
+	m.inf = m.newSampler()
 	return nil
 }
 
@@ -173,9 +185,10 @@ func (m *Made) Forward(x *nn.Tensor) *nn.Tensor {
 // Params returns the trainable tensors.
 func (m *Made) Params() []*nn.Tensor { return []*nn.Tensor{m.W1, m.B1, m.W2, m.B2} }
 
-// ColumnDist returns the softmax distribution of column c's logits given
-// the (partially filled) one-hot input row.
-func (m *Made) ColumnDist(input []float64, c int) []float64 {
+// columnDist returns the softmax distribution of column c's logits given
+// the (partially filled) one-hot input row, through the full network; the
+// tests check the masks and training with it.
+func (m *Made) columnDist(input []float64, c int) []float64 {
 	logits := m.Forward(nn.FromRow(input))
 	off, nb := m.Offsets[c], m.Bins[c]
 	out := make([]float64, nb)
@@ -205,11 +218,6 @@ type Model struct {
 	slots  map[[2]int]int
 	sizes  *ce.SubsetSizes
 	made   *Made
-	// rng drives training and progressive sampling. The counting wrapper
-	// produces the exact stdlib stream while making the position
-	// serializable, so a gob round trip continues the estimate stream
-	// bit-identically.
-	rng *ce.RNG
 
 	degenerate bool
 }
@@ -235,15 +243,15 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	if m.sizes == nil {
 		m.sizes = ce.ComputeSubsetSizes(d)
 	}
-	m.rng = ce.NewRNG(m.cfg.Seed)
+	rng := rand.New(rand.NewSource(m.cfg.Seed))
 	rows := m.binner.BinRows(sample)
 
 	bins := make([]int, len(sample.Cols))
 	for j := range bins {
 		bins[j] = m.binner.NumBins(j)
 	}
-	m.made = NewMade(m.rng.Rand, bins, m.cfg.Hidden)
-	TrainMade(m.made, rows, m.cfg.Epochs, m.cfg.Batch, m.cfg.LR, m.rng.Rand)
+	m.made = NewMade(rng, bins, m.cfg.Hidden)
+	TrainMade(m.made, rows, m.cfg.Epochs, m.cfg.Batch, m.cfg.LR, rng)
 	return nil
 }
 
@@ -254,7 +262,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 // per-column cross-entropy — is recorded once per batch size and replayed
 // every step; only the one-hot inputs and target bins are rewritten.
 func TrainMade(made *Made, rows [][]int, epochs, batch int, lr float64, rng *rand.Rand) {
-	defer func() { made.samp = nil }() // weights changed: invalidate sampler
+	defer func() { made.inf = made.newSampler() }() // weights changed
 	opt := nn.NewAdam(made.Params(), lr)
 	order := rng.Perm(len(rows))
 	ncols := len(made.Bins)
@@ -296,7 +304,7 @@ func TrainMade(made *Made, rows [][]int, epochs, batch int, lr float64, rng *ran
 	}
 }
 
-// Sampler is an allocation-light vectorized inference path for
+// sampler is an allocation-light vectorized inference path for
 // progressive sampling. A full Made.Forward per column rebuilds the whole
 // autodiff graph and multiplies the entire masked network even though
 // progressive sampling only ever (a) adds one observed one-hot input at a
@@ -307,28 +315,33 @@ func TrainMade(made *Made, rows [][]int, epochs, batch int, lr float64, rng *ran
 // zero-skip over the ReLU-sparse hidden units instead of S full network
 // passes.
 //
-// A Sampler reads frozen weights: train first, then sample. It is not safe
-// for concurrent use (shared path scratch), matching the model's rng.
-type Sampler struct {
-	made   *Made
-	hidden int
-	w1m    []float64 // InDim×hidden, W1∘mask1
-	w2m    []float64 // hidden×InDim, W2∘mask2
+// A sampler reads frozen weights and is never written after it is built,
+// so concurrent calls share it; each call's path state lives in a
+// pathScratch.
+type sampler struct {
+	made    *Made
+	hidden  int
+	maxBins int
+	w1m     []float64 // InDim×hidden, W1∘mask1
+	w2m     []float64 // hidden×InDim, W2∘mask2
 	// colUnits[c] lists the hidden units whose mask2 block for column c is
 	// nonzero (units of autoregressive degree < c): the only units that
 	// can move column c's logits. Column 0 has none by construction.
 	colUnits [][]int
+}
 
-	// Per-path scratch, grown to the largest requested path count.
+// pathScratch is the working memory of one ProgressiveSample call, taken
+// from the Made's pool and grown to the largest request it has served.
+type pathScratch struct {
 	pre   []float64 // paths×hidden pre-activation accumulators
 	dist  []float64 // per-column distribution scratch (max bins)
 	pathP []float64 // paths accumulated probabilities (0 = dead path)
 }
 
-// NewSampler snapshots the trained network for inference.
-func (m *Made) NewSampler() *Sampler {
+// newSampler snapshots the trained network for inference.
+func (m *Made) newSampler() *sampler {
 	hidden := m.W1.C
-	s := &Sampler{made: m, hidden: hidden}
+	s := &sampler{made: m, hidden: hidden}
 	s.w1m = make([]float64, len(m.W1.V))
 	for i, v := range m.W1.V {
 		s.w1m[i] = v * m.mask1[i]
@@ -345,29 +358,29 @@ func (m *Made) NewSampler() *Sampler {
 			}
 		}
 	}
-	maxb := 1
+	s.maxBins = 1
 	for _, b := range m.Bins {
-		if b > maxb {
-			maxb = b
-		}
+		s.maxBins = max(s.maxBins, b)
 	}
-	s.dist = make([]float64, maxb)
 	return s
 }
 
-// grow sizes the per-path scratch for paths sampling paths.
-func (s *Sampler) grow(paths int) {
-	if len(s.pathP) < paths {
-		s.pre = make([]float64, paths*s.hidden)
-		s.pathP = make([]float64, paths)
+// grow sizes the scratch for paths sampling paths of sampler s.
+func (sc *pathScratch) grow(s *sampler, paths int) {
+	if len(sc.pathP) < paths || len(sc.pre) < paths*s.hidden {
+		sc.pre = make([]float64, paths*s.hidden)
+		sc.pathP = make([]float64, paths)
+	}
+	if len(sc.dist) < s.maxBins {
+		sc.dist = make([]float64, s.maxBins)
 	}
 }
 
 // columnDist writes the softmax distribution of column c for the path
-// whose pre-activations are pre, returning the scratch slice.
-func (s *Sampler) columnDist(pre []float64, c int) []float64 {
+// whose pre-activations are pre into dist, returning dist[:bins].
+func (s *sampler) columnDist(pre, dist []float64, c int) []float64 {
 	off, nb := s.made.Offsets[c], s.made.Bins[c]
-	out := s.dist[:nb]
+	out := dist[:nb]
 	copy(out, s.made.B2.V[off:off+nb])
 	for _, i := range s.colUnits[c] {
 		v := pre[i]
@@ -397,19 +410,12 @@ func (s *Sampler) columnDist(pre []float64, c int) []float64 {
 	return out
 }
 
-// sampler returns the cached inference sampler, building it on first use
-// after training.
-func (m *Made) sampler() *Sampler {
-	if m.samp == nil {
-		m.samp = m.NewSampler()
-	}
-	return m.samp
-}
-
 // ProgressiveSample estimates the probability of the bin ranges under the
-// Made model with S sampling paths. Exported for UAE. All paths advance
-// through the columns together on the model's cached Sampler.
-func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *rand.Rand) float64 {
+// Made model with S sampling paths drawn from rng. Exported for UAE. All
+// paths advance through the columns together on the Made's sampler, with
+// path state in scratch from the Made's pool, so concurrent calls are
+// safe.
+func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *SplitMix64) float64 {
 	lastQueried := -1
 	for c := range ranges {
 		if c > lastQueried {
@@ -419,30 +425,35 @@ func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *rand
 	if lastQueried == -1 {
 		return 1
 	}
-	sp := made.sampler()
-	sp.grow(samples)
+	sp := made.inf
+	sc, _ := made.scratch.Get().(*pathScratch)
+	if sc == nil {
+		sc = new(pathScratch)
+	}
+	defer made.scratch.Put(sc)
+	sc.grow(sp, samples)
 	for p := 0; p < samples; p++ {
-		copy(sp.pre[p*sp.hidden:(p+1)*sp.hidden], made.B1.V)
-		sp.pathP[p] = 1
+		copy(sc.pre[p*sp.hidden:(p+1)*sp.hidden], made.B1.V)
+		sc.pathP[p] = 1
 	}
 	for c := 0; c <= lastQueried; c++ {
 		r, queried := ranges[c]
 		for p := 0; p < samples; p++ {
-			if sp.pathP[p] == 0 {
+			if sc.pathP[p] == 0 {
 				continue // dead path: a queried range had zero mass
 			}
-			pre := sp.pre[p*sp.hidden : (p+1)*sp.hidden]
-			dist := sp.columnDist(pre, c)
+			pre := sc.pre[p*sp.hidden : (p+1)*sp.hidden]
+			dist := sp.columnDist(pre, sc.dist, c)
 			var mass float64
 			if queried {
 				for b := r[0]; b <= r[1] && b < len(dist); b++ {
 					mass += dist[b]
 				}
 				if mass <= 0 {
-					sp.pathP[p] = 0
+					sc.pathP[p] = 0
 					continue
 				}
-				sp.pathP[p] *= mass
+				sc.pathP[p] *= mass
 			} else {
 				mass = 1
 			}
@@ -476,7 +487,7 @@ func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *rand
 	}
 	var total float64
 	for p := 0; p < samples; p++ {
-		total += sp.pathP[p]
+		total += sc.pathP[p]
 	}
 	return total / float64(samples)
 }
@@ -490,7 +501,8 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	if !ok {
 		return 1
 	}
-	p := ProgressiveSample(m.made, ranges, m.cfg.Samples, m.rng.Rand)
+	rng := QueryStream(m.cfg.Seed, q.Tables, ranges)
+	p := ProgressiveSample(m.made, ranges, m.cfg.Samples, &rng)
 	for _, pr := range unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
@@ -501,11 +513,10 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	return est
 }
 
-// EstimateBatch implements ce.Estimator sequentially: progressive sampling
-// advances the model's RNG and reuses the cached sampler's scratch, so the
-// batch preserves the per-query estimate stream exactly.
+// EstimateBatch implements ce.Estimator in parallel: each query draws its
+// own sampling stream, so the batch is bit-identical to per-query calls.
 func (m *Model) EstimateBatch(qs []*workload.Query) []float64 {
-	return ce.SerialEstimates(m, qs)
+	return ce.ParallelEstimates(m, qs)
 }
 
 // modelState is the gob form of a trained model.
@@ -516,13 +527,11 @@ type modelState struct {
 	Slots      map[[2]int]int
 	Sizes      *ce.SubsetSizes
 	Made       *Made
-	RNG        ce.RNGState
 	Degenerate bool
 }
 
-// GobEncode implements gob.GobEncoder (ce.Persistable). The RNG stream
-// position is captured so a decoded model continues the progressive-
-// sampling stream bit-identically.
+// GobEncode implements gob.GobEncoder (ce.Persistable). Sampling streams
+// derive from the query alone, so there is no stream position to save.
 func (m *Model) GobEncode() ([]byte, error) {
 	st := &modelState{Cfg: m.cfg, Degenerate: m.degenerate}
 	if !m.degenerate {
@@ -530,7 +539,7 @@ func (m *Model) GobEncode() ([]byte, error) {
 			return nil, fmt.Errorf("neurocard: cannot persist an untrained model")
 		}
 		st.Bounds, st.Binner, st.Slots, st.Sizes = m.bounds, m.binner, m.slots, m.sizes
-		st.Made, st.RNG = m.made, m.rng.State()
+		st.Made = m.made
 	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(st)
@@ -545,9 +554,5 @@ func (m *Model) GobDecode(data []byte) error {
 	}
 	m.cfg, m.bounds, m.binner, m.slots = st.Cfg, st.Bounds, st.Binner, st.Slots
 	m.sizes, m.made, m.degenerate = st.Sizes, st.Made, st.Degenerate
-	m.rng = nil
-	if !st.Degenerate {
-		m.rng = ce.RNGFromState(st.RNG)
-	}
 	return nil
 }

@@ -19,8 +19,7 @@ import (
 // Persistable is a model that can round-trip through gob. Every registered
 // estimator implements it; the contract (enforced by the registry
 // conformance tests) is that a decoded model produces bit-identical
-// estimates to the encoded one, including the continuation of any internal
-// sampling stream (see RNG).
+// estimates to the encoded one.
 type Persistable interface {
 	Model
 	gob.GobEncoder
@@ -163,7 +162,7 @@ type Store struct {
 	dir string
 
 	// Load/save accounting, exposed via Stats: a paging model cache sits on
-	// top of the store, and its ops surface (cold loads, write-backs) needs
+	// top of the store, and its ops surface (saves, cold loads) needs
 	// to see how much artifact I/O the paging policy is actually causing.
 	saves      atomic.Int64
 	saveBytes  atomic.Int64

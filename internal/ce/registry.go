@@ -100,9 +100,10 @@ type Estimator interface {
 	Estimate(q *workload.Query) float64
 	// EstimateBatch estimates a batch of queries, returning one estimate
 	// per query in order. Implementations produce bit-identical values to
-	// per-query Estimate calls; models whose inference is stateless run the
-	// batch in parallel or as one vectorized pass (the serving hot path),
-	// while sampling-based models preserve their sequential RNG stream.
+	// per-query Estimate calls, running the batch in parallel or as one
+	// vectorized pass (the serving hot path). Estimate and EstimateBatch
+	// are safe for concurrent use, and an estimate is a pure function of
+	// the trained model and the query.
 	EstimateBatch(qs []*workload.Query) []float64
 }
 
@@ -130,9 +131,14 @@ type Spec struct {
 	// the advisor selects among. Non-candidates (Postgres, Ensemble) are
 	// measured for the figure/table comparisons only.
 	Candidate bool
-	// Concurrent reports that Estimate is safe for concurrent use on
-	// distinct queries (stateless inference). Sampling-based models that
-	// advance an internal RNG are not.
+	// Concurrent once marked the models whose Estimate was safe for
+	// concurrent use; every model's is now, and nothing in this module
+	// reads the field.
+	//
+	// Deprecated: it keeps its historical values (false for NeuroCard,
+	// UAE and Ensemble) only for the perfbench module, which still
+	// branches on it, and goes once perfbench compares every model's
+	// answers.
 	Concurrent bool
 	// New constructs an untrained instance configured for c.
 	New func(c Config) Model

@@ -16,6 +16,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"math/rand"
 
 	"repro/internal/ce"
 	"repro/internal/ce/neurocard"
@@ -24,8 +25,7 @@ import (
 )
 
 func init() {
-	// Registry rank 6: the paper's hybrid baseline (7). Like NeuroCard,
-	// inference advances the sampling RNG, so it is not concurrent.
+	// Registry rank 6: the paper's hybrid baseline (7).
 	ce.Register(ce.Spec{
 		Rank: 6, Name: "UAE", Kind: ce.Hybrid, Candidate: true, Concurrent: false,
 		New: func(c ce.Config) ce.Model {
@@ -73,9 +73,6 @@ type Model struct {
 	slots  map[[2]int]int
 	sizes  *ce.SubsetSizes
 	made   *neurocard.Made
-	// rng drives training and progressive sampling; the counting wrapper
-	// makes its position serializable (see neurocard.Model).
-	rng *ce.RNG
 
 	enc  *workload.Encoder
 	corr *nn.MLP
@@ -98,7 +95,8 @@ func (m *Model) arEstimate(q *workload.Query) float64 {
 	if !ok {
 		return 1
 	}
-	p := neurocard.ProgressiveSample(m.made, ranges, m.cfg.Samples, m.rng.Rand)
+	rng := neurocard.QueryStream(m.cfg.Seed, q.Tables, ranges)
+	p := neurocard.ProgressiveSample(m.made, ranges, m.cfg.Samples, &rng)
 	for _, pr := range unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
@@ -125,20 +123,20 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	if m.sizes == nil {
 		m.sizes = ce.ComputeSubsetSizes(d)
 	}
-	m.rng = ce.NewRNG(m.cfg.Seed)
+	rng := rand.New(rand.NewSource(m.cfg.Seed))
 	rows := m.binner.BinRows(sample)
 	bins := make([]int, len(sample.Cols))
 	for j := range bins {
 		bins[j] = m.binner.NumBins(j)
 	}
-	m.made = neurocard.NewMade(m.rng.Rand, bins, m.cfg.Hidden)
-	neurocard.TrainMade(m.made, rows, m.cfg.Epochs, m.cfg.Batch, m.cfg.LR, m.rng.Rand)
+	m.made = neurocard.NewMade(rng, bins, m.cfg.Hidden)
+	neurocard.TrainMade(m.made, rows, m.cfg.Epochs, m.cfg.Batch, m.cfg.LR, rng)
 
 	if len(train) == 0 {
 		return nil // degenerate to pure data-driven
 	}
 	m.enc = workload.NewEncoder(d)
-	m.corr = nn.NewMLP(m.rng.Rand, []int{m.enc.Dim(), m.cfg.CorrHidden, 1}, nn.ActReLU, nn.ActNone)
+	m.corr = nn.NewMLP(rng, []int{m.enc.Dim(), m.cfg.CorrHidden, 1}, nn.ActReLU, nn.ActNone)
 	// Residual targets: log(true) - log(AR estimate), clamped to keep the
 	// corrector from memorizing outliers.
 	xs := make([][]float64, 0, len(train))
@@ -156,7 +154,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 		ys = append(ys, r)
 	}
 	opt := nn.NewAdam(m.corr.Params(), m.cfg.CorrLR)
-	order := m.rng.Perm(len(xs))
+	order := rng.Perm(len(xs))
 	const batch = 16
 	dim := m.enc.Dim()
 	type batchTape struct {
@@ -170,7 +168,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 		return &batchTape{x: x, targets: targets, tape: nn.NewTape(nn.MSE(m.corr.Forward(x), targets))}
 	})
 	for epoch := 0; epoch < m.cfg.CorrEpochs; epoch++ {
-		m.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += batch {
 			end := start + batch
 			if end > len(order) {
@@ -210,11 +208,10 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	return est
 }
 
-// EstimateBatch implements ce.Estimator sequentially: the autoregressive
-// half advances the model's RNG, so the batch preserves the per-query
-// estimate stream exactly.
+// EstimateBatch implements ce.Estimator in parallel: each query draws its
+// own sampling stream, so the batch is bit-identical to per-query calls.
 func (m *Model) EstimateBatch(qs []*workload.Query) []float64 {
-	return ce.SerialEstimates(m, qs)
+	return ce.ParallelEstimates(m, qs)
 }
 
 // modelState is the gob form of a trained model.
@@ -227,13 +224,10 @@ type modelState struct {
 	Made       *neurocard.Made
 	Enc        *workload.Encoder
 	Corr       *nn.MLP
-	RNG        ce.RNGState
 	Degenerate bool
 }
 
-// GobEncode implements gob.GobEncoder (ce.Persistable), capturing the RNG
-// stream position so estimates continue bit-identically after a round
-// trip.
+// GobEncode implements gob.GobEncoder (ce.Persistable).
 func (m *Model) GobEncode() ([]byte, error) {
 	st := &modelState{Cfg: m.cfg, Degenerate: m.degenerate}
 	if !m.degenerate {
@@ -241,7 +235,7 @@ func (m *Model) GobEncode() ([]byte, error) {
 			return nil, fmt.Errorf("uae: cannot persist an untrained model")
 		}
 		st.Bounds, st.Binner, st.Slots, st.Sizes = m.bounds, m.binner, m.slots, m.sizes
-		st.Made, st.Enc, st.Corr, st.RNG = m.made, m.enc, m.corr, m.rng.State()
+		st.Made, st.Enc, st.Corr = m.made, m.enc, m.corr
 	}
 	var buf bytes.Buffer
 	err := gob.NewEncoder(&buf).Encode(st)
@@ -257,9 +251,5 @@ func (m *Model) GobDecode(data []byte) error {
 	m.cfg, m.bounds, m.binner, m.slots = st.Cfg, st.Bounds, st.Binner, st.Slots
 	m.sizes, m.made, m.enc, m.corr = st.Sizes, st.Made, st.Enc, st.Corr
 	m.degenerate = st.Degenerate
-	m.rng = nil
-	if !st.Degenerate {
-		m.rng = ce.RNGFromState(st.RNG)
-	}
 	return nil
 }

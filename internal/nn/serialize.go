@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 )
 
 // tensorState is the persisted form of a Tensor: shape and values only.
@@ -31,7 +32,9 @@ func (t *Tensor) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("nn: decoding tensor: %w", err)
 	}
-	if len(st.V) != st.R*st.C {
+	// Negative dimensions, or a product that overflows, could otherwise
+	// match the value count and leave a shape no kernel can honour.
+	if st.R < 0 || st.C < 0 || (st.C > 0 && st.R > math.MaxInt/st.C) || len(st.V) != st.R*st.C {
 		return fmt.Errorf("nn: tensor state %dx%d carries %d values", st.R, st.C, len(st.V))
 	}
 	*t = Tensor{R: st.R, C: st.C, V: st.V}

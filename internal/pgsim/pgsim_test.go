@@ -37,7 +37,7 @@ type badEstimator struct{ d *dataset.Dataset }
 func (b *badEstimator) Name() string { return "Bad" }
 
 func (b *badEstimator) EstimateBatch(qs []*workload.Query) []float64 {
-	return ce.SerialEstimates(b, qs)
+	return ce.ParallelEstimates(b, qs)
 }
 func (b *badEstimator) Estimate(q *workload.Query) float64 {
 	oracle := Oracle{D: b.d}

@@ -49,9 +49,9 @@ func measuredRun(t *testing.T, cfg Config, models []ce.Model) (*Label, []*measur
 // TestCandidateLabelsIndependentOfRun: labeling the seven candidates on
 // their own measures exactly what they measure inside a full-registry run
 // with the same seed, on the 5-table golden fixture — mean Q-error, Sa
-// and every per-query estimate. The ensemble's calibration used to run
-// before NeuroCard and UAE were measured and advanced their sampling
-// RNGs, so their labels depended on whether the ensemble shared the run.
+// and every per-query estimate. Inference is stateless, so neither the
+// ensemble's calibration nor any other model of the run can move a
+// candidate's answers.
 func TestCandidateLabelsIndependentOfRun(t *testing.T) {
 	cfg := fastCfg(15)
 	full, fullRec := measuredRun(t, cfg, ce.NewModels(cfg.zooConfig()))

@@ -23,12 +23,12 @@
 //     candidates, and composite models combine them.
 //
 // Finish measures the non-composite models first and fits the composites
-// only afterwards, because a composite's calibration runs its members'
-// estimators and so advances the RNG streams of sampling-based members
-// (NeuroCard, UAE). A model's measurement therefore depends only on its
-// own Fit, seeded from the run configuration, and the testing queries: a
-// candidate is labeled the same in a candidate-only run as in a
-// full-registry run with the same seed.
+// only afterwards, because a composite's Fit combines its members, which
+// must be trained by then. Inference is stateless (the sampling-based
+// models draw each query's stream from the model and the query), so a
+// model's measurement depends only on its own Fit, seeded from the run
+// configuration, and the testing queries: a candidate is labeled the same
+// in a candidate-only run as in a full-registry run with the same seed.
 //
 // The model zoo itself lives in the ce registry (populated by the blank
 // zoo import below); the testbed derives model order, names, kinds and the
@@ -169,7 +169,7 @@ type Result struct {
 // Prepared is a labeling run staged between phases: the workload has been
 // split, the training inputs its models consume drawn, and the untrained
 // models instantiated. Model training jobs (TrainModel) are independent of
-// each other — every model owns its RNG, seeded from the run
+// each other — every model seeds its own training RNG from the run
 // configuration, and only reads the shared TrainInput — so a corpus driver
 // can fan (dataset, model) pairs over a worker pool and still produce
 // exactly the labels of the serial path.
@@ -292,11 +292,8 @@ func (p *Prepared) TrainModel(i int) error {
 // Finish measures every model of the run on the testing queries through
 // the batched estimation path and normalizes the candidates' scores into
 // the label. The non-composite models are measured first, in model order;
-// then each composite is fitted on the trained candidates and measured.
-// Its calibration advances the RNG streams of sampling-based members, so
-// it must not run before they are measured: that keeps a candidate's
-// label the same whether or not the run includes the composites (see the
-// package doc). Perfs keeps model order.
+// then each composite is fitted on the trained candidates and measured
+// (see the package doc). Perfs keeps model order.
 func (p *Prepared) Finish() (*Result, error) {
 	models := p.Models
 	// Truths are assembled outside the timed region, so LatencyMean
