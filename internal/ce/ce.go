@@ -115,7 +115,7 @@ type SubsetSizes struct {
 // (including singletons) and evaluates their unfiltered join sizes. All
 // 2^n evaluations run on one dedicated evaluator over the dataset's shared
 // join index: unfiltered acyclic counts reduce to lookups over the
-// prehashed per-value multiplicities.
+// indexed per-value multiplicities.
 func ComputeSubsetSizes(d *dataset.Dataset) *SubsetSizes {
 	ss, _ := ComputeSubsetSizesCtx(context.Background(), d)
 	return ss

@@ -22,7 +22,9 @@ import (
 
 // FuzzLoadModel: whatever gob payload a model artifact carries, LoadModel
 // returns a model or an error, and never panics. The seeds are the
-// artifacts of every registry model trained on a tiny dataset; each
+// artifacts of every registry model trained on a tiny dataset, plus the
+// checked-in testdata/fuzz corpus (an LW-NN artifact whose first layer is
+// transposed, which decoding must reject rather than load); each
 // mutated payload is framed in a valid envelope, so mutations get past
 // the checksum and reach gob and every model's GobDecode.
 func FuzzLoadModel(f *testing.F) {

@@ -165,6 +165,12 @@ func (m *Model) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("lwnn: decoding model: %w", err)
 	}
+	if st.Enc == nil {
+		return fmt.Errorf("lwnn: model has no query encoder")
+	}
+	if err := st.Net.CheckShape(st.Enc.Dim(), 1); err != nil {
+		return fmt.Errorf("lwnn: %w", err)
+	}
 	m.cfg, m.enc, m.net = st.Cfg, st.Enc, st.Net
 	return nil
 }

@@ -1,12 +1,15 @@
 package lwnn
 
 import (
-	"repro/internal/ce"
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/ce"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/workload"
 )
 
@@ -75,5 +78,53 @@ func TestEmptyWorkloadRejected(t *testing.T) {
 	d, _ := datagen.Generate("l", p)
 	if err := New(DefaultConfig()).Fit(&ce.TrainInput{Dataset: d, Queries: nil}); err == nil {
 		t.Fatal("empty workload accepted")
+	}
+}
+
+// transposeFirstLayer swaps the first layer's weight matrix into its
+// transpose: each tensor stays well formed, but the layers stop chaining.
+func transposeFirstLayer(m *Model) {
+	w := m.net.Layers[0].W
+	t := nn.Zeros(w.C, w.R)
+	for i := 0; i < w.R; i++ {
+		for j := 0; j < w.C; j++ {
+			t.V[j*w.R+i] = w.V[i*w.C+j]
+		}
+	}
+	m.net.Layers[0].W = t
+}
+
+// TestLoadRejectsMisShapedNetwork: an artifact whose MLP layers do not
+// chain must fail LoadModel, not load and panic on the first Estimate.
+func TestLoadRejectsMisShapedNetwork(t *testing.T) {
+	p := datagen.DefaultParams(8)
+	p.MinRows, p.MaxRows = 100, 150
+	d, _ := datagen.Generate("l", p)
+	qs := workload.Generate(d, workload.DefaultConfig(40, 9))
+	cfg := DefaultConfig()
+	cfg.Epochs = 1
+	m := New(cfg)
+	if err := m.Fit(&ce.TrainInput{Dataset: d, Queries: qs}); err != nil {
+		t.Fatal(err)
+	}
+	var good bytes.Buffer
+	if err := ce.SaveModel(&good, m); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ce.LoadModel(&good); err != nil {
+		t.Fatalf("well-shaped artifact rejected: %v", err)
+	}
+
+	transposeFirstLayer(m)
+	var bad bytes.Buffer
+	if err := ce.SaveModel(&bad, m); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := ce.LoadModel(&bad)
+	if err == nil || loaded != nil {
+		t.Fatalf("LoadModel accepted a transposed first layer (model %v, error %v)", loaded, err)
+	}
+	if !strings.HasPrefix(err.Error(), "ce: decoding LW-NN: ") {
+		t.Fatalf("error %q does not name the decoded model", err)
 	}
 }

@@ -420,8 +420,34 @@ func (m *Model) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("mscn: decoding model: %w", err)
 	}
+	if err := st.checkShapes(); err != nil {
+		return fmt.Errorf("mscn: %w", err)
+	}
 	m.cfg, m.enc = st.Cfg, st.Enc
 	m.tableMLP, m.joinMLP, m.predMLP, m.outMLP = st.Table, st.Join, st.Pred, st.Out
 	m.tDim, m.jDim, m.pDim = st.TDim, st.JDim, st.PDim
+	return nil
+}
+
+// checkShapes reports an error unless the element widths are the ones the
+// encoder produces and the MLPs have the shapes Fit gives them: each set
+// MLP maps its element width to the hidden width h, and the output MLP
+// maps 3h to one value.
+func (st *modelState) checkShapes() error {
+	if st.Enc == nil {
+		return fmt.Errorf("model has no query encoder")
+	}
+	if st.TDim != st.Enc.TableDim() || st.JDim != max(st.Enc.JoinDim(), 1) || st.PDim != st.Enc.PredDim()/3+2 {
+		return fmt.Errorf("element widths %d/%d/%d do not match the encoder", st.TDim, st.JDim, st.PDim)
+	}
+	h := st.Cfg.Hidden
+	for _, c := range []struct {
+		mlp     *nn.MLP
+		in, out int
+	}{{st.Table, st.TDim, h}, {st.Join, st.JDim, h}, {st.Pred, st.PDim, h}, {st.Out, 3 * h, 1}} {
+		if err := c.mlp.CheckShape(c.in, c.out); err != nil {
+			return err
+		}
+	}
 	return nil
 }

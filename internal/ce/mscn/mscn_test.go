@@ -2,12 +2,14 @@ package mscn
 
 import (
 	"math"
-	"repro/internal/ce"
+	"math/rand"
 	"testing"
 
+	"repro/internal/ce"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/workload"
 )
 
@@ -90,5 +92,47 @@ func TestEmptyWorkloadRejected(t *testing.T) {
 	m := New(DefaultConfig())
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Queries: nil}); err == nil {
 		t.Fatal("empty workload accepted")
+	}
+}
+
+// TestDecodeRejectsMisShapedNetworks: every set and output MLP must chain
+// from the width the encoder feeds it, or decoding fails instead of the
+// first Estimate panicking.
+func TestDecodeRejectsMisShapedNetworks(t *testing.T) {
+	p := datagen.DefaultParams(9)
+	p.Tables = 2
+	p.MinRows, p.MaxRows = 100, 150
+	d, _ := datagen.Generate("m", p)
+	qs := workload.Generate(d, workload.DefaultConfig(30, 10))
+	cfg := DefaultConfig()
+	cfg.Epochs = 1
+	m := New(cfg)
+	if err := m.Fit(&ce.TrainInput{Dataset: d, Queries: qs}); err != nil {
+		t.Fatal(err)
+	}
+	spoil := map[string]func(m *Model){
+		"table MLP input": func(m *Model) { m.tDim++ },
+		"pred MLP output": func(m *Model) {
+			h := m.predMLP.Layers[1].W.C
+			m.predMLP.Layers[1] = nn.NewDense(rand.New(rand.NewSource(1)), h, h+1, nn.ActReLU)
+		},
+		"output MLP layers": func(m *Model) { m.outMLP.Layers[1], m.outMLP.Layers[0] = m.outMLP.Layers[0], m.outMLP.Layers[1] },
+	}
+	for name, f := range spoil {
+		blob, err := m.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var c Model
+		if err := c.GobDecode(blob); err != nil {
+			t.Fatalf("well-shaped model rejected: %v", err)
+		}
+		f(&c)
+		if blob, err = c.GobEncode(); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Model).GobDecode(blob); err == nil {
+			t.Errorf("%s: mis-shaped model decoded", name)
+		}
 	}
 }

@@ -248,6 +248,14 @@ func (m *Model) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("uae: decoding model: %w", err)
 	}
+	if st.Corr != nil {
+		if st.Enc == nil {
+			return fmt.Errorf("uae: correction network has no query encoder")
+		}
+		if err := st.Corr.CheckShape(st.Enc.Dim(), 1); err != nil {
+			return fmt.Errorf("uae: correction network: %w", err)
+		}
+	}
 	m.cfg, m.bounds, m.binner, m.slots = st.Cfg, st.Bounds, st.Binner, st.Slots
 	m.sizes, m.made, m.enc, m.corr = st.Sizes, st.Made, st.Enc, st.Corr
 	m.degenerate = st.Degenerate

@@ -9,7 +9,7 @@ import (
 
 // CardinalityBatch labels every query in qs with its exact cardinality
 // over d and returns the counts in query order. All workers share the
-// dataset's shared Index (each join-key column is hashed once, not once
+// dataset's shared Index (each join-key column is grouped once, not once
 // per query) and draw pooled Evaluators from it, so the whole batch runs
 // without per-query allocation. Queries fan out over par.For; this is the
 // Stage-1 labeling fast path the testbed and the corpus builder run on.

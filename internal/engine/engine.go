@@ -8,24 +8,26 @@
 // Queries are conjunctions of per-column range predicates over a connected
 // set of tables joined along PK-FK equi-join edges. Evaluation is columnar
 // and count-propagating: each table's predicates reduce to a reusable
-// selection vector, and acyclic join components are counted by propagating
-// per-value multiplicities up the join tree instead of materializing
-// intermediate tuples, so time and memory scale with the base tables
-// rather than the join result. Only cycle edges (and SampleJoin, which
+// selection vector (seeded from a contiguous run of a value-grouped column
+// index, then narrowed predicate by predicate), and acyclic join
+// components are counted by propagating per-value multiplicities up the
+// join tree instead of materializing intermediate tuples, so time and
+// memory scale with the base tables rather than the join result. Only cycle edges (and SampleJoin, which
 // genuinely needs rows) fall back to tuple materialization.
 //
 // Three entry tiers trade convenience for control:
 //
-//   - Cardinality / Selectivity / CrossProductSize: one-shot helpers that
-//     draw a pooled Evaluator from the dataset's shared Index.
+//   - Cardinality: a one-shot helper that draws a pooled Evaluator from
+//     the dataset's shared Index.
 //   - Evaluator: owns all scratch buffers; repeated calls allocate
 //     nothing. One per goroutine.
 //   - CardinalityBatch: labels a whole workload through a worker pool
 //     sharing one Index — the Stage-1 labeling fast path.
 //
-// The per-dataset Index (prehashed join-key columns) lives on its dataset
-// (dataset.Dataset.Derived) and is collected with it; callers that mutate
-// a dataset in place must call InvalidateIndex.
+// The per-dataset Index (columns grouped by value, by counting sort where
+// the domain is dense) lives on its dataset (dataset.Dataset.Derived) and
+// is collected with it; callers that mutate a dataset in place must call
+// InvalidateIndex.
 package engine
 
 import (
@@ -99,25 +101,4 @@ func Cardinality(d *dataset.Dataset, q *Query) int64 {
 	c := e.Cardinality(q)
 	ix.release(e)
 	return c
-}
-
-// Selectivity returns the fraction of the unfiltered join result that q's
-// predicates keep; the two underlying counts share one evaluator and the
-// dataset's index.
-func Selectivity(d *dataset.Dataset, q *Query) float64 {
-	ix := IndexFor(d)
-	e := ix.acquire()
-	s := e.Selectivity(q)
-	ix.release(e)
-	return s
-}
-
-// CrossProductSize returns the product of the (filtered) table sizes,
-// the upper bound used by cost models; it saturates at MaxInt64.
-func CrossProductSize(d *dataset.Dataset, q *Query) float64 {
-	ix := IndexFor(d)
-	e := ix.acquire()
-	s := e.CrossProductSize(q)
-	ix.release(e)
-	return s
 }

@@ -168,16 +168,6 @@ func BenchmarkCardinalityBatchFiveWay(b *testing.B) {
 	}
 }
 
-func BenchmarkSelectivityThreeWayJoin(b *testing.B) {
-	d := benchDataset(b, 3)
-	q := benchJoinQuery(d, 25)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Selectivity(d, q)
-	}
-}
-
 func BenchmarkSampleJoin(b *testing.B) {
 	d := benchDataset(b, 3)
 	rng := rand.New(rand.NewSource(2))

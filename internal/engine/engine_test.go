@@ -177,15 +177,6 @@ func TestQueryValidate(t *testing.T) {
 	}
 }
 
-func TestSelectivityBounds(t *testing.T) {
-	d := tinyDataset(t, 11, 2)
-	q := &Query{Tables: []int{0}, Preds: []Predicate{{Table: 0, Col: 0, Lo: 1, Hi: 4}}}
-	sel := Selectivity(d, q)
-	if sel < 0 || sel > 1 {
-		t.Fatalf("selectivity %g outside [0,1]", sel)
-	}
-}
-
 func TestSampleJoinSingleTable(t *testing.T) {
 	d := tinyDataset(t, 21, 1)
 	rng := rand.New(rand.NewSource(1))

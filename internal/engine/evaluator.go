@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"math"
-
 	"repro/internal/dataset"
 )
 
@@ -12,10 +10,17 @@ import (
 // flat tuple buffers for the cycle-edge fallback. Repeated calls on a
 // warmed evaluator allocate nothing.
 //
+// Filtering is columnar: a table's selection vector is seeded with the
+// contiguous run of row ids that the narrowest predicate on a dense-domain
+// column selects from that column's value-grouped ColIndex (a scan of one
+// predicate column when none is dense), and each further predicate narrows
+// it in place. A wide-domain predicate column is always scanned, never
+// indexed for filtering.
+//
 // An Evaluator is not safe for concurrent use; the Index it wraps is. Use
 // one Evaluator per goroutine (CardinalityBatch does this internally) or
-// the package-level Cardinality/Selectivity functions, which draw pooled
-// evaluators from the dataset's shared Index.
+// the package-level Cardinality function, which draws pooled evaluators
+// from the dataset's shared Index.
 type Evaluator struct {
 	d  *dataset.Dataset
 	ix *Index
@@ -57,12 +62,14 @@ type Evaluator struct {
 
 // message is a value -> multiplicity mapping flowing up the join tree,
 // either dense (flat array indexed by value-base, for the narrow column
-// domains the datasets are built from) or map-backed. borrowed messages
-// alias ColIndex storage and must not be modified or recycled.
+// domains the datasets are built from), map-backed, or a wide column's
+// ColIndex itself. borrowed messages alias ColIndex storage and must not
+// be modified or recycled.
 type message struct {
 	dense    []int64
 	base     int64
-	counts   map[int64]int64 // nil when dense
+	counts   map[int64]int64 // owned wide-domain messages
+	col      *ColIndex       // borrowed wide-domain messages
 	borrowed bool
 }
 
@@ -75,7 +82,10 @@ func (m *message) get(v int64) int64 {
 		}
 		return 0
 	}
-	return m.counts[v]
+	if m.counts != nil {
+		return m.counts[v]
+	}
+	return m.col.count(v)
 }
 
 // childMsg pairs a child's message with the parent-side column data the
@@ -115,9 +125,16 @@ func (e *Evaluator) Dataset() *dataset.Dataset { return e.d }
 // filter computes the selection of table ti under q's predicates into the
 // evaluator's reusable per-table buffers and returns its size. Tables
 // without predicates are marked selAll and never materialized.
+//
+// The selection is columnar. It is seeded from the narrowest predicate on
+// a dense-domain column, whose matching rows are one contiguous run of
+// that column's ColIndex, and from a scan of the first predicate's column
+// only when no predicate column is dense; every further predicate then
+// narrows the selection vector in place. The vector is grouped by the
+// seed column's value rather than ascending; nothing downstream depends
+// on its order, since every count it feeds is an integer sum.
 func (e *Evaluator) filter(q *Query, ti int) int64 {
 	t := e.d.Tables[ti]
-	n := t.Rows()
 	preds := e.predBuf[:0]
 	for _, p := range q.Preds {
 		if p.Table == ti {
@@ -127,22 +144,45 @@ func (e *Evaluator) filter(q *Query, ti int) int64 {
 	e.predBuf = preds
 	if len(preds) == 0 {
 		e.selAll[ti] = true
-		e.selCount[ti] = int64(n)
-		return int64(n)
+		e.selCount[ti] = int64(t.Rows())
+		return e.selCount[ti]
 	}
 	e.selAll[ti] = false
-	rows := e.selRows[ti][:0]
-	for r := 0; r < n; r++ {
-		ok := true
-		for _, p := range preds {
-			if !p.Matches(t.Col(p.Col).Data[r]) {
-				ok = false
-				break
+
+	seed := -1
+	var seedRows []int32
+	for i, p := range preds {
+		if ci := e.ix.denseCol(ti, p.Col); ci != nil {
+			if r := ci.rangeRows(p.Lo, p.Hi); seed < 0 || len(r) < len(seedRows) {
+				seed, seedRows = i, r
 			}
 		}
-		if ok {
-			rows = append(rows, int32(r))
+	}
+	rows := e.selRows[ti][:0]
+	if seed >= 0 {
+		rows = append(rows, seedRows...)
+	} else {
+		seed = 0
+		p := preds[0]
+		for r, v := range t.Col(p.Col).Data {
+			if p.Matches(v) {
+				rows = append(rows, int32(r))
+			}
 		}
+	}
+	for i, p := range preds {
+		if i == seed {
+			continue
+		}
+		data := t.Col(p.Col).Data
+		n := 0
+		for _, r := range rows {
+			if p.Matches(data[r]) {
+				rows[n] = r
+				n++
+			}
+		}
+		rows = rows[:n]
 	}
 	e.selRows[ti] = rows
 	e.selCount[ti] = int64(len(rows))
@@ -265,7 +305,7 @@ func (e *Evaluator) treeCount(tbls []int, edges []Join) int64 {
 // treeMsg computes the message of table ti toward its parent: the
 // multiplicity of each value of column keyCol over ti's filtered rows,
 // each row weighted by the product of its children's messages. Leaf tables
-// without predicates borrow the prehashed ColIndex storage directly;
+// without predicates borrow the ColIndex storage directly;
 // narrow-domain key columns aggregate into a pooled dense array, wide ones
 // into a pooled map.
 func (e *Evaluator) treeMsg(ti, parent int, edges []Join, keyCol int) message {
@@ -279,7 +319,7 @@ func (e *Evaluator) treeMsg(ti, parent int, edges []Join, keyCol int) message {
 		if ci.Dense != nil {
 			return message{dense: ci.Dense, base: ci.Lo, borrowed: true}
 		}
-		return message{counts: ci.Counts, borrowed: true}
+		return message{col: ci, borrowed: true}
 	}
 
 	var out message
@@ -511,7 +551,7 @@ func (e *Evaluator) extendFlat(cur []int32, nTup, stride, inTable, inCol, newTab
 		ci := e.ix.Col(newTable, newCol)
 		for i := 0; i < nTup; i++ {
 			tp := cur[i*stride : (i+1)*stride]
-			for _, r := range ci.Rows[inData[tp[inSlot]]] {
+			for _, r := range ci.RowsOf(inData[tp[inSlot]]) {
 				n := len(dst)
 				dst = append(dst, tp...)
 				dst[n+newSlot] = r
@@ -542,30 +582,4 @@ func (e *Evaluator) extendFlat(cur []int32, nTup, stride, inTable, inCol, newTab
 	e.tupB = cur[:0] // old buffer becomes the next scratch target
 	e.tupA = dst
 	return dst, len(dst) / stride
-}
-
-// Selectivity returns the fraction of the unfiltered join result that q's
-// predicates keep. Both passes share the evaluator's index; the
-// predicate-free pass runs on borrowed per-value counts and performs no
-// filtering at all, fixing the former double evaluation of filterTable.
-func (e *Evaluator) Selectivity(q *Query) float64 {
-	full := Query{Tables: q.Tables, Joins: q.Joins}
-	denom := e.Cardinality(&full)
-	if denom == 0 {
-		return 0
-	}
-	return float64(e.Cardinality(q)) / float64(denom)
-}
-
-// CrossProductSize returns the product of the filtered table sizes, the
-// upper bound used by cost models; it saturates at MaxInt64.
-func (e *Evaluator) CrossProductSize(q *Query) float64 {
-	prod := 1.0
-	for _, ti := range q.Tables {
-		prod *= float64(e.filter(q, ti))
-		if prod > math.MaxInt64 {
-			return math.MaxInt64
-		}
-	}
-	return prod
 }

@@ -41,7 +41,11 @@ func (c *fuzzCursor) intn(n int) int { return int(c.next()) % n }
 // ≤3 columns, ≤8 rows, values in [1,5], no PKs or FKs — the engine never
 // reads them) and a query that q.Validate accepts by construction:
 // clamped table subsets, join and predicate columns drawn modulo the
-// table's width, predicate ranges that may be empty (hi < lo).
+// table's width, predicate ranges that may be empty (hi < lo). A last
+// byte per column may then move that column onto a wide, partly negative
+// domain (v -> (v-shift)*wideStride), predicate bounds moving with it, so
+// the fuzzer reaches the map-backed ColIndex and the scan filter; columns
+// with the same shift still join. An exhausted tape moves nothing.
 func fuzzDecodeCase(raw []byte) (*dataset.Dataset, *Query) {
 	c := &fuzzCursor{data: raw}
 	d := &dataset.Dataset{Name: "fuzz"}
@@ -85,6 +89,23 @@ func fuzzDecodeCase(raw []byte) (*dataset.Dataset, *Query) {
 			Table: ti, Col: c.intn(d.Tables[ti].NumCols()),
 			Lo: lo, Hi: lo + int64(c.intn(5)) - 2, // sometimes hi < lo
 		})
+	}
+	for ti, t := range d.Tables {
+		for ci, col := range t.Cols {
+			shift := int64(c.intn(4)) - 1 // -1 keeps the column
+			if shift < 0 {
+				continue
+			}
+			move := func(v int64) int64 { return (v - shift) * wideStride }
+			for r, v := range col.Data {
+				col.Data[r] = move(v)
+			}
+			for i, p := range q.Preds {
+				if p.Table == ti && p.Col == ci {
+					q.Preds[i].Lo, q.Preds[i].Hi = move(p.Lo), move(p.Hi)
+				}
+			}
+		}
 	}
 	return d, q
 }

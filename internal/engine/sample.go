@@ -129,9 +129,9 @@ func reservoirIndexes(n, k int, rng *rand.Rand) []int {
 
 // materializeJoin evaluates the unfiltered join of q and returns the raw
 // tuples as a flat buffer: one int32 row id per table of the returned
-// order, tuple i occupying tuples[i*len(order) : (i+1)*len(order)]. Hash
+// order, tuple i occupying tuples[i*len(order) : (i+1)*len(order)]. Join
 // build sides come from the dataset's cached ColIndex, so repeated
-// materializations against one dataset share the per-column hashing work.
+// materializations against one dataset share the per-column grouping work.
 func materializeJoin(d *dataset.Dataset, q *Query) (tuples []int32, order []int) {
 	order = joinTableOrder(d, q)
 	stride := len(order)
@@ -172,7 +172,7 @@ func materializeJoin(d *dataset.Dataset, q *Query) (tuples []int32, order []int)
 			next := make([]int32, 0, len(cur))
 			for i := 0; i < len(cur); i += stride {
 				tp := cur[i : i+stride]
-				for _, r := range ci.Rows[inData[tp[inSlot]]] {
+				for _, r := range ci.RowsOf(inData[tp[inSlot]]) {
 					n := len(next)
 					next = append(next, tp...)
 					next[n+newSlot] = r

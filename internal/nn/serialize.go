@@ -40,3 +40,32 @@ func (t *Tensor) GobDecode(data []byte) error {
 	*t = Tensor{R: st.R, C: st.C, V: st.V}
 	return nil
 }
+
+// CheckShape reports an error unless the layers map width in to width
+// out: every layer has both tensors, the first W has in rows, each W's
+// column count is the next W's row count, each B is 1×(its W's columns),
+// and the last W has out columns. Decoders of models holding an MLP call
+// it, since each decoded tensor checks only itself and a layer that does
+// not chain would panic on first use.
+func (m *MLP) CheckShape(in, out int) error {
+	if m == nil || len(m.Layers) == 0 {
+		return fmt.Errorf("nn: MLP has no layers")
+	}
+	w := in
+	for i, l := range m.Layers {
+		if l == nil || l.W == nil || l.B == nil {
+			return fmt.Errorf("nn: MLP layer %d lacks weights", i)
+		}
+		if l.W.R != w {
+			return fmt.Errorf("nn: MLP layer %d weights are %dx%d for input width %d", i, l.W.R, l.W.C, w)
+		}
+		if l.B.R != 1 || l.B.C != l.W.C {
+			return fmt.Errorf("nn: MLP layer %d bias is %dx%d for width %d", i, l.B.R, l.B.C, l.W.C)
+		}
+		w = l.W.C
+	}
+	if w != out {
+		return fmt.Errorf("nn: MLP has %d outputs, want %d", w, out)
+	}
+	return nil
+}

@@ -101,6 +101,7 @@ func CEBTemplates() []CEBTemplate {
 // and true cardinalities over schema d (built by CEBSchema).
 func CEBWorkload(d *dataset.Dataset, perTemplate int, seed int64) []*Query {
 	rng := rand.New(rand.NewSource(seed))
+	cols := newColBounds(d)
 	var out []*Query
 	for _, tpl := range CEBTemplates() {
 		tset := map[int]bool{}
@@ -123,12 +124,12 @@ func CEBWorkload(d *dataset.Dataset, perTemplate int, seed int64) []*Query {
 		for i := 0; i < perTemplate; i++ {
 			var preds []engine.Predicate
 			for _, ti := range tables {
-				nonKey := nonJoinCols(d, ti)
+				nonKey := cols.nonKey[ti]
 				if len(nonKey) == 0 || rng.Float64() < 0.4 {
 					continue
 				}
 				ci := nonKey[rng.Intn(len(nonKey))]
-				lo, hi := d.Tables[ti].Col(ci).MinMax()
+				lo, hi := cols.minMax(ti, ci)
 				if hi <= lo {
 					continue
 				}

@@ -56,8 +56,9 @@ func GenerateUnlabeled(d *dataset.Dataset, cfg Config) []*Query {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	queries := make([]*Query, 0, cfg.NumQueries)
 	adj := d.JoinGraphAdjacency()
+	cols := newColBounds(d)
 	for len(queries) < cfg.NumQueries {
-		q := randomQuery(d, adj, rng, cfg.MaxPredsPerTable)
+		q := randomQuery(d, adj, cols, rng, cfg.MaxPredsPerTable)
 		if q == nil {
 			continue
 		}
@@ -82,7 +83,7 @@ func Label(d *dataset.Dataset, qs []*Query) {
 
 // randomQuery builds one random query, or nil when the draw degenerates
 // (e.g. a chosen table has no non-key columns to predicate on).
-func randomQuery(d *dataset.Dataset, adj [][]int, rng *rand.Rand, maxPreds int) *Query {
+func randomQuery(d *dataset.Dataset, adj [][]int, cols *colBounds, rng *rand.Rand, maxPreds int) *Query {
 	nt := len(d.Tables)
 	want := 1 + rng.Intn(nt)
 
@@ -131,8 +132,7 @@ func randomQuery(d *dataset.Dataset, adj [][]int, rng *rand.Rand, maxPreds int) 
 
 	var preds []engine.Predicate
 	for _, ti := range tables {
-		t := d.Tables[ti]
-		nonKey := nonJoinCols(d, ti)
+		nonKey := cols.nonKey[ti]
 		if len(nonKey) == 0 {
 			continue
 		}
@@ -143,7 +143,7 @@ func randomQuery(d *dataset.Dataset, adj [][]int, rng *rand.Rand, maxPreds int) 
 		perm := rng.Perm(len(nonKey))
 		for i := 0; i < np && i < len(nonKey); i++ {
 			ci := nonKey[perm[i]]
-			lo, hi := t.Col(ci).MinMax()
+			lo, hi := cols.minMax(ti, ci)
 			if hi <= lo {
 				continue
 			}
@@ -159,6 +159,34 @@ func randomQuery(d *dataset.Dataset, adj [][]int, rng *rand.Rand, maxPreds int) 
 		return nil
 	}
 	return &Query{Query: engine.Query{Tables: tables, Joins: joins, Preds: preds}}
+}
+
+// colBounds holds, for one generator call, each table's predicable
+// columns and the value bounds of each column drawn so far, so drawing a
+// predicate does not rescan its column.
+type colBounds struct {
+	d      *dataset.Dataset
+	nonKey [][]int             // per table: nonJoinCols
+	mm     map[[2]int][2]int64 // (table, column) -> MinMax
+}
+
+func newColBounds(d *dataset.Dataset) *colBounds {
+	b := &colBounds{d: d, nonKey: make([][]int, len(d.Tables)), mm: map[[2]int][2]int64{}}
+	for ti := range d.Tables {
+		b.nonKey[ti] = nonJoinCols(d, ti)
+	}
+	return b
+}
+
+// minMax returns the MinMax of column ci of table ti, computed once.
+func (b *colBounds) minMax(ti, ci int) (lo, hi int64) {
+	k := [2]int{ti, ci}
+	mm, ok := b.mm[k]
+	if !ok {
+		mm[0], mm[1] = b.d.Tables[ti].Col(ci).MinMax()
+		b.mm[k] = mm
+	}
+	return mm[0], mm[1]
 }
 
 // nonJoinCols returns the column indexes of table ti that are neither its
