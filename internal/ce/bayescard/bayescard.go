@@ -12,6 +12,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/ce"
 	"repro/internal/workload"
@@ -265,10 +266,7 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 		p *= m.bounds.UniformSel(pr)
 	}
 	est := p * float64(m.sizes.Size(q.Tables))
-	if est < 1 {
-		return 1
-	}
-	return est
+	return workload.ClampCard(est)
 }
 
 // EstimateBatch implements ce.Estimator with the shared parallel fan-out.
@@ -307,12 +305,64 @@ func (m *Model) GobEncode() ([]byte, error) {
 
 // GobDecode implements gob.GobDecoder (ce.Persistable).
 func (m *Model) GobDecode(data []byte) error {
+	// The state holds maps (Slots, Sizes.Sizes): check their counts first.
+	if err := ce.CheckGobCounts(data, &struct{ Degenerate bool }{}); err != nil {
+		return fmt.Errorf("bayescard: %w", err)
+	}
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("bayescard: decoding model: %w", err)
 	}
+	if !st.Degenerate {
+		if err := st.check(); err != nil {
+			return fmt.Errorf("bayescard: %w", err)
+		}
+	}
 	m.cfg, m.bounds, m.binner, m.slots, m.sizes = st.Cfg, st.Bounds, st.Binner, st.Slots, st.Sizes
 	m.parent, m.prior, m.cpt, m.children = st.Parent, st.Prior, st.CPT, st.Children
 	m.root, m.degenerate = st.Root, st.Degenerate
+	return nil
+}
+
+// check reports an error unless a trained model's parts agree
+// (ce.CheckDataParts) and its state is one Chow-Liu tree over the binned
+// columns: children lists that match the parents and
+// reach every column once from the root (so the message pass ends), and
+// a prior or conditional table of the right size at every column.
+func (st *modelState) check() error {
+	if err := ce.CheckDataParts(st.Bounds, st.Binner, st.Slots, st.Sizes); err != nil {
+		return err
+	}
+	n := len(st.Binner.Edges)
+	if n == 0 || len(st.Parent) != n || len(st.Prior) != n || len(st.CPT) != n || len(st.Children) != n {
+		return fmt.Errorf("tree tables do not cover the %d binned columns", n)
+	}
+	if st.Root < 0 || st.Root >= n || st.Parent[st.Root] != -1 {
+		return fmt.Errorf("root %d is not a parentless column", st.Root)
+	}
+	seen := make([]bool, n)
+	seen[st.Root] = true
+	stack := []int{st.Root}
+	for len(stack) > 0 {
+		c := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		nb := st.Binner.NumBins(c)
+		if c == st.Root && len(st.Prior[c]) != nb {
+			return fmt.Errorf("root prior has %d entries for %d bins", len(st.Prior[c]), nb)
+		}
+		if p := st.Parent[c]; c != st.Root && len(st.CPT[c]) != st.Binner.NumBins(p)*nb {
+			return fmt.Errorf("column %d's table has %d entries for %dx%d bins", c, len(st.CPT[c]), st.Binner.NumBins(p), nb)
+		}
+		for _, ch := range st.Children[c] {
+			if ch < 0 || ch >= n || seen[ch] || st.Parent[ch] != c {
+				return fmt.Errorf("column %d lists child %d, which is not its own", c, ch)
+			}
+			seen[ch] = true
+			stack = append(stack, ch)
+		}
+	}
+	if slices.Contains(seen, false) {
+		return fmt.Errorf("the tree does not reach every column from root %d", st.Root)
+	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package bayescard
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"repro/internal/ce"
@@ -189,5 +191,51 @@ func TestEstimateJoinQuery(t *testing.T) {
 		if est < 1 || math.IsNaN(est) || math.IsInf(est, 0) {
 			t.Fatalf("estimate %g", est)
 		}
+	}
+}
+
+// TestGobDecodeRejectsBrokenTree: a decoded network must be one tree over
+// the binned columns; children that loop back, repeat or disagree with
+// the parents, or tables of the wrong size are rejected rather than
+// recursed into.
+func TestGobDecodeRejectsBrokenTree(t *testing.T) {
+	m := trained(t, singleTable(t, 3), 4)
+	if len(m.parent) < 2 {
+		t.Fatalf("need a tree with an edge, got parents %v", m.parent)
+	}
+	child := m.children[m.root][0]
+	clone := func() modelState {
+		var st modelState
+		data, err := m.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	for name, mutate := range map[string]func(st *modelState){
+		"cycle":         func(st *modelState) { st.Children[child] = append(st.Children[child], st.Root) },
+		"repeated":      func(st *modelState) { st.Children[st.Root] = append(st.Children[st.Root], child) },
+		"wrong parent":  func(st *modelState) { st.Parent[child] = -1 },
+		"unreached":     func(st *modelState) { st.Children[st.Root] = nil },
+		"root parent":   func(st *modelState) { st.Parent[st.Root] = child },
+		"short table":   func(st *modelState) { st.CPT[child] = st.CPT[child][1:] },
+		"missing sizes": func(st *modelState) { st.Sizes = nil },
+	} {
+		st := clone()
+		mutate(&st)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Model).GobDecode(buf.Bytes()); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	data, _ := m.GobEncode()
+	if err := new(Model).GobDecode(data); err != nil {
+		t.Fatalf("the trained model: %v", err)
 	}
 }

@@ -169,7 +169,9 @@ func (ss *SubsetSizes) Size(tables []int) int64 {
 	}
 	prod := int64(1)
 	for _, t := range tables {
-		prod *= ss.TableRows[t]
+		if t >= 0 && t < len(ss.TableRows) {
+			prod *= ss.TableRows[t]
+		}
 	}
 	return prod
 }
@@ -209,6 +211,30 @@ func connected(d *dataset.Dataset, tables []int) bool {
 	return len(seen) == len(tables)
 }
 
+// CheckDataParts reports an error unless the parts a decoded, trained
+// data-driven model shares with its kind are present and agree: every
+// binned column has a bin, and every slot names a binned column.
+func CheckDataParts(bounds *ColBounds, binner *Binner, slots map[[2]int]int, sizes *SubsetSizes) error {
+	if bounds == nil || binner == nil || sizes == nil {
+		return fmt.Errorf("trained model lacks its column bounds, binner or subset sizes")
+	}
+	for j, e := range binner.Edges {
+		if len(e) == 0 {
+			return fmt.Errorf("sample column %d has no bins", j)
+		}
+	}
+	bad := 0
+	for _, slot := range slots {
+		if slot < 0 || slot >= len(binner.Edges) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		return fmt.Errorf("%d columns map to a sample slot outside the %d binned columns", bad, len(binner.Edges))
+	}
+	return nil
+}
+
 // ColBounds snapshots every column's value range — the only per-dataset
 // state the data-driven estimators need at inference time for predicates
 // on columns outside the sampled join space (keys and FK columns), kept
@@ -233,7 +259,12 @@ func NewColBounds(d *dataset.Dataset) *ColBounds {
 
 // UniformSel returns the uniform-selectivity fallback of predicate p: the
 // fraction of the column's value range the predicate interval overlaps.
+// A column the bounds do not cover selects everything.
 func (b *ColBounds) UniformSel(p engine.Predicate) float64 {
+	if p.Table < 0 || p.Table >= min(len(b.Lo), len(b.Hi)) || p.Col < 0 ||
+		p.Col >= min(len(b.Lo[p.Table]), len(b.Hi[p.Table])) {
+		return 1
+	}
 	lo, hi := b.Lo[p.Table][p.Col], b.Hi[p.Table][p.Col]
 	width := float64(hi-lo) + 1
 	if width <= 0 {

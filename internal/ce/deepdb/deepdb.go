@@ -369,10 +369,7 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 		p *= m.bounds.UniformSel(pr)
 	}
 	est := p * float64(m.sizes.Size(q.Tables))
-	if est < 1 {
-		return 1
-	}
-	return est
+	return workload.ClampCard(est)
 }
 
 // EstimateBatch implements ce.Estimator with the shared parallel fan-out.
@@ -415,16 +412,20 @@ func flattenSPN(n node, out []spnNode) ([]spnNode, int) {
 	return out, len(out) - 1
 }
 
-// buildSPN reconstructs the node tree from its post-order flattening.
+// buildSPN reconstructs the node tree from its post-order flattening. A
+// node may be the child of one parent only: evaluation walks a tree, so
+// a shared child would be evaluated once per path to it.
 func buildSPN(nodes []spnNode) (node, error) {
 	built := make([]node, len(nodes))
+	adopted := make([]bool, len(nodes))
 	for i, sn := range nodes {
 		children := func() ([]node, error) {
 			out := make([]node, len(sn.Children))
 			for j, ci := range sn.Children {
-				if ci < 0 || ci >= i {
+				if ci < 0 || ci >= i || adopted[ci] {
 					return nil, fmt.Errorf("deepdb: SPN node %d references child %d", i, ci)
 				}
+				adopted[ci] = true
 				out[j] = built[ci]
 			}
 			return out, nil
@@ -490,6 +491,10 @@ func (m *Model) GobEncode() ([]byte, error) {
 
 // GobDecode implements gob.GobDecoder (ce.Persistable).
 func (m *Model) GobDecode(data []byte) error {
+	// The state holds maps (Slots, Sizes.Sizes): check their counts first.
+	if err := ce.CheckGobCounts(data, &struct{ Degenerate bool }{}); err != nil {
+		return fmt.Errorf("deepdb: %w", err)
+	}
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("deepdb: decoding model: %w", err)
@@ -498,6 +503,9 @@ func (m *Model) GobDecode(data []byte) error {
 	m.sizes, m.degenerate = st.Sizes, st.Degenerate
 	m.root = nil
 	if !st.Degenerate {
+		if err := ce.CheckDataParts(st.Bounds, st.Binner, st.Slots, st.Sizes); err != nil {
+			return fmt.Errorf("deepdb: %w", err)
+		}
 		root, err := buildSPN(st.Nodes)
 		if err != nil {
 			return err

@@ -182,3 +182,19 @@ func TestKMeansSplitsClusters(t *testing.T) {
 		t.Fatal("kmeans clusters are mixed on trivially separable data")
 	}
 }
+
+// TestBuildSPNRejectsSharedChildren: evaluation walks the SPN as a tree,
+// so a node adopted by two parents (or twice by one) would be evaluated
+// once per path to it, exponentially often in a chain.
+func TestBuildSPNRejectsSharedChildren(t *testing.T) {
+	leaf := spnNode{Kind: 0, Col: 0, Dist: []float64{1}}
+	if _, err := buildSPN([]spnNode{leaf, {Kind: 1, Children: []int{0, 0}}}); err == nil {
+		t.Error("a child adopted twice by one parent was accepted")
+	}
+	if _, err := buildSPN([]spnNode{leaf, {Kind: 1, Children: []int{0}}, {Kind: 2, Children: []int{0, 1}, Weights: []float64{0.5, 0.5}}}); err == nil {
+		t.Error("a child shared by two parents was accepted")
+	}
+	if _, err := buildSPN([]spnNode{leaf, leaf, {Kind: 1, Children: []int{0, 1}}}); err != nil {
+		t.Errorf("a tree: %v", err)
+	}
+}

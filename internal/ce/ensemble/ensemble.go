@@ -84,10 +84,7 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 		return 1
 	}
 	est /= wsum
-	if est < 1 {
-		return 1
-	}
-	return est
+	return workload.ClampCard(est)
 }
 
 // EstimateBatch implements ce.Estimator in parallel: every member's

@@ -3,14 +3,17 @@ package ce_test
 // Benchmarks for Stage-1 training, the largest cost of an advisor build:
 // every candidate is fitted on every dataset before the advisor learns.
 // The regime is the advisor build's: a 4-table dataset, 120 labeled
-// queries and the registry's Fast configuration.
+// queries and the registry's Fast configuration; NeuroCard and UAE also
+// get a join sample and the subset sizes.
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/ce"
 	"repro/internal/datagen"
+	"repro/internal/engine"
 	"repro/internal/workload"
 )
 
@@ -40,9 +43,25 @@ func fitFixture(b *testing.B) *ce.TrainInput {
 	return fitIn
 }
 
-// benchFit fits a fresh Fast registry model per iteration.
-func benchFit(b *testing.B, name string) {
+var dataFixtureOnce sync.Once
+var dataFitIn *ce.TrainInput
+
+// dataFitFixture is fitFixture plus the data half the data-driven and
+// hybrid models read: a 400-row join sample (the quick-scale size) and
+// the subset sizes.
+func dataFitFixture(b *testing.B) *ce.TrainInput {
 	in := fitFixture(b)
+	dataFixtureOnce.Do(func() {
+		in := *in
+		in.Sample = engine.SampleJoin(in.Dataset, 400, rand.New(rand.NewSource(9103)))
+		in.Sizes = ce.ComputeSubsetSizes(in.Dataset)
+		dataFitIn = &in
+	})
+	return dataFitIn
+}
+
+// benchFit fits a fresh Fast registry model on in per iteration.
+func benchFit(b *testing.B, in *ce.TrainInput, name string) {
 	spec, ok := ce.Lookup(name)
 	if !ok {
 		b.Fatalf("%s is not registered", name)
@@ -56,5 +75,7 @@ func benchFit(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkFitMSCN(b *testing.B)  { benchFit(b, "MSCN") }
-func BenchmarkFitLWXGB(b *testing.B) { benchFit(b, "LW-XGB") }
+func BenchmarkFitMSCN(b *testing.B)      { benchFit(b, fitFixture(b), "MSCN") }
+func BenchmarkFitLWXGB(b *testing.B)     { benchFit(b, fitFixture(b), "LW-XGB") }
+func BenchmarkFitNeuroCard(b *testing.B) { benchFit(b, dataFitFixture(b), "NeuroCard") }
+func BenchmarkFitUAE(b *testing.B)       { benchFit(b, dataFitFixture(b), "UAE") }

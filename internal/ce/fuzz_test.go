@@ -9,6 +9,7 @@ package ce_test
 
 import (
 	"bytes"
+	"math"
 	"net/url"
 	"path/filepath"
 	"sort"
@@ -21,14 +22,16 @@ import (
 )
 
 // FuzzLoadModel: whatever gob payload a model artifact carries, LoadModel
-// returns a model or an error, and never panics. The seeds are the
-// artifacts of every registry model trained on a tiny dataset, plus the
-// checked-in testdata/fuzz corpus (an LW-NN artifact whose first layer is
-// transposed, which decoding must reject rather than load); each
-// mutated payload is framed in a valid envelope, so mutations get past
-// the checksum and reach gob and every model's GobDecode.
+// returns a model or an error, and never panics, and a model it returns
+// answers the dataset's test queries with finite estimates of at least 1.
+// The seeds are the artifacts of every registry model trained on a tiny
+// dataset, plus the checked-in testdata/fuzz corpus (an LW-NN artifact
+// whose first layer is transposed and an LW-XGB artifact whose tree
+// loops, which decoding must reject rather than load); each mutated
+// payload is framed in a valid envelope, so mutations get past the
+// checksum and reach gob and every model's GobDecode.
 func FuzzLoadModel(f *testing.F) {
-	models, _, _ := trainZoo(f, datagen.Params{
+	models, _, test := trainZoo(f, datagen.Params{
 		Tables:  2,
 		MinCols: 2, MaxCols: 2,
 		MinRows: 30, MaxRows: 40,
@@ -59,6 +62,14 @@ func FuzzLoadModel(f *testing.F) {
 		m, err := ce.LoadModel(&buf)
 		if (m == nil) == (err == nil) {
 			t.Fatalf("LoadModel returned model %v with error %v", m, err)
+		}
+		if m == nil {
+			return
+		}
+		for i, est := range m.EstimateBatch(test) {
+			if math.IsNaN(est) || math.IsInf(est, 0) || est < 1 {
+				t.Fatalf("loaded %s estimates %v for test query %d", m.Name(), est, i)
+			}
 		}
 	})
 }

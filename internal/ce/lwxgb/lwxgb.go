@@ -104,6 +104,12 @@ func (m *Model) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("lwxgb: decoding model: %w", err)
 	}
+	if st.Enc == nil || st.Ens == nil {
+		return fmt.Errorf("lwxgb: model state lacks its encoder or ensemble")
+	}
+	if err := st.Ens.CheckDim(st.Enc.Dim()); err != nil {
+		return fmt.Errorf("lwxgb: %w", err)
+	}
 	m.cfg, m.enc, m.ens = st.Cfg, st.Enc, st.Ens
 	return nil
 }

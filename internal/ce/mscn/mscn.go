@@ -77,7 +77,9 @@ func (m *Model) setElements(q *workload.Query) (tables, joins, preds *nn.Tensor)
 	tRows := make([][]float64, 0, len(q.Tables))
 	for _, ti := range q.Tables {
 		row := make([]float64, m.tDim)
-		row[ti] = 1
+		if ti >= 0 && ti < m.tDim { // a table the model lacks marks nothing
+			row[ti] = 1
+		}
 		tRows = append(tRows, row)
 	}
 	tables = nn.FromRows(tRows)

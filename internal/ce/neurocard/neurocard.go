@@ -57,6 +57,41 @@ func DefaultConfig() Config {
 	return Config{MaxBins: 12, Hidden: 40, Epochs: 6, Batch: 32, LR: 5e-3, Samples: 48, Seed: 4}
 }
 
+// MaxSamples bounds the sampling paths a decoded model may ask for. Each
+// ProgressiveSample call sizes its scratch at about Samples × (2·hidden +
+// 2·bins) values and draws up to Samples numbers per column, so a corrupt
+// count would cost every estimate that much memory and time; the registry
+// configurations use 24 or 48.
+const MaxSamples = 1 << 12
+
+// CheckSamples reports an error unless a model may sample n paths per
+// query: with none, an estimate would be 0/0.
+func CheckSamples(n int) error {
+	if n < 1 || n > MaxSamples {
+		return fmt.Errorf("%d sampling paths per query, want 1 to %d", n, MaxSamples)
+	}
+	return nil
+}
+
+// CheckParts reports an error unless the parts of a decoded, trained
+// sampling model are present and fit together (ce.CheckDataParts), and
+// the network has one block per binned column with that column's bin
+// count. UAE shares it.
+func CheckParts(bounds *ce.ColBounds, binner *ce.Binner, slots map[[2]int]int, sizes *ce.SubsetSizes, made *Made) error {
+	if err := ce.CheckDataParts(bounds, binner, slots, sizes); err != nil {
+		return err
+	}
+	if made == nil || len(binner.Edges) != len(made.Bins) {
+		return fmt.Errorf("%d binned columns lack a network with a block each", len(binner.Edges))
+	}
+	for j, b := range made.Bins {
+		if binner.NumBins(j) != b {
+			return fmt.Errorf("column %d has %d bins, its network block %d", j, binner.NumBins(j), b)
+		}
+	}
+	return nil
+}
+
 // Made is a two-layer MADE network over concatenated one-hot column
 // blocks; exported for reuse by the UAE hybrid estimator.
 type Made struct {
@@ -332,10 +367,17 @@ type sampler struct {
 
 // pathScratch is the working memory of one ProgressiveSample call, taken
 // from the Made's pool and grown to the largest request it has served.
+// Paths that have drawn the same bins so far form a prefix group: they
+// share one pre-activation vector and one accumulated probability, so a
+// group's column distribution, range mass and next pre-activation are
+// computed once for all of its paths.
 type pathScratch struct {
-	pre   []float64 // paths×hidden pre-activation accumulators
-	dist  []float64 // per-column distribution scratch (max bins)
-	pathP []float64 // paths accumulated probabilities (0 = dead path)
+	pre   [2][]float64 // groups×hidden pre-activations: this column's, the next column's
+	prob  [2][]float64 // per group: its paths' accumulated probability (0 = dead)
+	dist  []float64    // groups×maxBins: each group's column distribution
+	mass  []float64    // per group: its mass in this column (0: its paths draw nothing)
+	child []int32      // groups×maxBins: (group, bin) → next column's group, -1 if none yet
+	group []int32      // per path: its group (-1 = dead path)
 }
 
 // newSampler snapshots the trained network for inference.
@@ -367,12 +409,15 @@ func (m *Made) newSampler() *sampler {
 
 // grow sizes the scratch for paths sampling paths of sampler s.
 func (sc *pathScratch) grow(s *sampler, paths int) {
-	if len(sc.pathP) < paths || len(sc.pre) < paths*s.hidden {
-		sc.pre = make([]float64, paths*s.hidden)
-		sc.pathP = make([]float64, paths)
-	}
-	if len(sc.dist) < s.maxBins {
-		sc.dist = make([]float64, s.maxBins)
+	if len(sc.group) < paths || len(sc.pre[0]) < paths*s.hidden || len(sc.dist) < paths*s.maxBins {
+		for i := range sc.pre {
+			sc.pre[i] = make([]float64, paths*s.hidden)
+			sc.prob[i] = make([]float64, paths)
+		}
+		sc.dist = make([]float64, paths*s.maxBins)
+		sc.mass = make([]float64, paths)
+		sc.child = make([]int32, paths*s.maxBins)
+		sc.group = make([]int32, paths)
 	}
 }
 
@@ -415,6 +460,12 @@ func (s *sampler) columnDist(pre, dist []float64, c int) []float64 {
 // paths advance through the columns together on the Made's sampler, with
 // path state in scratch from the Made's pool, so concurrent calls are
 // safe.
+//
+// Paths that have drawn the same bins so far form a prefix group (all of
+// column 0 is one), and each group's distribution, mass and next
+// pre-activation are computed once. Paths still draw from rng one by one,
+// in path order, so the estimate and rng's final state are those of
+// sampling every path on its own.
 func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *SplitMix64) float64 {
 	lastQueried := -1
 	for c := range ranges {
@@ -432,42 +483,69 @@ func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *Spli
 	}
 	defer made.scratch.Put(sc)
 	sc.grow(sp, samples)
+	h, mb := sp.hidden, sp.maxBins
+	cur := 0
+	copy(sc.pre[cur][:h], made.B1.V)
+	sc.prob[cur][0] = 1
+	groups := 1
 	for p := 0; p < samples; p++ {
-		copy(sc.pre[p*sp.hidden:(p+1)*sp.hidden], made.B1.V)
-		sc.pathP[p] = 1
+		sc.group[p] = 0
 	}
 	for c := 0; c <= lastQueried; c++ {
 		r, queried := ranges[c]
-		for p := 0; p < samples; p++ {
-			if sc.pathP[p] == 0 {
-				continue // dead path: a queried range had zero mass
+		pre, prob := sc.pre[cur], sc.prob[cur]
+		for g := 0; g < groups; g++ {
+			sc.mass[g] = 0
+			if prob[g] == 0 {
+				continue // dead group: a queried range had zero mass
 			}
-			pre := sc.pre[p*sp.hidden : (p+1)*sp.hidden]
-			dist := sp.columnDist(pre, sc.dist, c)
-			var mass float64
+			dist := sp.columnDist(pre[g*h:(g+1)*h], sc.dist[g*mb:(g+1)*mb], c)
+			mass := 1.0
 			if queried {
+				mass = 0
 				for b := r[0]; b <= r[1] && b < len(dist); b++ {
 					mass += dist[b]
 				}
 				if mass <= 0 {
-					sc.pathP[p] = 0
+					prob[g] = 0
 					continue
 				}
-				sc.pathP[p] *= mass
-			} else {
-				mass = 1
+				prob[g] *= mass
 			}
-			// Sample a bin from the (restricted) distribution.
-			u := rng.Float64() * mass
+			sc.mass[g] = mass
+		}
+		// The last queried column's draws only advance the stream: nothing
+		// conditions on them.
+		last := c == lastQueried
+		nb := made.Bins[c]
+		loB, hiB := 0, nb-1
+		if queried {
+			loB, hiB = r[0], min(r[1], nb-1)
+		}
+		next := 1 - cur
+		if !last {
+			for i := range sc.child[:groups*mb] {
+				sc.child[i] = -1
+			}
+		}
+		ng := int32(0)
+		for p := 0; p < samples; p++ {
+			g := sc.group[p]
+			if g < 0 {
+				continue
+			}
+			if sc.mass[g] == 0 {
+				sc.group[p] = -1
+				continue
+			}
+			// Sample a bin from the group's (restricted) distribution.
+			u := rng.Float64() * sc.mass[g]
+			if last {
+				continue
+			}
+			dist := sc.dist[int(g)*mb:][:nb]
 			var acc float64
 			pick := -1
-			loB, hiB := 0, len(dist)-1
-			if queried {
-				loB, hiB = r[0], r[1]
-				if hiB >= len(dist) {
-					hiB = len(dist) - 1
-				}
-			}
 			for b := loB; b <= hiB; b++ {
 				acc += dist[b]
 				if acc >= u {
@@ -478,16 +556,31 @@ func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *Spli
 			if pick == -1 {
 				pick = hiB
 			}
-			// Observe: condition the path on column c taking bin pick.
-			wrow := sp.w1m[(made.Offsets[c]+pick)*sp.hidden:][:sp.hidden]
-			for i, v := range wrow {
-				pre[i] += v
+			// Observe: the path joins the group that conditions on column c
+			// taking bin pick, made on the first path to draw it.
+			slot := &sc.child[int(g)*mb+pick]
+			if *slot < 0 {
+				*slot = ng
+				parent := pre[int(g)*h:][:h]
+				child := sc.pre[next][int(ng)*h:][:h]
+				wrow := sp.w1m[(made.Offsets[c]+pick)*h:][:h]
+				for i, v := range wrow {
+					child[i] = parent[i] + v
+				}
+				sc.prob[next][ng] = prob[g]
+				ng++
 			}
+			sc.group[p] = *slot
+		}
+		if !last {
+			cur, groups = next, int(ng)
 		}
 	}
 	var total float64
 	for p := 0; p < samples; p++ {
-		total += sc.pathP[p]
+		if g := sc.group[p]; g >= 0 {
+			total += sc.prob[cur][g]
+		}
 	}
 	return total / float64(samples)
 }
@@ -507,10 +600,7 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 		p *= m.bounds.UniformSel(pr)
 	}
 	est := p * float64(m.sizes.Size(q.Tables))
-	if est < 1 {
-		return 1
-	}
-	return est
+	return workload.ClampCard(est)
 }
 
 // EstimateBatch implements ce.Estimator in parallel: each query draws its
@@ -548,9 +638,21 @@ func (m *Model) GobEncode() ([]byte, error) {
 
 // GobDecode implements gob.GobDecoder (ce.Persistable).
 func (m *Model) GobDecode(data []byte) error {
+	// The state holds maps (Slots, Sizes.Sizes): check their counts first.
+	if err := ce.CheckGobCounts(data, &struct{ Degenerate bool }{}); err != nil {
+		return fmt.Errorf("neurocard: %w", err)
+	}
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("neurocard: decoding model: %w", err)
+	}
+	if err := CheckSamples(st.Cfg.Samples); err != nil {
+		return fmt.Errorf("neurocard: %w", err)
+	}
+	if !st.Degenerate {
+		if err := CheckParts(st.Bounds, st.Binner, st.Slots, st.Sizes, st.Made); err != nil {
+			return fmt.Errorf("neurocard: %w", err)
+		}
 	}
 	m.cfg, m.bounds, m.binner, m.slots = st.Cfg, st.Bounds, st.Binner, st.Slots
 	m.sizes, m.made, m.degenerate = st.Sizes, st.Made, st.Degenerate

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/nn"
@@ -218,6 +219,205 @@ func TestQueryStreamCanonical(t *testing.T) {
 	} {
 		if s == base {
 			t.Fatalf("a different query or seed drew the same stream %d", s)
+		}
+	}
+}
+
+// refProgressiveSample is the per-path progressive sampler that prefix
+// groups replaced, kept as the reference for
+// TestProgressiveSampleMatchesPerPath: every path computes its own column
+// distribution and pre-activation.
+func refProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *SplitMix64) float64 {
+	lastQueried := -1
+	for c := range ranges {
+		if c > lastQueried {
+			lastQueried = c
+		}
+	}
+	if lastQueried == -1 {
+		return 1
+	}
+	sp := made.inf
+	pres := make([]float64, samples*sp.hidden)
+	pathP := make([]float64, samples)
+	scratch := make([]float64, sp.maxBins)
+	for p := 0; p < samples; p++ {
+		copy(pres[p*sp.hidden:(p+1)*sp.hidden], made.B1.V)
+		pathP[p] = 1
+	}
+	for c := 0; c <= lastQueried; c++ {
+		r, queried := ranges[c]
+		for p := 0; p < samples; p++ {
+			if pathP[p] == 0 {
+				continue
+			}
+			pre := pres[p*sp.hidden : (p+1)*sp.hidden]
+			dist := sp.columnDist(pre, scratch, c)
+			var mass float64
+			if queried {
+				for b := r[0]; b <= r[1] && b < len(dist); b++ {
+					mass += dist[b]
+				}
+				if mass <= 0 {
+					pathP[p] = 0
+					continue
+				}
+				pathP[p] *= mass
+			} else {
+				mass = 1
+			}
+			u := rng.Float64() * mass
+			var acc float64
+			pick := -1
+			loB, hiB := 0, len(dist)-1
+			if queried {
+				loB, hiB = r[0], r[1]
+				if hiB >= len(dist) {
+					hiB = len(dist) - 1
+				}
+			}
+			for b := loB; b <= hiB; b++ {
+				acc += dist[b]
+				if acc >= u {
+					pick = b
+					break
+				}
+			}
+			if pick == -1 {
+				pick = hiB
+			}
+			wrow := sp.w1m[(made.Offsets[c]+pick)*sp.hidden:][:sp.hidden]
+			for i, v := range wrow {
+				pre[i] += v
+			}
+		}
+	}
+	var total float64
+	for p := 0; p < samples; p++ {
+		total += pathP[p]
+	}
+	return total / float64(samples)
+}
+
+// TestProgressiveSampleMatchesPerPath: the prefix-group sampler returns
+// the per-path reference's estimate bit for bit and leaves the stream in
+// the same state, on random networks (some with weights sharp enough that
+// ranges lose all mass on some paths only, or that a path's probability
+// underflows to zero), random and empty ranges, and path counts from 1
+// to 96.
+func TestProgressiveSampleMatchesPerPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 1200; trial++ {
+		ncols := 1 + rng.Intn(5)
+		bins := make([]int, ncols)
+		for c := range bins {
+			bins[c] = 1 + rng.Intn(7)
+		}
+		m := NewMade(rng, bins, 1+rng.Intn(24))
+		scale := []float64{1, 4, 40, 400}[trial%4]
+		for _, p := range m.Params() {
+			for i := range p.V {
+				p.V[i] = rng.NormFloat64() * scale
+			}
+		}
+		m.inf = m.newSampler()
+		for q := 0; q < 5; q++ {
+			ranges := map[int][2]int{}
+			for c, nb := range bins {
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				lo := rng.Intn(nb + 1)
+				hi := lo + rng.Intn(nb+1) - 1 // hi < lo: an empty range
+				ranges[c] = [2]int{lo, hi}
+			}
+			samples := 1 + rng.Intn(96)
+			seed := SplitMix64(rng.Uint64())
+			got, want := seed, seed
+			pg := ProgressiveSample(m, ranges, samples, &got)
+			pw := refProgressiveSample(m, ranges, samples, &want)
+			if math.Float64bits(pg) != math.Float64bits(pw) || got != want {
+				t.Fatalf("trial %d: bins %v ranges %v samples %d: got %v (stream %d), per-path %v (stream %d)",
+					trial, bins, ranges, samples, pg, got, pw, want)
+			}
+		}
+	}
+}
+
+// withMapCount returns the gob stream data with the entry count of the
+// one-entry map {[1 2]: 3} in its last message rewritten to count, and
+// that message's length prefix re-encoded to match.
+func withMapCount(t *testing.T, data []byte, count uint32) []byte {
+	t.Helper()
+	readUint := func(b []byte) (v uint64, n int) {
+		if b[0] < 0x80 {
+			return uint64(b[0]), 1
+		}
+		n = int(-int8(b[0]))
+		for _, c := range b[1 : 1+n] {
+			v = v<<8 | uint64(c)
+		}
+		return v, 1 + n
+	}
+	var msgs [][]byte
+	for rest := data; len(rest) > 0; {
+		l, n := readUint(rest)
+		msgs = append(msgs, rest[n:n+int(l)])
+		rest = rest[n+int(l):]
+	}
+	last := msgs[len(msgs)-1]
+	entry := []byte{0x01, 0x02, 0x02, 0x04, 0x06} // count 1; key [2]int{1, 2}; value 3
+	i := bytes.Index(last, entry)
+	if i < 0 {
+		t.Fatal("map entry not found in the gob stream")
+	}
+	big := []byte{0xfc, byte(count >> 24), byte(count >> 16), byte(count >> 8), byte(count)}
+	patched := append(append(append([]byte(nil), last[:i]...), big...), last[i+1:]...)
+	var out []byte
+	for _, m := range msgs[:len(msgs)-1] {
+		out = append(out, byte(len(m)))
+		out = append(out, m...)
+	}
+	if len(patched) >= 0x80 {
+		t.Fatal("patched message too long for a one-byte length")
+	}
+	return append(append(out, byte(len(patched))), patched...)
+}
+
+// TestGobDecodeChecksMapCountsFirst: encoding/gob pre-sizes a decoded map
+// from its entry count, so a state whose Slots count is corrupt to four
+// billion must be rejected before the real decode allocates for it.
+func TestGobDecodeChecksMapCountsFirst(t *testing.T) {
+	var buf bytes.Buffer
+	st := struct {
+		Slots      map[[2]int]int
+		Degenerate bool
+	}{Slots: map[[2]int]int{{1, 2}: 3}, Degenerate: true}
+	if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+		t.Fatal(err)
+	}
+	err := new(Model).GobDecode(withMapCount(t, buf.Bytes(), 1))
+	if err == nil || !strings.Contains(err.Error(), "sampling paths") {
+		t.Fatalf("the unpatched state should fail only its sample-count check, got %v", err)
+	}
+	err = new(Model).GobDecode(withMapCount(t, buf.Bytes(), 0xfa3e0231))
+	if err == nil || !strings.Contains(err.Error(), "does not decode") {
+		t.Fatalf("a corrupt map count decoded to %v", err)
+	}
+}
+
+// TestGobDecodeRejectsSampleCounts: a persisted model must sample between
+// 1 and MaxSamples paths; with 0 every estimate would be 0/0.
+func TestGobDecodeRejectsSampleCounts(t *testing.T) {
+	for _, n := range []int{-1, 0, MaxSamples + 1} {
+		m := New(DefaultConfig())
+		m.cfg.Samples, m.degenerate = n, true
+		data, err := m.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Model).GobDecode(data); err == nil {
+			t.Errorf("Samples = %d decoded without error", n)
 		}
 	}
 }

@@ -78,6 +78,20 @@ func SaveModelSchema(w io.Writer, m Model, schema string) error {
 	return nil
 }
 
+// CheckGobCounts decodes a model's gob state data once into shadow, a
+// struct naming one cheap field of that state, ahead of the real decode.
+// gob skips every field the shadow lacks without allocating for it, so a
+// map whose entry count outruns the remaining bytes fails here. The real
+// decode pre-sizes each map from that count (encoding/gob's decodeMap),
+// so a corrupt count would otherwise allocate gigabytes before any check
+// of the decoded state could run.
+func CheckGobCounts(data []byte, shadow any) error {
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(shadow); err != nil {
+		return fmt.Errorf("ce: model state does not decode: %w", err)
+	}
+	return nil
+}
+
 // LoadModel reads an artifact written by SaveModel, constructing the model
 // through the registry and restoring its state.
 func LoadModel(r io.Reader) (Model, error) {

@@ -146,27 +146,34 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	_ = resilience.Failpoint("ce.pglike.estimate")
 	card := 1.0
 	for _, ti := range q.Tables {
-		card *= float64(m.rows[ti])
+		if ti >= 0 && ti < len(m.rows) {
+			card *= float64(m.rows[ti])
+		}
 	}
 	for _, p := range q.Preds {
-		card *= m.hists[p.Table][p.Col].Selectivity(p.Lo, p.Hi)
+		if h := m.hist(p.Table, p.Col); h != nil {
+			card *= h.Selectivity(p.Lo, p.Hi)
+		}
 	}
 	for _, j := range q.Joins {
-		l := m.hists[j.LeftTable][j.LeftCol].NDV
-		r := m.hists[j.RightTable][j.RightCol].NDV
-		maxNDV := l
-		if r > maxNDV {
-			maxNDV = r
-		}
-		if maxNDV < 1 {
-			maxNDV = 1
+		maxNDV := 1
+		for _, h := range []*Histogram{m.hist(j.LeftTable, j.LeftCol), m.hist(j.RightTable, j.RightCol)} {
+			if h != nil {
+				maxNDV = max(maxNDV, h.NDV)
+			}
 		}
 		card /= float64(maxNDV)
 	}
-	if card < 1 {
-		return 1
+	return workload.ClampCard(card)
+}
+
+// hist returns the histogram of column (t, c), or nil for a column the
+// model holds none for, which then constrains nothing.
+func (m *Model) hist(t, c int) *Histogram {
+	if t < 0 || t >= len(m.hists) || c < 0 || c >= len(m.hists[t]) {
+		return nil
 	}
-	return card
+	return m.hists[t][c]
 }
 
 // EstimateBatch implements ce.Estimator with the shared parallel fan-out.
@@ -196,6 +203,14 @@ func (m *Model) GobDecode(data []byte) error {
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("pglike: decoding model: %w", err)
+	}
+	if len(st.Rows) != len(st.Hists) {
+		return fmt.Errorf("pglike: %d table row counts for %d tables of histograms", len(st.Rows), len(st.Hists))
+	}
+	for t, hs := range st.Hists {
+		if slices.Contains(hs, nil) {
+			return fmt.Errorf("pglike: table %d lacks a column histogram", t)
+		}
 	}
 	m.rows, m.hists, m.Buckets = st.Rows, st.Hists, st.Buckets
 	return nil

@@ -114,3 +114,18 @@ func TestEstimateJoinFormula(t *testing.T) {
 		t.Fatalf("true join size %d, want 500", truth)
 	}
 }
+
+// TestColumnsWithoutHistogramConstrainNothing: a query naming a table or
+// column the model holds no statistics for (a model decoded for another
+// dataset) still gets a finite estimate, that column adding no factor.
+func TestColumnsWithoutHistogramConstrainNothing(t *testing.T) {
+	m := &Model{rows: []int64{100}, hists: [][]*Histogram{{NewHistogram([]int64{1, 2, 3, 4}, 4)}}}
+	q := &workload.Query{Query: engine.Query{
+		Tables: []int{0, 3},
+		Preds:  []engine.Predicate{{Table: 0, Col: 7, Lo: 1, Hi: 2}, {Table: 3, Col: 0, Lo: 1, Hi: 2}},
+		Joins:  []engine.Join{{LeftTable: 0, LeftCol: 0, RightTable: 3, RightCol: 1}},
+	}}
+	if got := m.Estimate(q); got != 25 {
+		t.Fatalf("estimate %v, want 100 rows / NDV 4 = 25", got)
+	}
+}

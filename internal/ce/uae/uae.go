@@ -101,10 +101,7 @@ func (m *Model) arEstimate(q *workload.Query) float64 {
 		p *= m.bounds.UniformSel(pr)
 	}
 	est := p * float64(m.sizes.Size(q.Tables))
-	if est < 1 {
-		return 1
-	}
-	return est
+	return workload.ClampCard(est)
 }
 
 // Fit implements ce.Model (hybrid: consumes Dataset, Sample, Queries, and
@@ -202,10 +199,7 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 		r = -4
 	}
 	est := ar * math.Exp(r)
-	if est < 1 {
-		return 1
-	}
-	return est
+	return workload.ClampCard(est)
 }
 
 // EstimateBatch implements ce.Estimator in parallel: each query draws its
@@ -244,9 +238,21 @@ func (m *Model) GobEncode() ([]byte, error) {
 
 // GobDecode implements gob.GobDecoder (ce.Persistable).
 func (m *Model) GobDecode(data []byte) error {
+	// The state holds maps (Slots, Sizes.Sizes): check their counts first.
+	if err := ce.CheckGobCounts(data, &struct{ Degenerate bool }{}); err != nil {
+		return fmt.Errorf("uae: %w", err)
+	}
 	var st modelState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("uae: decoding model: %w", err)
+	}
+	if err := neurocard.CheckSamples(st.Cfg.Samples); err != nil {
+		return fmt.Errorf("uae: %w", err)
+	}
+	if !st.Degenerate {
+		if err := neurocard.CheckParts(st.Bounds, st.Binner, st.Slots, st.Sizes, st.Made); err != nil {
+			return fmt.Errorf("uae: %w", err)
+		}
 	}
 	if st.Corr != nil {
 		if st.Enc == nil {

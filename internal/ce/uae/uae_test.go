@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"repro/internal/ce"
+	"repro/internal/ce/neurocard"
 	"testing"
 
 	"repro/internal/datagen"
@@ -84,5 +85,21 @@ func TestDegenerateSample(t *testing.T) {
 	q := &workload.Query{Query: engine.Query{Tables: []int{0}}}
 	if got := m.Estimate(q); got != 1 {
 		t.Fatalf("degenerate estimate %g", got)
+	}
+}
+
+// TestGobDecodeRejectsSampleCounts: a persisted model must sample between
+// 1 and neurocard.MaxSamples paths; with 0 every estimate would be 0/0.
+func TestGobDecodeRejectsSampleCounts(t *testing.T) {
+	for _, n := range []int{-1, 0, neurocard.MaxSamples + 1} {
+		m := New(DefaultConfig())
+		m.cfg.Samples, m.degenerate = n, true
+		data, err := m.GobEncode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Model).GobDecode(data); err == nil {
+			t.Errorf("Samples = %d decoded without error", n)
+		}
 	}
 }

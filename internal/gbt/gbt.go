@@ -7,9 +7,17 @@
 // round fits a depth-bounded regression tree to the negative gradient
 // (residuals under squared loss), with greedy variance-reduction splits and
 // shrinkage. Only the stdlib is used.
+//
+// Split search follows XGBoost's exact greedy algorithm over a presorted
+// column block (Chen & Guestrin, "XGBoost", KDD 2016): Train sorts each
+// feature's rows once, by (value, row index), and every split stably
+// partitions its parent's per-feature lists, so no node sorts. A node's
+// row-ascending list is partitioned alongside, and leaf means and split
+// totals add their targets in that order.
 package gbt
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -105,16 +113,12 @@ func Train(xs [][]float64, ys []float64, cfg Config) (*Ensemble, error) {
 	for i := range pred {
 		pred[i] = base
 	}
-	residual := make([]float64, len(ys))
-	idx := make([]int, len(ys))
-	for i := range idx {
-		idx[i] = i
-	}
+	g := newGrower(xs, cfg)
 	for r := 0; r < cfg.Rounds; r++ {
 		for i := range ys {
-			residual[i] = ys[i] - pred[i]
+			g.target[i] = ys[i] - pred[i]
 		}
-		t := fitTree(xs, residual, idx, cfg)
+		t := g.fitTree()
 		e.Trees = append(e.Trees, t)
 		for i := range ys {
 			pred[i] += cfg.LearningRate * t.Predict(xs[i])
@@ -123,89 +127,164 @@ func Train(xs [][]float64, ys []float64, cfg Config) (*Ensemble, error) {
 	return e, nil
 }
 
-// fitTree greedily grows one variance-reducing regression tree over the
-// sample indexes idx.
-func fitTree(xs [][]float64, target []float64, idx []int, cfg Config) *Tree {
-	t := &Tree{}
-	var grow func(samples []int, depth int) int
-	grow = func(samples []int, depth int) int {
-		mean := meanAt(target, samples)
-		self := len(t.nodes)
-		t.nodes = append(t.nodes, node{leaf: true, value: mean})
-		if depth >= cfg.MaxDepth || len(samples) < 2*cfg.MinLeaf {
-			return self
-		}
-		feat, thr, gain := bestSplit(xs, target, samples, cfg)
-		if gain <= 1e-12 {
-			return self
-		}
-		var left, right []int
-		for _, s := range samples {
-			if xs[s][feat] <= thr {
-				left = append(left, s)
-			} else {
-				right = append(right, s)
-			}
-		}
-		if len(left) < cfg.MinLeaf || len(right) < cfg.MinLeaf {
-			return self
-		}
-		li := grow(left, depth+1)
-		ri := grow(right, depth+1)
-		t.nodes[self] = node{feature: feat, threshold: thr, left: li, right: ri}
-		return self
-	}
-	grow(idx, 0)
-	return t
+// grower holds one Train call's column block and every buffer its trees
+// grow in, allocated once. A node owns the same segment [lo, hi) of rows
+// and of each feature's list in work; splitting it partitions each of
+// those segments stably into the left rows, then the right rows.
+type grower struct {
+	cfg    Config
+	n, nf  int
+	cols   []float64 // nf×n: cols[f*n+r] is row r's value of feature f
+	order  []int32   // nf×n: each feature's rows sorted once by (value, row)
+	work   []int32   // nf×n: this tree's copy of order, partitioned by its nodes
+	rows   []int32   // this tree's rows, ascending within every node's segment
+	tmp    []int32   // partition scratch
+	left   []bool    // per row: whether it goes left at the node being split
+	target []float64 // per row: the residual this tree fits
+	nodes  []node    // this tree's nodes while it grows
 }
 
-// bestSplit scans features for the threshold with maximal SSE reduction.
-func bestSplit(xs [][]float64, target []float64, samples []int, cfg Config) (feat int, thr float64, gain float64) {
-	nf := len(xs[samples[0]])
-	total, totalSq := sums(target, samples)
-	n := float64(len(samples))
+func newGrower(xs [][]float64, cfg Config) *grower {
+	n, nf := len(xs), len(xs[0])
+	g := &grower{
+		cfg: cfg, n: n, nf: nf,
+		cols:   make([]float64, nf*n),
+		order:  make([]int32, nf*n),
+		work:   make([]int32, nf*n),
+		rows:   make([]int32, n),
+		tmp:    make([]int32, n),
+		left:   make([]bool, n),
+		target: make([]float64, n),
+	}
+	for f := 0; f < nf; f++ {
+		col := g.cols[f*n : (f+1)*n]
+		for r, x := range xs {
+			col[r] = x[f]
+		}
+		list := g.order[f*n : (f+1)*n]
+		for r := range list {
+			list[r] = int32(r)
+		}
+		slices.SortFunc(list, func(a, b int32) int {
+			if c := cmp.Compare(col[a], col[b]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		})
+	}
+	return g
+}
+
+// fitTree greedily grows one variance-reducing regression tree over all
+// rows, fitting g.target.
+func (g *grower) fitTree() *Tree {
+	copy(g.work, g.order)
+	for r := range g.rows {
+		g.rows[r] = int32(r)
+	}
+	g.nodes = g.nodes[:0]
+	g.grow(0, g.n, 0)
+	return &Tree{nodes: slices.Clone(g.nodes)}
+}
+
+// grow appends the subtree over the rows of segment [lo, hi) and returns
+// its root's index. Children are always appended after their parent.
+func (g *grower) grow(lo, hi, depth int) int {
+	samples := g.rows[lo:hi]
+	mean := meanAt(g.target, samples)
+	self := len(g.nodes)
+	g.nodes = append(g.nodes, node{leaf: true, value: mean})
+	if depth >= g.cfg.MaxDepth || len(samples) < 2*g.cfg.MinLeaf {
+		return self
+	}
+	feat, thr, gain := g.bestSplit(lo, hi)
+	if gain <= 1e-12 {
+		return self
+	}
+	col := g.cols[feat*g.n : (feat+1)*g.n]
+	nl := 0
+	for _, r := range samples {
+		g.left[r] = col[r] <= thr
+		if g.left[r] {
+			nl++
+		}
+	}
+	if nl < g.cfg.MinLeaf || len(samples)-nl < g.cfg.MinLeaf {
+		return self
+	}
+	g.partition(samples)
+	for f := 0; f < g.nf; f++ {
+		g.partition(g.work[f*g.n+lo : f*g.n+hi])
+	}
+	li := g.grow(lo, lo+nl, depth+1)
+	ri := g.grow(lo+nl, hi, depth+1)
+	g.nodes[self] = node{feature: feat, threshold: thr, left: li, right: ri}
+	return self
+}
+
+// partition stably reorders list so that the rows marked left come first.
+func (g *grower) partition(list []int32) {
+	nl, nr := 0, 0
+	for _, r := range list {
+		if g.left[r] {
+			list[nl] = r
+			nl++
+		} else {
+			g.tmp[nr] = r
+			nr++
+		}
+	}
+	copy(list[nl:], g.tmp[:nr])
+}
+
+// bestSplit scans features for the threshold with maximal SSE reduction
+// over the rows of segment [lo, hi), reading each feature's rows in
+// (value, row) order from its presorted list.
+func (g *grower) bestSplit(lo, hi int) (feat int, thr float64, gain float64) {
+	target := g.target
+	total, totalSq := sums(target, g.rows[lo:hi])
+	m := hi - lo
+	n := float64(m)
 	baseSSE := totalSq - total*total/n
 
+	// Candidate cut positions: every value change, optionally thinned to
+	// MaxBins quantiles.
+	stride := 1
+	if g.cfg.MaxBins > 0 && m > g.cfg.MaxBins {
+		stride = m / g.cfg.MaxBins
+	}
 	feat, gain = -1, 0
-	buf := make([]pair, 0, len(samples))
-	for f := 0; f < nf; f++ {
-		buf = buf[:0]
-		for _, s := range samples {
-			buf = append(buf, pair{xs[s][f], target[s]})
-		}
-		slices.SortFunc(buf, byX)
-		if buf[0].x == buf[len(buf)-1].x {
+	for f := 0; f < g.nf; f++ {
+		col := g.cols[f*g.n : (f+1)*g.n]
+		list := g.work[f*g.n+lo : f*g.n+hi]
+		if col[list[0]] == col[list[m-1]] {
 			continue
-		}
-		// Candidate cut positions: every value change, optionally thinned
-		// to MaxBins quantiles.
-		stride := 1
-		if cfg.MaxBins > 0 && len(buf) > cfg.MaxBins {
-			stride = len(buf) / cfg.MaxBins
 		}
 		var lSum, lSq float64
 		lCnt := 0
-		for i := 0; i+1 < len(buf); i++ {
-			lSum += buf[i].y
-			lSq += buf[i].y * buf[i].y
+		for i := 0; i+1 < m; i++ {
+			y := target[list[i]]
+			lSum += y
+			lSq += y * y
 			lCnt++
-			if buf[i].x == buf[i+1].x {
+			x, next := col[list[i]], col[list[i+1]]
+			if x == next {
 				continue
 			}
 			if stride > 1 && i%stride != 0 {
 				continue
 			}
-			if lCnt < cfg.MinLeaf || len(buf)-lCnt < cfg.MinLeaf {
+			if lCnt < g.cfg.MinLeaf || m-lCnt < g.cfg.MinLeaf {
 				continue
 			}
 			rSum := total - lSum
 			rSq := totalSq - lSq
-			rCnt := float64(len(buf) - lCnt)
+			rCnt := float64(m - lCnt)
 			sse := (lSq - lSum*lSum/float64(lCnt)) + (rSq - rSum*rSum/rCnt)
-			if g := baseSSE - sse; g > gain {
-				gain = g
+			if d := baseSSE - sse; d > gain {
+				gain = d
 				feat = f
-				thr = (buf[i].x + buf[i+1].x) / 2
+				thr = (x + next) / 2
 			}
 		}
 	}
@@ -215,24 +294,7 @@ func bestSplit(xs [][]float64, target []float64, samples []int, cfg Config) (fea
 	return feat, thr, gain
 }
 
-// pair is one sample's (feature value, target) during split search.
-type pair struct{ x, y float64 }
-
-// byX orders pairs by feature value without sort.Slice's reflection. It
-// is negative exactly when a.x < b.x, and slices.SortFunc runs the same
-// pdqsort as sort.Slice, so the two make the same swaps (ties included)
-// and the split sums do not change.
-func byX(a, b pair) int {
-	switch {
-	case a.x < b.x:
-		return -1
-	case a.x > b.x:
-		return 1
-	}
-	return 0
-}
-
-func meanAt(ys []float64, samples []int) float64 {
+func meanAt(ys []float64, samples []int32) float64 {
 	if len(samples) == 0 {
 		return 0
 	}
@@ -243,7 +305,7 @@ func meanAt(ys []float64, samples []int) float64 {
 	return s / float64(len(samples))
 }
 
-func sums(ys []float64, samples []int) (sum, sumSq float64) {
+func sums(ys []float64, samples []int32) (sum, sumSq float64) {
 	for _, i := range samples {
 		sum += ys[i]
 		sumSq += ys[i] * ys[i]

@@ -38,14 +38,38 @@ func (t *Tree) GobDecode(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&nodes); err != nil {
 		return fmt.Errorf("gbt: decoding tree: %w", err)
 	}
+	if len(nodes) == 0 {
+		return fmt.Errorf("gbt: tree has no nodes")
+	}
 	t.nodes = make([]node, len(nodes))
 	for i, n := range nodes {
-		if !n.Leaf && (n.Left < 0 || n.Left >= len(nodes) || n.Right < 0 || n.Right >= len(nodes)) {
+		// Training appends children after their parent, so every
+		// descent index increases and Predict reaches a leaf.
+		if !n.Leaf && (n.Left <= i || n.Left >= len(nodes) || n.Right <= i || n.Right >= len(nodes)) {
 			return fmt.Errorf("gbt: tree node %d has children %d/%d of %d", i, n.Left, n.Right, len(nodes))
+		}
+		if !n.Leaf && n.Feature < 0 {
+			return fmt.Errorf("gbt: tree node %d splits on feature %d", i, n.Feature)
 		}
 		t.nodes[i] = node{
 			feature: n.Feature, threshold: n.Threshold,
 			left: n.Left, right: n.Right, leaf: n.Leaf, value: n.Value,
+		}
+	}
+	return nil
+}
+
+// CheckDim reports an error unless every split of the ensemble reads a
+// feature below dim, the length of the vectors Predict will be given.
+func (e *Ensemble) CheckDim(dim int) error {
+	for ti, t := range e.Trees {
+		if t == nil {
+			return fmt.Errorf("gbt: tree %d is missing", ti)
+		}
+		for i, n := range t.nodes {
+			if !n.leaf && n.feature >= dim {
+				return fmt.Errorf("gbt: tree %d node %d splits on feature %d of %d", ti, i, n.feature, dim)
+			}
 		}
 	}
 	return nil

@@ -69,7 +69,7 @@ func Affine(x, w, b *Tensor, act Activation) *Tensor {
 	m, k, n := x.R, x.C, w.C
 	out := Zeros(m, n)
 	out.fwd = func() {
-		matMulInto(out.V, x.V, w.V, m, k, n)
+		matMulInto(out.V, x.V, w.V, m, k, n, nil)
 		addBiasRows(out.V, b.V, m, n)
 		actInPlace(act, out.V)
 	}
@@ -84,11 +84,11 @@ func Affine(x, w, b *Tensor, act Activation) *Tensor {
 		}
 		if w.needsGrad() {
 			w.ensureGrad()
-			mulATBAccum(w.G, x.V, dpre, m, k, n) // dW += Xᵀ @ dPre
+			mulATBAccum(w.G, x.V, dpre, m, k, n, nil) // dW += Xᵀ @ dPre
 		}
 		if x.needsGrad() {
 			x.ensureGrad()
-			mulABTAccum(x.G, dpre, w.V, m, n, k) // dX += dPre @ Wᵀ
+			mulABTAccum(x.G, dpre, w.V, m, n, k, nil) // dX += dPre @ Wᵀ
 		}
 	}
 	return out
@@ -98,7 +98,9 @@ func Affine(x, w, b *Tensor, act Activation) *Tensor {
 // MADE's masked dense layer. The constant 0/1 mask has w's shape; the
 // masked weights are rematerialized into a scratch buffer on every forward
 // replay (w changes between steps), so gradients into masked positions are
-// zero by construction.
+// zero by construction. The forward, dW and dX products skip each weight
+// row's leading run of masked-out columns (see maskedFrom): in MADE's
+// output layer that run is about half of every row.
 func MaskedAffine(x, w, b *Tensor, mask []float64, act Activation) *Tensor {
 	if len(mask) != w.R*w.C {
 		panic(fmt.Sprintf("nn: MaskedAffine mask len %d for %dx%d", len(mask), w.R, w.C))
@@ -110,11 +112,15 @@ func MaskedAffine(x, w, b *Tensor, mask []float64, act Activation) *Tensor {
 		panic(fmt.Sprintf("nn: MaskedAffine bias %dx%d for width %d", b.R, b.C, w.C))
 	}
 	m, k, n := x.R, x.C, w.C
+	from := maskedFrom(mask, k, n)
 	wm := make([]float64, k*n)
 	out := Zeros(m, n)
 	out.fwd = func() {
-		maskMulInto(wm, w.V, mask)
-		matMulInto(out.V, x.V, wm, m, k, n)
+		// No product reads a row's skipped prefix, so it stays zero.
+		for r, f := range from {
+			maskMulInto(wm[r*n+f:(r+1)*n], w.V[r*n+f:(r+1)*n], mask[r*n+f:(r+1)*n])
+		}
+		matMulInto(out.V, x.V, wm, m, k, n, from)
 		addBiasRows(out.V, b.V, m, n)
 		actInPlace(act, out.V)
 	}
@@ -130,18 +136,20 @@ func MaskedAffine(x, w, b *Tensor, mask []float64, act Activation) *Tensor {
 		}
 		if w.needsGrad() {
 			w.ensureGrad()
-			for i := range dwm {
-				dwm[i] = 0
+			for r, f := range from {
+				clear(dwm[r*n+f : (r+1)*n])
 			}
-			mulATBAccum(dwm, x.V, dpre, m, k, n)
-			for i, g := range dwm {
-				w.G[i] += g * mask[i]
+			mulATBAccum(dwm, x.V, dpre, m, k, n, from)
+			for r, f := range from {
+				for i := r*n + f; i < (r+1)*n; i++ {
+					w.G[i] += dwm[i] * mask[i]
+				}
 			}
 		}
 		if x.needsGrad() {
 			x.ensureGrad()
 			// wm still holds w∘mask from the forward pass.
-			mulABTAccum(x.G, dpre, wm, m, n, k)
+			mulABTAccum(x.G, dpre, wm, m, n, k, from)
 		}
 	}
 	return out

@@ -12,10 +12,18 @@ package nn
 // MADE estimators and the GIN encoder feed one-hot or highly sparse rows,
 // where the skip removes most of the work. The inner loops run over
 // contiguous 4-way unrolled slices so the compiler keeps them in registers.
+//
+// Each kernel also takes from, nil or one entry per row of the weight
+// matrix (B in the first two shapes, dW in the third): weight row r is
+// read and written only from column from[r] on. A caller passes it only
+// where the weight row is zero before that column, so every skipped
+// product is exactly zero and adds nothing. Each from[r] is a multiple of
+// 4, so dot's four partial sums still see the same terms in the same
+// order, and the products keep every bit (for finite values).
 
 // matMulInto computes dst = a@b with a: m×k, b: k×n, dst: m×n,
 // overwriting dst.
-func matMulInto(dst, a, b []float64, m, k, n int) {
+func matMulInto(dst, a, b []float64, m, k, n int, from []int) {
 	for i := range dst[:m*n] {
 		dst[i] = 0
 	}
@@ -26,25 +34,27 @@ func matMulInto(dst, a, b []float64, m, k, n int) {
 			if av == 0 {
 				continue
 			}
-			axpy(orow, b[kk*n:(kk+1)*n], av)
+			f := rowFrom(from, kk)
+			axpy(orow[f:], b[kk*n+f:(kk+1)*n], av)
 		}
 	}
 }
 
 // mulABTAccum accumulates dst += a@bᵀ with a: m×n, b: k×n, dst: m×k.
-func mulABTAccum(dst, a, b []float64, m, n, k int) {
+func mulABTAccum(dst, a, b []float64, m, n, k int, from []int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*n : (i+1)*n]
 		drow := dst[i*k : (i+1)*k]
 		for j := 0; j < k; j++ {
-			drow[j] += dot(arow, b[j*n:(j+1)*n])
+			f := rowFrom(from, j)
+			drow[j] += dot(arow[f:], b[j*n+f:(j+1)*n])
 		}
 	}
 }
 
 // mulATBAccum accumulates dst += aᵀ@b with a: m×k, b: m×n, dst: k×n,
 // skipping zero elements of a.
-func mulATBAccum(dst, a, b []float64, m, k, n int) {
+func mulATBAccum(dst, a, b []float64, m, k, n int, from []int) {
 	for i := 0; i < m; i++ {
 		arow := a[i*k : (i+1)*k]
 		brow := b[i*n : (i+1)*n]
@@ -52,9 +62,34 @@ func mulATBAccum(dst, a, b []float64, m, k, n int) {
 			if av == 0 {
 				continue
 			}
-			axpy(dst[c*n:(c+1)*n], brow, av)
+			f := rowFrom(from, c)
+			axpy(dst[c*n+f:(c+1)*n], brow[f:], av)
 		}
 	}
+}
+
+// rowFrom returns the first column weight row r is read from.
+func rowFrom(from []int, r int) int {
+	if from == nil {
+		return 0
+	}
+	return from[r]
+}
+
+// maskedFrom returns, for each row of a k×n 0/1 mask, where the row's
+// leading run of zeros ends, rounded down to a multiple of 4: the from
+// argument of the kernels for weights multiplied by the mask.
+func maskedFrom(mask []float64, k, n int) []int {
+	from := make([]int, k)
+	for r := range from {
+		row := mask[r*n : (r+1)*n]
+		z := 0
+		for z < n && row[z] == 0 {
+			z++
+		}
+		from[r] = z &^ 3
+	}
+	return from
 }
 
 // axpy computes dst += s*x over equal-length slices.

@@ -79,7 +79,7 @@ func MaskedMatMul(a, w *Tensor, mask []float64) *Tensor {
 	out := Zeros(m, n)
 	out.fwd = func() {
 		maskMulInto(wm, w.V, mask)
-		matMulInto(out.V, a.V, wm, m, k, n)
+		matMulInto(out.V, a.V, wm, m, k, n, nil)
 	}
 	out.fwd()
 	out.prev = []*Tensor{a, w}
@@ -87,7 +87,7 @@ func MaskedMatMul(a, w *Tensor, mask []float64) *Tensor {
 	out.back = func() {
 		if a.needsGrad() {
 			a.ensureGrad()
-			mulABTAccum(a.G, out.G, wm, m, n, k)
+			mulABTAccum(a.G, out.G, wm, m, n, k, nil)
 		}
 		if w.needsGrad() {
 			w.ensureGrad()
@@ -98,7 +98,7 @@ func MaskedMatMul(a, w *Tensor, mask []float64) *Tensor {
 					dwm[i] = 0
 				}
 			}
-			mulATBAccum(dwm, a.V, out.G, m, k, n)
+			mulATBAccum(dwm, a.V, out.G, m, k, n, nil)
 			for i, g := range dwm {
 				w.G[i] += g * mask[i]
 			}

@@ -191,17 +191,17 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: MatMul %dx%d @ %dx%d", a.R, a.C, b.R, b.C))
 	}
 	out := Zeros(a.R, b.C)
-	out.fwd = func() { matMulInto(out.V, a.V, b.V, a.R, a.C, b.C) }
+	out.fwd = func() { matMulInto(out.V, a.V, b.V, a.R, a.C, b.C, nil) }
 	out.fwd()
 	out.prev = []*Tensor{a, b}
 	out.back = func() {
 		if a.needsGrad() {
 			a.ensureGrad()
-			mulABTAccum(a.G, out.G, b.V, a.R, b.C, a.C) // dA += dOut @ Bᵀ
+			mulABTAccum(a.G, out.G, b.V, a.R, b.C, a.C, nil) // dA += dOut @ Bᵀ
 		}
 		if b.needsGrad() {
 			b.ensureGrad()
-			mulATBAccum(b.G, a.V, out.G, a.R, a.C, b.C) // dB += Aᵀ @ dOut
+			mulATBAccum(b.G, a.V, out.G, a.R, a.C, b.C, nil) // dB += Aᵀ @ dOut
 		}
 	}
 	return out

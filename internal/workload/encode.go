@@ -70,7 +70,9 @@ func (e *Encoder) PredDim() int  { return 3 * len(e.colLo) }
 func (e *Encoder) Encode(q *Query) []float64 {
 	v := make([]float64, e.Dim())
 	for _, ti := range q.Tables {
-		v[ti] = 1
+		if ti >= 0 && ti < e.numTables { // a table the encoder lacks adds nothing
+			v[ti] = 1
+		}
 	}
 	base := e.numTables
 	for _, j := range q.Joins {
@@ -122,6 +124,10 @@ func (e *Encoder) GobDecode(data []byte) error {
 		return fmt.Errorf("workload: encoder state has %d/%d/%d column entries",
 			len(st.ColKeys), len(st.ColLo), len(st.ColRange))
 	}
+	if st.Tables < 0 || st.NumJoins != len(st.FKs) {
+		return fmt.Errorf("workload: encoder state has %d tables and %d joins for %d foreign keys",
+			st.Tables, st.NumJoins, len(st.FKs))
+	}
 	e.colKeys, e.colLo, e.colRange = st.ColKeys, st.ColLo, st.ColRange
 	e.fks, e.numTables, e.numJoins = st.FKs, st.Tables, st.NumJoins
 	e.colIndex = make(map[[2]int]int, len(st.ColKeys))
@@ -140,11 +146,15 @@ func LogCard(card int64) float64 {
 	return math.Log1p(float64(card))
 }
 
-// ExpCard inverts LogCard and floors the result at 1.
-func ExpCard(y float64) float64 {
-	c := math.Expm1(y)
-	if c < 1 {
+// ExpCard inverts LogCard and holds the result to ClampCard.
+func ExpCard(y float64) float64 { return ClampCard(math.Expm1(y)) }
+
+// ClampCard holds a cardinality estimate to the estimator contract, finite
+// and at least 1: below 1 and NaN (a corrupt or diverged model) map to 1,
+// +Inf to the largest float64.
+func ClampCard(c float64) float64 {
+	if !(c >= 1) {
 		return 1
 	}
-	return c
+	return min(c, math.MaxFloat64)
 }

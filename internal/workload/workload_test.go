@@ -1,7 +1,10 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/gob"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -148,6 +151,32 @@ func TestEncoderMarksTablesAndPreds(t *testing.T) {
 	}
 	if marked != len(distinctCols) {
 		t.Fatalf("%d predicate slots marked, want %d", marked, len(distinctCols))
+	}
+}
+
+// TestEncoderDecodeRejectsBlockSizes: the table and join blocks must be
+// sizes the encoding can index: no negative table count, and one join
+// slot per foreign key. A query table the encoder lacks marks nothing.
+func TestEncoderDecodeRejectsBlockSizes(t *testing.T) {
+	enc := NewEncoder(testDataset(t, 2, 8))
+	for name, mutate := range map[string]func(st *encoderState){
+		"negative tables": func(st *encoderState) { st.Tables = -8 },
+		"join count":      func(st *encoderState) { st.NumJoins++ },
+	} {
+		st := encoderState{ColKeys: enc.colKeys, ColLo: enc.colLo, ColRange: enc.colRange,
+			FKs: enc.fks, Tables: enc.numTables, NumJoins: enc.numJoins}
+		mutate(&st)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&st); err != nil {
+			t.Fatal(err)
+		}
+		if err := new(Encoder).GobDecode(buf.Bytes()); err == nil {
+			t.Errorf("%s: decoded without error", name)
+		}
+	}
+	v := enc.Encode(&Query{Query: engine.Query{Tables: []int{0, 5, -1}}})
+	if v[0] != 1 || slices.Contains(v[1:], 1) {
+		t.Fatalf("tables 0, 5 and -1 of 2 encoded as %v", v)
 	}
 }
 
