@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -103,6 +104,13 @@ func Load(dir string) (*Module, error) {
 		for _, e := range ents {
 			name := e.Name()
 			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			// Keep only the files the go tool builds for this GOOS and
+			// GOARCH (file-name suffixes and //go:build lines).
+			if ok, err := build.Default.MatchFile(pkgDir, name); err != nil {
+				return nil, err
+			} else if !ok {
 				continue
 			}
 			f, err := parser.ParseFile(m.Fset, filepath.Join(pkgDir, name), nil, parser.ParseComments)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"repro/internal/ann"
 	"repro/internal/feature"
@@ -55,17 +56,32 @@ func (a *Advisor) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes the advisor to a file path.
+// SaveFile writes the advisor to a file path. It writes a temporary file
+// in the same directory and renames it into place, so a failed or
+// interrupted save leaves the previous file as it was.
 func (a *Advisor) SaveFile(path string) error {
-	f, err := os.Create(path)
+	return writeFileAtomic(path, a.Save)
+}
+
+// writeFileAtomic replaces path with what write produces, through a
+// temporary file in path's directory that is removed on failure.
+func writeFileAtomic(path string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	defer f.Close()
-	if err := a.Save(f); err != nil {
+	defer os.Remove(tmp.Name())
+	if err := write(tmp); err != nil {
+		tmp.Close()
 		return err
 	}
-	return f.Close()
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }
 
 // Load reads a trained advisor written by Save and recomputes the RCS
@@ -86,6 +102,14 @@ func Load(r io.Reader) (*Advisor, error) {
 	if len(a.rcs) == 0 {
 		return nil, fmt.Errorf("core: loaded advisor has an empty candidate set")
 	}
+	if err := validateSamples(a.rcs); err != nil {
+		return nil, err
+	}
+	for _, s := range a.rcs {
+		if err := checkGraphShape(s.Graph, enc.InDim()); err != nil {
+			return nil, fmt.Errorf("core: loaded advisor: sample %s: %w", s.Name, err)
+		}
+	}
 	a.refreshEmbeddings()
 	if len(st.ANNIndex) > 0 {
 		ix, err := ann.Unmarshal(st.ANNIndex)
@@ -102,6 +126,26 @@ func Load(r io.Reader) (*Advisor, error) {
 	}
 	a.publishLocked()
 	return a, nil
+}
+
+// checkGraphShape reports whether g has the shape the encoder reads:
+// vertex rows of width inDim and an n×n edge matrix.
+func checkGraphShape(g *feature.Graph, inDim int) error {
+	n := len(g.V)
+	for i, row := range g.V {
+		if len(row) != inDim {
+			return fmt.Errorf("vertex %d has %d features, want %d", i, len(row), inDim)
+		}
+	}
+	if len(g.E) != n {
+		return fmt.Errorf("%d edge rows for %d vertices", len(g.E), n)
+	}
+	for i, row := range g.E {
+		if len(row) != n {
+			return fmt.Errorf("edge row %d has %d entries for %d vertices", i, len(row), n)
+		}
+	}
+	return nil
 }
 
 // LoadFile reads an advisor from a file path.

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
+	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -97,5 +101,145 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := LoadFile("/nonexistent/advisor.gob"); err == nil {
 		t.Fatal("missing file accepted")
+	}
+}
+
+// TestSaveFileReplacesAtomically: SaveFile never writes into the file it
+// replaces. A reader holding the previous advisor open still reads it
+// whole, a failed write leaves it byte-identical, and no temporary file
+// stays behind.
+func TestSaveFileReplacesAtomically(t *testing.T) {
+	first, err := Train(corpus(t, 8, 25), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := Train(corpus(t, 10, 26), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "advisor.gob")
+	if err := first.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+
+	if err := second.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(held); err != nil || !bytes.Equal(got, old) {
+		t.Fatalf("the replaced advisor changed under an open reader (err %v)", err)
+	}
+	loaded, err := LoadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(loaded.RCS()) != len(second.RCS()) {
+		t.Fatalf("loaded %d samples, saved %d", len(loaded.RCS()), len(second.RCS()))
+	}
+
+	current, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("write failed")
+	err = writeFileAtomic(path, func(w io.Writer) error {
+		if err := first.Save(w); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failed write returned %v", err)
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, current) {
+		t.Fatalf("a failed save changed the advisor on disk (err %v)", err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		t.Fatalf("directory holds %d files after the saves, want 1", len(ents))
+	}
+}
+
+// TestLoadRejectsMalformedSamples: an artifact whose candidate samples do
+// not fit the encoder or each other fails to load with an error, where
+// it used to panic or load.
+func TestLoadRejectsMalformedSamples(t *testing.T) {
+	adv, err := Train(corpus(t, 6, 27), testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := adv.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved := buf.Bytes()
+	// decode returns a fresh copy of the saved state to break.
+	decode := func() *advisorState {
+		var st advisorState
+		if err := gob.NewDecoder(bytes.NewReader(saved)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return &st
+	}
+	cases := []struct {
+		name   string
+		mutate func(st *advisorState)
+	}{
+		{"nil graph", func(st *advisorState) { st.Samples[1].Graph = nil }},
+		{"no vertices", func(st *advisorState) { st.Samples[1].Graph.V, st.Samples[1].Graph.E = nil, nil }},
+		{"short first vertex row", func(st *advisorState) {
+			v := st.Samples[0].Graph.V
+			v[0] = v[0][:len(v[0])-1]
+		}},
+		{"long vertex row", func(st *advisorState) {
+			v := st.Samples[2].Graph.V
+			v[len(v)-1] = append(v[len(v)-1], 1)
+		}},
+		{"missing edge row", func(st *advisorState) {
+			g := st.Samples[0].Graph
+			g.E = g.E[:len(g.E)-1]
+		}},
+		{"short edge row", func(st *advisorState) {
+			g := st.Samples[0].Graph
+			g.E[0] = g.E[0][:len(g.E[0])-1]
+		}},
+		{"Sa longer than Se", func(st *advisorState) { st.Samples[3].Sa = append(st.Samples[3].Sa, 0.5) }},
+		{"labels shorter than the others", func(st *advisorState) {
+			s := &st.Samples[4]
+			s.Sa, s.Se = s.Sa[:1], s.Se[:1]
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := decode()
+			tc.mutate(st)
+			var broken bytes.Buffer
+			if err := gob.NewEncoder(&broken).Encode(st); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(&broken); err == nil {
+				t.Fatal("malformed advisor loaded")
+			}
+		})
+	}
+	// The unbroken state still loads, so each case fails on its break.
+	var whole bytes.Buffer
+	if err := gob.NewEncoder(&whole).Encode(decode()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(&whole); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -54,23 +54,6 @@ func BenchmarkTapeTrainStep(b *testing.B) {
 	}
 }
 
-func BenchmarkMaskedMatMul(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	x := New(16, 80, randMatrixValues(rng, 16, 80))
-	w := New(80, 40, randMatrixValues(rng, 80, 40))
-	mask := make([]float64, 80*40)
-	for i := range mask {
-		if rng.Float64() < 0.5 {
-			mask[i] = 1
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MaskedMatMul(x, w, mask)
-	}
-}
-
 // BenchmarkMaskedAffineTrainStep measures a full fused masked-layer train
 // step (the MADE training inner loop) on a recorded tape.
 func BenchmarkMaskedAffineTrainStep(b *testing.B) {

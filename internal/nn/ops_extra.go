@@ -61,48 +61,3 @@ func SumScalars(ts ...*Tensor) *Tensor {
 	}
 	return out
 }
-
-// MaskedMatMul returns a @ (w ∘ mask) where mask is a constant 0/1 matrix
-// the same shape as w. It implements MADE's masked dense layers: the mask
-// is applied to the weight values on every forward pass, so gradients into
-// masked positions are also zeroed (the product rule with a constant zero).
-// Prefer MaskedAffine when the bias and activation can be fused in.
-func MaskedMatMul(a, w *Tensor, mask []float64) *Tensor {
-	if len(mask) != w.R*w.C {
-		panic(fmt.Sprintf("nn: MaskedMatMul mask len %d for %dx%d", len(mask), w.R, w.C))
-	}
-	if a.C != w.R {
-		panic(fmt.Sprintf("nn: MaskedMatMul %dx%d @ %dx%d", a.R, a.C, w.R, w.C))
-	}
-	m, k, n := a.R, a.C, w.C
-	wm := make([]float64, k*n)
-	out := Zeros(m, n)
-	out.fwd = func() {
-		maskMulInto(wm, w.V, mask)
-		matMulInto(out.V, a.V, wm, m, k, n, nil)
-	}
-	out.fwd()
-	out.prev = []*Tensor{a, w}
-	var dwm []float64
-	out.back = func() {
-		if a.needsGrad() {
-			a.ensureGrad()
-			mulABTAccum(a.G, out.G, wm, m, n, k, nil)
-		}
-		if w.needsGrad() {
-			w.ensureGrad()
-			if dwm == nil {
-				dwm = make([]float64, k*n)
-			} else {
-				for i := range dwm {
-					dwm[i] = 0
-				}
-			}
-			mulATBAccum(dwm, a.V, out.G, m, k, n, nil)
-			for i, g := range dwm {
-				w.G[i] += g * mask[i]
-			}
-		}
-	}
-	return out
-}

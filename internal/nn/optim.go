@@ -10,37 +10,6 @@ type Optimizer interface {
 	ZeroGrad()
 }
 
-// SGD is plain stochastic gradient descent with optional gradient clipping.
-type SGD struct {
-	Params []*Tensor
-	LR     float64
-	// Clip, when positive, bounds the absolute value of each gradient
-	// element before the update.
-	Clip float64
-}
-
-// NewSGD returns an SGD optimizer over params.
-func NewSGD(params []*Tensor, lr float64) *SGD {
-	return &SGD{Params: params, LR: lr, Clip: 5}
-}
-
-// Step implements Optimizer.
-func (o *SGD) Step() {
-	for _, p := range o.Params {
-		for i := range p.V {
-			g := p.G[i]
-			if o.Clip > 0 {
-				g = clamp(g, -o.Clip, o.Clip)
-			}
-			p.V[i] -= o.LR * g
-			p.G[i] = 0
-		}
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (o *SGD) ZeroGrad() { zeroAll(o.Params) }
-
 // Adam implements the Adam optimizer (Kingma & Ba) with bias correction
 // and optional gradient clipping.
 type Adam struct {
@@ -73,24 +42,18 @@ func (a *Adam) Step() {
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.t))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.t))
 	// Fold the bias corrections into the update constants so the inner
-	// loop is one fused multiply-add chain plus a sqrt: the step is
+	// loop divides once per element: the step is
 	// lr/bc1 * m / (sqrt(v/bc2) + eps) = lrT * m / (sqrt(v)*rbc2 + eps).
-	lrT := a.LR / bc1
-	rbc2 := 1 / math.Sqrt(bc2)
-	b1, b2, clip, eps := a.Beta1, a.Beta2, a.Clip, a.Eps
+	k := adamCoef{
+		b1: a.Beta1, c1: 1 - a.Beta1, b2: a.Beta2, c2: 1 - a.Beta2,
+		lrT: a.LR / bc1, rbc2: 1 / math.Sqrt(bc2), eps: a.Eps,
+		lo: math.Inf(-1), hi: math.Inf(1),
+	}
+	if a.Clip > 0 {
+		k.lo, k.hi = -a.Clip, a.Clip
+	}
 	for pi, p := range a.Params {
-		m, v := a.m[pi], a.v[pi]
-		pv, pg := p.V, p.G
-		for i, g := range pg {
-			if clip > 0 {
-				g = clamp(g, -clip, clip)
-			}
-			mi := b1*m[i] + (1-b1)*g
-			vi := b2*v[i] + (1-b2)*g*g
-			m[i], v[i] = mi, vi
-			pv[i] -= lrT * mi / (math.Sqrt(vi)*rbc2 + eps)
-			pg[i] = 0
-		}
+		adamUpdate(p.V, p.G, a.m[pi], a.v[pi], k)
 	}
 }
 

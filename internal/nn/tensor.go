@@ -263,34 +263,6 @@ func Sub(a, b *Tensor) *Tensor {
 	return out
 }
 
-// Mul returns a * b elementwise (same shape).
-func Mul(a, b *Tensor) *Tensor {
-	sameShape(a, b)
-	out := Zeros(a.R, a.C)
-	out.fwd = func() {
-		for i := range out.V {
-			out.V[i] = a.V[i] * b.V[i]
-		}
-	}
-	out.fwd()
-	out.prev = []*Tensor{a, b}
-	out.back = func() {
-		if a.needsGrad() {
-			a.ensureGrad()
-			for i := range out.G {
-				a.G[i] += out.G[i] * b.V[i]
-			}
-		}
-		if b.needsGrad() {
-			b.ensureGrad()
-			for i := range out.G {
-				b.G[i] += out.G[i] * a.V[i]
-			}
-		}
-	}
-	return out
-}
-
 // Scale returns s * a.
 func Scale(a *Tensor, s float64) *Tensor {
 	out := Zeros(a.R, a.C)
