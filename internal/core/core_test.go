@@ -99,13 +99,13 @@ func TestDMLTrainingReducesLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := unadv.BatchLoss(samples, 0.9)
+	before := batchLoss(unadv, samples, 0.9)
 	cfg.Epochs = 12
 	adv, err := Train(samples, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := adv.BatchLoss(samples, 0.9)
+	after := batchLoss(adv, samples, 0.9)
 	if after >= before {
 		t.Fatalf("weighted contrastive loss did not decrease: %g -> %g", before, after)
 	}
@@ -377,4 +377,28 @@ func argmax(xs []float64) int {
 		}
 	}
 	return best
+}
+
+// batchLoss computes the current loss of a's encoder on samples at weight
+// wa, without updating parameters. It reads the training encoder, so it
+// takes the mutator lock.
+func batchLoss(a *Advisor, samples []*Sample, wa float64) float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	embs := make([][]float64, len(samples))
+	for i, s := range samples {
+		embs[i] = a.enc.Embed(s.Graph)
+	}
+	scores := make([][]float64, len(samples))
+	for i, s := range samples {
+		scores[i] = s.Score(wa)
+	}
+	tau := a.effectiveTau(scores)
+	var loss float64
+	if a.cfg.Loss == LossBasic {
+		loss, _ = basicContrastive(embs, scores, tau)
+	} else {
+		loss, _ = weightedContrastive(embs, scores, tau, a.cfg.Gamma)
+	}
+	return loss
 }

@@ -269,28 +269,3 @@ func applyDistanceGrads(embs, u, dU [][]float64, grads [][]float64) {
 		}
 	}
 }
-
-// BatchLoss computes the current loss of the advisor's encoder on a set of
-// samples at a given weight, without updating parameters. Used by the
-// Figure 7 ablation and tests. It reads the training encoder, so it takes
-// the mutator lock.
-func (a *Advisor) BatchLoss(samples []*Sample, wa float64) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	embs := make([][]float64, len(samples))
-	for i, s := range samples {
-		embs[i] = a.enc.Embed(s.Graph)
-	}
-	scores := make([][]float64, len(samples))
-	for i, s := range samples {
-		scores[i] = s.Score(wa)
-	}
-	tau := a.effectiveTau(scores)
-	var loss float64
-	if a.cfg.Loss == LossBasic {
-		loss, _ = basicContrastive(embs, scores, tau)
-	} else {
-		loss, _ = weightedContrastive(embs, scores, tau, a.cfg.Gamma)
-	}
-	return loss
-}

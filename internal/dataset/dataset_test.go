@@ -104,39 +104,6 @@ func TestEqualFraction(t *testing.T) {
 	}
 }
 
-func TestPearsonCorr(t *testing.T) {
-	a := col(1, 2, 3, 4, 5)
-	b := col(2, 4, 6, 8, 10)
-	if got := PearsonCorr(a, b); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("perfect correlation = %g", got)
-	}
-	c := col(5, 4, 3, 2, 1)
-	if got := PearsonCorr(a, c); math.Abs(got+1) > 1e-12 {
-		t.Fatalf("perfect anti-correlation = %g", got)
-	}
-	if got := PearsonCorr(a, col(3, 3, 3, 3, 3)); got != 0 {
-		t.Fatalf("constant column correlation = %g, want 0", got)
-	}
-}
-
-func TestPearsonCorrBounds(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 10 + rng.Intn(50)
-		a := make([]int64, n)
-		b := make([]int64, n)
-		for i := range a {
-			a[i] = int64(rng.Intn(100))
-			b[i] = int64(rng.Intn(100))
-		}
-		r := PearsonCorr(col(a...), col(b...))
-		return r >= -1.0000001 && r <= 1.0000001
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestJoinCorrelation(t *testing.T) {
 	pk := col(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
 	fk := col(1, 1, 2, 2, 3, 3) // 3 of 10 PK values

@@ -1,7 +1,5 @@
 package dataset
 
-import "math"
-
 // ColStats bundles the per-column moments and distribution features that
 // AutoCE's feature engineering extracts (Section V-A): skewness, kurtosis,
 // standard and mean deviation, range, and domain size.
@@ -46,34 +44,6 @@ func EqualFraction(a, b *Column) float64 {
 		}
 	}
 	return float64(eq) / float64(n)
-}
-
-// PearsonCorr returns the Pearson correlation coefficient between two
-// equal-length columns, or 0 when it is undefined (constant column or
-// mismatched length).
-func PearsonCorr(a, b *Column) float64 {
-	n := len(a.Data)
-	if n == 0 || n != len(b.Data) {
-		return 0
-	}
-	var sa, sb float64
-	for i := 0; i < n; i++ {
-		sa += float64(a.Data[i])
-		sb += float64(b.Data[i])
-	}
-	ma, mb := sa/float64(n), sb/float64(n)
-	var cov, va, vb float64
-	for i := 0; i < n; i++ {
-		da := float64(a.Data[i]) - ma
-		db := float64(b.Data[i]) - mb
-		cov += da * db
-		va += da * da
-		vb += db * db
-	}
-	if va == 0 || vb == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(va*vb)
 }
 
 // JoinCorrelation measures the paper's join-correlation feature for an FK

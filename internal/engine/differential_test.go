@@ -48,7 +48,8 @@ func diffDataset(t *testing.T, seed int64, tables int) *dataset.Dataset {
 // widen moves some of d's columns onto wide domains. Each join class of
 // columns (an FK column together with the PK it references) either keeps
 // its values or maps every value v to (v-shift)*wideStride with shift in
-// [0,4), so its ColIndex is map-backed while its joins still match.
+// [0,4), so its ColIndex numbers groups through a map while its joins
+// still match.
 func widen(d *dataset.Dataset, rng *rand.Rand) {
 	base := make([]int, len(d.Tables)+1)
 	for ti, t := range d.Tables {
@@ -329,5 +330,21 @@ func TestEvaluatorZeroAllocSingleTable(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() { ev.Cardinality(q) })
 	if allocs != 0 {
 		t.Fatalf("Evaluator.Cardinality allocated %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestEvaluatorZeroAllocJoins: once its scratch and the index's probes are
+// warm, an evaluator allocates nothing on tree or cyclic joins, over dense
+// and wide keys alike.
+func TestEvaluatorZeroAllocJoins(t *testing.T) {
+	for _, tc := range missCases {
+		d := missDataset(tc.t0, tc.t1)
+		ev := NewEvaluator(d)
+		for name, q := range missQueries(tc.t1) {
+			ev.Cardinality(q) // warms scratch buffers and probes
+			if allocs := testing.AllocsPerRun(100, func() { ev.Cardinality(q) }); allocs != 0 {
+				t.Fatalf("%s %s: Evaluator.Cardinality allocated %.1f times per call, want 0", tc.name, name, allocs)
+			}
+		}
 	}
 }

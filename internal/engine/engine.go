@@ -10,10 +10,13 @@
 // and count-propagating: each table's predicates reduce to a reusable
 // selection vector (seeded from a contiguous run of a value-grouped column
 // index, then narrowed predicate by predicate), and acyclic join
-// components are counted by propagating per-value multiplicities up the
-// join tree instead of materializing intermediate tuples, so time and
-// memory scale with the base tables rather than the join result. Only cycle edges (and SampleJoin, which
-// genuinely needs rows) fall back to tuple materialization.
+// components are counted by propagating multiplicities up the join tree
+// instead of materializing intermediate tuples, so time and memory scale
+// with the base tables rather than the join result. Each message is an
+// array over the groups of a join-key column's index, which a parent reads
+// through a cached probe of its own join column; a value missing from the
+// key column probes a trailing zero. Only cycle edges (and SampleJoin,
+// which genuinely needs rows) fall back to tuple materialization.
 //
 // Three entry tiers trade convenience for control:
 //
@@ -25,9 +28,9 @@
 //     sharing one Index — the Stage-1 labeling fast path.
 //
 // The per-dataset Index (columns grouped by value, by counting sort where
-// the domain is dense) lives on its dataset (dataset.Dataset.Derived) and
-// is collected with it; callers that mutate a dataset in place must call
-// InvalidateIndex.
+// the domain is dense, and the probes between join columns) lives on its
+// dataset (dataset.Dataset.Derived) and is collected with it; callers that
+// mutate a dataset in place must call InvalidateIndex.
 package engine
 
 import (

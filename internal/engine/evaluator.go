@@ -6,9 +6,9 @@ import (
 
 // Evaluator executes queries against one dataset through its shared Index,
 // owning all scratch memory the evaluation needs: per-table selection
-// vectors, multiplicity-map pools for the count-propagating join fold, and
-// flat tuple buffers for the cycle-edge fallback. Repeated calls on a
-// warmed evaluator allocate nothing.
+// vectors, a pool of message arrays for the count-propagating join fold,
+// and flat tuple buffers and chain heads for the cycle-edge fallback.
+// Repeated calls on a warmed evaluator allocate nothing.
 //
 // Filtering is columnar: a table's selection vector is seeded with the
 // contiguous run of row ids that the narrowest predicate on a dense-domain
@@ -35,12 +35,10 @@ type Evaluator struct {
 
 	predBuf []Predicate
 
-	// Count-propagation scratch: pools of reusable value->multiplicity
-	// maps and dense arrays, and the child-message stack shared across
-	// the tree recursion.
-	mapPool   []map[int64]int64
-	densePool [][]int64
-	msgStack  []childMsg
+	// Count-propagation scratch: a pool of reusable message arrays and
+	// the child-message stack shared across the tree recursion.
+	msgPool  [][]int64
+	msgStack []childMsg
 
 	// Component-analysis scratch (union-find roots, membership flags).
 	ufParent []int
@@ -50,49 +48,26 @@ type Evaluator struct {
 	compEdge []Join
 
 	// Cycle-fallback scratch: two flat tuple buffers (ping-pong), the
-	// per-table slot assignment, a chained hash table over filtered rows,
-	// and the used-edge flags of the fold.
+	// per-table slot assignment, the used-edge flags of the fold, and a
+	// chained hash over filtered rows: the 1-based head position of each
+	// key group (all zero between uses) and the next-row links.
 	tupA, tupB []int32
 	slot       []int
 	bound      []bool
 	edgeUsed   []bool
-	ht         map[int64]int32
+	heads      []int32
 	chain      []int32
 }
 
-// message is a value -> multiplicity mapping flowing up the join tree,
-// either dense (flat array indexed by value-base, for the narrow column
-// domains the datasets are built from), map-backed, or a wide column's
-// ColIndex itself. borrowed messages alias ColIndex storage and must not
-// be modified or recycled.
-type message struct {
-	dense    []int64
-	base     int64
-	counts   map[int64]int64 // owned wide-domain messages
-	col      *ColIndex       // borrowed wide-domain messages
-	borrowed bool
-}
-
-// get returns the multiplicity of value v.
-func (m *message) get(v int64) int64 {
-	if m.dense != nil {
-		i := v - m.base
-		if uint64(i) < uint64(len(m.dense)) {
-			return m.dense[i]
-		}
-		return 0
-	}
-	if m.counts != nil {
-		return m.counts[v]
-	}
-	return m.col.count(v)
-}
-
-// childMsg pairs a child's message with the parent-side column data the
-// parent probes it with.
+// childMsg is one child's message toward its parent, the multiplicity of
+// each group of the child's join-key column, and the parent's probe into
+// those groups: parent row r joins msg[probe[r]] child rows. A message is
+// either the key column's own counts, borrowed read-only, or an array from
+// the evaluator's pool.
 type childMsg struct {
-	msg  message
-	data []int64
+	msg    []int64
+	probe  []int32
+	pooled bool
 }
 
 // NewEvaluator returns an evaluator over d backed by the dataset's shared
@@ -115,7 +90,6 @@ func newEvaluator(d *dataset.Dataset, ix *Index) *Evaluator {
 		compDone: make([]bool, nt),
 		slot:     make([]int, nt),
 		bound:    make([]bool, nt),
-		ht:       make(map[int64]int32),
 	}
 }
 
@@ -192,9 +166,10 @@ func (e *Evaluator) filter(q *Query, ti int) int64 {
 // Cardinality returns the exact number of result tuples of q. Per-table
 // selections feed a count-propagating fold over the join graph: acyclic
 // components never materialize tuples — each table sends its parent a
-// value -> multiplicity message — and only components with cycle edges
-// fall back to (flat, buffer-reused) tuple materialization. Components and
-// join-free tables combine by product.
+// message, the multiplicity of each group of its join-key column — and
+// only components with cycle edges fall back to (flat, buffer-reused)
+// tuple materialization. Components and join-free tables combine by
+// product.
 func (e *Evaluator) Cardinality(q *Query) int64 {
 	if len(q.Tables) == 0 {
 		return 0
@@ -303,12 +278,11 @@ func (e *Evaluator) treeCount(tbls []int, edges []Join) int64 {
 }
 
 // treeMsg computes the message of table ti toward its parent: the
-// multiplicity of each value of column keyCol over ti's filtered rows,
-// each row weighted by the product of its children's messages. Leaf tables
-// without predicates borrow the ColIndex storage directly;
-// narrow-domain key columns aggregate into a pooled dense array, wide ones
-// into a pooled map.
-func (e *Evaluator) treeMsg(ti, parent int, edges []Join, keyCol int) message {
+// multiplicity of each group of column keyCol over ti's filtered rows,
+// each row weighted by the product of its children's messages, into a
+// pooled array. A leaf table without predicates borrows the column's
+// ColIndex counts instead; pooled reports which it is.
+func (e *Evaluator) treeMsg(ti, parent int, edges []Join, keyCol int) (msg []int64, pooled bool) {
 	base := len(e.msgStack)
 	e.pushChildren(ti, parent, edges)
 	children := e.msgStack[base:]
@@ -316,57 +290,36 @@ func (e *Evaluator) treeMsg(ti, parent int, edges []Join, keyCol int) message {
 	ci := e.ix.Col(ti, keyCol)
 	if len(children) == 0 && e.selAll[ti] {
 		e.popChildren(base)
-		if ci.Dense != nil {
-			return message{dense: ci.Dense, base: ci.Lo, borrowed: true}
-		}
-		return message{col: ci, borrowed: true}
+		return ci.counts, false
 	}
 
-	var out message
-	keyData := e.d.Tables[ti].Col(keyCol).Data
-	if ci.Dense != nil {
-		out = message{dense: e.getDense(len(ci.Dense)), base: ci.Lo}
-		if e.selAll[ti] {
-			n := e.d.Tables[ti].Rows()
-			for r := 0; r < n; r++ {
-				if w := e.rowWeight(children, r); w != 0 {
-					out.dense[keyData[r]-out.base] += w
-				}
-			}
-		} else {
-			for _, r := range e.selRows[ti] {
-				if w := e.rowWeight(children, int(r)); w != 0 {
-					out.dense[keyData[r]-out.base] += w
-				}
+	out := e.getMsg(len(ci.counts))
+	code := e.ix.probe(ti, keyCol, ti, keyCol)
+	if e.selAll[ti] {
+		for r, g := range code {
+			if w := e.rowWeight(children, r); w != 0 {
+				out[g] += w
 			}
 		}
 	} else {
-		out = message{counts: e.getMap()}
-		if e.selAll[ti] {
-			n := e.d.Tables[ti].Rows()
-			for r := 0; r < n; r++ {
-				if w := e.rowWeight(children, r); w != 0 {
-					out.counts[keyData[r]] += w
-				}
-			}
-		} else {
-			for _, r := range e.selRows[ti] {
-				if w := e.rowWeight(children, int(r)); w != 0 {
-					out.counts[keyData[r]] += w
-				}
+		for _, r := range e.selRows[ti] {
+			if w := e.rowWeight(children, int(r)); w != 0 {
+				out[code[r]] += w
 			}
 		}
 	}
 	e.popChildren(base)
-	return out
+	return out, true
 }
 
-// rowWeight multiplies the children's multiplicities for row r; a missing
-// key in any child message zeroes the row.
+// rowWeight multiplies the children's multiplicities for row r; a value
+// missing from any child's key column probes its trailing zero and zeroes
+// the row.
 func (e *Evaluator) rowWeight(children []childMsg, r int) int64 {
 	w := int64(1)
 	for i := range children {
-		w *= children[i].msg.get(children[i].data[r])
+		c := &children[i]
+		w *= c.msg[c.probe[r]]
 		if w == 0 {
 			return 0
 		}
@@ -375,8 +328,8 @@ func (e *Evaluator) rowWeight(children []childMsg, r int) int64 {
 }
 
 // pushChildren evaluates the messages of every neighbor of ti except
-// parent and pushes them (paired with ti's probe column data) onto the
-// message stack.
+// parent and pushes them, each with ti's probe into it, onto the message
+// stack.
 func (e *Evaluator) pushChildren(ti, parent int, edges []Join) {
 	for _, j := range edges {
 		var other, otherCol, myCol int
@@ -388,55 +341,37 @@ func (e *Evaluator) pushChildren(ti, parent int, edges []Join) {
 		default:
 			continue
 		}
-		msg := e.treeMsg(other, ti, edges, otherCol)
+		msg, pooled := e.treeMsg(other, ti, edges, otherCol)
 		e.msgStack = append(e.msgStack, childMsg{
-			msg:  msg,
-			data: e.d.Tables[ti].Col(myCol).Data,
+			msg:    msg,
+			probe:  e.ix.probe(ti, myCol, other, otherCol),
+			pooled: pooled,
 		})
 	}
 }
 
-// popChildren releases owned messages above base and truncates the stack.
+// popChildren returns pooled messages above base and truncates the stack.
 func (e *Evaluator) popChildren(base int) {
 	for i := base; i < len(e.msgStack); i++ {
-		msg := &e.msgStack[i].msg
-		if !msg.borrowed {
-			if msg.dense != nil {
-				e.densePool = append(e.densePool, msg.dense)
-			} else {
-				e.putMap(msg.counts)
-			}
+		if c := e.msgStack[i]; c.pooled {
+			e.msgPool = append(e.msgPool, c.msg)
 		}
 		e.msgStack[i] = childMsg{}
 	}
 	e.msgStack = e.msgStack[:base]
 }
 
-func (e *Evaluator) getMap() map[int64]int64 {
-	if n := len(e.mapPool); n > 0 {
-		m := e.mapPool[n-1]
-		e.mapPool = e.mapPool[:n-1]
-		return m
-	}
-	return make(map[int64]int64)
-}
-
-func (e *Evaluator) putMap(m map[int64]int64) {
-	clear(m)
-	e.mapPool = append(e.mapPool, m)
-}
-
-// getDense returns a zeroed dense buffer of the given length from the pool.
-func (e *Evaluator) getDense(n int) []int64 {
-	if l := len(e.densePool); l > 0 {
-		d := e.densePool[l-1]
-		e.densePool = e.densePool[:l-1]
-		if cap(d) < n {
+// getMsg returns a zeroed message array of length n from the pool.
+func (e *Evaluator) getMsg(n int) []int64 {
+	if l := len(e.msgPool); l > 0 {
+		m := e.msgPool[l-1]
+		e.msgPool = e.msgPool[:l-1]
+		if cap(m) < n {
 			return make([]int64, n)
 		}
-		d = d[:n]
-		clear(d)
-		return d
+		m = m[:n]
+		clear(m)
+		return m
 	}
 	return make([]int64, n)
 }
@@ -538,20 +473,21 @@ func appendTuple(buf []int32, stride, slot int, r int32) []int32 {
 }
 
 // extendFlat joins the flat tuple set (bound through inTable.inCol) with
-// newTable.newCol. The probe side is the tuple set; the build side is
-// either the shared ColIndex (unpredicated table) or a chained hash over
-// the reusable selection vector. The result lands in the evaluator's
-// second tuple buffer, which is swapped with the first.
+// newTable.newCol. The probe side is the tuple set, read through inCol's
+// probe into newCol's groups; the build side is either the shared
+// ColIndex's group rows (unpredicated table) or a chained hash over the
+// reusable selection vector, headed per group. The result lands in the
+// evaluator's second tuple buffer, which is swapped with the first.
 func (e *Evaluator) extendFlat(cur []int32, nTup, stride, inTable, inCol, newTable, newCol int) ([]int32, int) {
-	inData := e.d.Tables[inTable].Col(inCol).Data
+	probe := e.ix.probe(inTable, inCol, newTable, newCol)
+	ci := e.ix.Col(newTable, newCol)
 	inSlot, newSlot := e.slot[inTable], e.slot[newTable]
 	dst := e.tupB[:0]
 
 	if e.selAll[newTable] {
-		ci := e.ix.Col(newTable, newCol)
 		for i := 0; i < nTup; i++ {
 			tp := cur[i*stride : (i+1)*stride]
-			for _, r := range ci.RowsOf(inData[tp[inSlot]]) {
+			for _, r := range ci.groupRows(probe[tp[inSlot]]) {
 				n := len(dst)
 				dst = append(dst, tp...)
 				dst[n+newSlot] = r
@@ -559,24 +495,29 @@ func (e *Evaluator) extendFlat(cur []int32, nTup, stride, inTable, inCol, newTab
 		}
 	} else {
 		rows := e.selRows[newTable]
-		newData := e.d.Tables[newTable].Col(newCol).Data
-		clear(e.ht)
+		code := e.ix.probe(newTable, newCol, newTable, newCol)
+		if len(e.heads) < len(ci.counts) {
+			e.heads = make([]int32, len(ci.counts))
+		}
 		if cap(e.chain) < len(rows) {
 			e.chain = make([]int32, len(rows))
 		}
-		chain := e.chain[:len(rows)]
+		heads, chain := e.heads, e.chain[:len(rows)]
 		for i, r := range rows {
-			v := newData[r]
-			chain[i] = e.ht[v]
-			e.ht[v] = int32(i + 1)
+			g := code[r]
+			chain[i] = heads[g]
+			heads[g] = int32(i + 1)
 		}
 		for i := 0; i < nTup; i++ {
 			tp := cur[i*stride : (i+1)*stride]
-			for pos := e.ht[inData[tp[inSlot]]]; pos != 0; pos = chain[pos-1] {
+			for pos := heads[probe[tp[inSlot]]]; pos != 0; pos = chain[pos-1] {
 				n := len(dst)
 				dst = append(dst, tp...)
 				dst[n+newSlot] = rows[pos-1]
 			}
+		}
+		for _, r := range rows {
+			heads[code[r]] = 0
 		}
 	}
 	e.tupB = cur[:0] // old buffer becomes the next scratch target

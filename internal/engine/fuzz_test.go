@@ -43,9 +43,11 @@ func (c *fuzzCursor) intn(n int) int { return int(c.next()) % n }
 // clamped table subsets, join and predicate columns drawn modulo the
 // table's width, predicate ranges that may be empty (hi < lo). A last
 // byte per column may then move that column onto a wide, partly negative
-// domain (v -> (v-shift)*wideStride), predicate bounds moving with it, so
-// the fuzzer reaches the map-backed ColIndex and the scan filter; columns
-// with the same shift still join. An exhausted tape moves nothing.
+// domain (v -> (v-shift)*stride), predicate bounds moving with it, so
+// the fuzzer reaches the wide ColIndex and the scan filter; columns with
+// the same shift still join. The stride is wideStride, or 2^32 when one
+// final byte is odd, so that distinct wide values agree in their low 32
+// bits. An exhausted tape moves nothing.
 func fuzzDecodeCase(raw []byte) (*dataset.Dataset, *Query) {
 	c := &fuzzCursor{data: raw}
 	d := &dataset.Dataset{Name: "fuzz"}
@@ -90,13 +92,24 @@ func fuzzDecodeCase(raw []byte) (*dataset.Dataset, *Query) {
 			Lo: lo, Hi: lo + int64(c.intn(5)) - 2, // sometimes hi < lo
 		})
 	}
+	var shifts []int64 // one per column; -1 keeps the column
+	for _, t := range d.Tables {
+		for range t.Cols {
+			shifts = append(shifts, int64(c.intn(4))-1)
+		}
+	}
+	stride := int64(wideStride)
+	if c.next()%2 == 1 {
+		stride = 1 << 32
+	}
 	for ti, t := range d.Tables {
 		for ci, col := range t.Cols {
-			shift := int64(c.intn(4)) - 1 // -1 keeps the column
+			shift := shifts[0]
+			shifts = shifts[1:]
 			if shift < 0 {
 				continue
 			}
-			move := func(v int64) int64 { return (v - shift) * wideStride }
+			move := func(v int64) int64 { return (v - shift) * stride }
 			for r, v := range col.Data {
 				col.Data[r] = move(v)
 			}

@@ -7,60 +7,54 @@ import (
 	"repro/internal/dataset"
 )
 
-// ColIndex is a grouped view of one column: its row ids grouped by value,
-// ascending within each value, plus each value's multiplicity. Join
-// evaluation borrows it read-only — RowsOf serves as the build side of
-// hash joins over unpredicated tables, the multiplicities are the
-// ready-made message an unpredicated leaf table sends up the join tree,
-// and a dense column's value-contiguous groups turn a range predicate
-// into one contiguous run of row ids.
+// ColIndex is a grouped view of one column. Its rows fall into numbered
+// groups, one per distinct value: v-Lo is the group of value v for a
+// dense-domain column (span Hi-Lo+1 small relative to the row count),
+// grouped by one counting sort with no map; a wide-domain column numbers
+// its values by first appearance through one map. A trailing empty group
+// stands for every value no row holds, so a probe that misses still lands
+// on a group, of multiplicity 0.
 //
-// A dense-domain column (span Hi-Lo+1 small relative to the row count) is
-// grouped by one counting sort and holds no map: Dense counts each value
-// at value-Lo, and the rows of value v sit at rows[off[v-Lo]:off[v-Lo+1]].
-// A wide-domain column maps each distinct value to its group number once
-// and groups the same way; Dense is nil for it.
+// Join evaluation borrows it read-only: the per-group counts are the
+// ready-made message an unpredicated leaf table sends up the join tree,
+// the group rows are the build side of hash joins over unpredicated
+// tables, and a dense column's value-contiguous groups turn a range
+// predicate into one contiguous run of row ids.
 type ColIndex struct {
 	// Lo and Hi are the column's value bounds.
 	Lo, Hi int64
-	// Dense holds the multiplicity of every value v in [Lo, Hi] at v-Lo;
-	// evaluators build their own messages over a dense column densely,
-	// turning the hot join probes from map lookups into array indexing.
-	Dense []int64
 
+	counts []int64         // rows per group, then the trailing group's 0
 	off    []int32         // group g holds rows[off[g]:off[g+1]]
 	rows   []int32         // row ids grouped by value, ascending within a group
 	groups map[int64]int32 // wide columns: value -> group; nil when dense
 }
 
-// group returns the group number of value v, or false when no row holds v.
-func (c *ColIndex) group(v int64) (int, bool) {
-	if c.Dense != nil {
-		i := v - c.Lo
-		return int(i), uint64(i) < uint64(len(c.Dense))
+// group returns the group of value v, or the trailing empty group when no
+// row holds v.
+func (c *ColIndex) group(v int64) int32 {
+	miss := int32(len(c.counts) - 1)
+	if c.groups == nil {
+		if i := v - c.Lo; uint64(i) < uint64(miss) {
+			return int32(i)
+		}
+		return miss
 	}
-	g, ok := c.groups[v]
-	return int(g), ok
+	if g, ok := c.groups[v]; ok {
+		return g
+	}
+	return miss
+}
+
+// groupRows returns the ascending ids of the rows of group g. The slice
+// aliases the index and must not be modified.
+func (c *ColIndex) groupRows(g int32) []int32 {
+	return c.rows[c.off[g]:c.off[g+1]:c.off[g+1]]
 }
 
 // RowsOf returns the ascending ids of the rows holding v. The slice
 // aliases the index and must not be modified.
-func (c *ColIndex) RowsOf(v int64) []int32 {
-	g, ok := c.group(v)
-	if !ok {
-		return nil
-	}
-	return c.rows[c.off[g]:c.off[g+1]:c.off[g+1]]
-}
-
-// count returns the number of rows holding v.
-func (c *ColIndex) count(v int64) int64 {
-	g, ok := c.group(v)
-	if !ok {
-		return 0
-	}
-	return int64(c.off[g+1] - c.off[g])
-}
+func (c *ColIndex) RowsOf(v int64) []int32 { return c.groupRows(c.group(v)) }
 
 // rangeRows returns the ids of the rows whose value lies in [lo, hi],
 // grouped by value, of a dense column. The slice aliases the index.
@@ -77,43 +71,37 @@ func (c *ColIndex) rangeRows(lo, hi int64) []int32 {
 // Scattering rows in ascending order keeps each group ascending.
 func buildColIndex(data []int64, lo, hi int64) *ColIndex {
 	c := &ColIndex{Lo: lo, Hi: hi, rows: make([]int32, len(data))}
+	var codes []int32 // wide columns: the group of each row
 	if span := denseSpan(lo, hi, len(data)); span > 0 {
-		c.Dense = make([]int64, span)
+		c.counts = make([]int64, span+1)
 		for _, v := range data {
-			c.Dense[v-lo]++
+			c.counts[v-lo]++
 		}
-		c.off = make([]int32, span+1)
-		for g, n := range c.Dense {
-			c.off[g+1] = c.off[g] + int32(n)
-		}
-		next := slices.Clone(c.off[:span])
+	} else {
+		c.groups = make(map[int64]int32)
+		codes = make([]int32, len(data))
 		for r, v := range data {
-			g := v - lo
-			c.rows[next[g]] = int32(r)
-			next[g]++
+			g, ok := c.groups[v]
+			if !ok {
+				g = int32(len(c.counts))
+				c.groups[v] = g
+				c.counts = append(c.counts, 0)
+			}
+			c.counts[g]++
+			codes[r] = g
 		}
-		return c
+		c.counts = append(c.counts, 0)
 	}
-	c.groups = make(map[int64]int32)
-	codes := make([]int32, len(data))
-	var counts []int32
+	c.off = make([]int32, len(c.counts)+1)
+	for g, n := range c.counts {
+		c.off[g+1] = c.off[g] + int32(n)
+	}
+	next := slices.Clone(c.off[:len(c.counts)])
 	for r, v := range data {
-		g, ok := c.groups[v]
-		if !ok {
-			g = int32(len(counts))
-			c.groups[v] = g
-			counts = append(counts, 0)
+		g := int32(v - lo)
+		if codes != nil {
+			g = codes[r]
 		}
-		counts[g]++
-		codes[r] = g
-	}
-	c.off = make([]int32, len(counts)+1)
-	for g, n := range counts {
-		c.off[g+1] = c.off[g] + n
-	}
-	next := counts // reused as the scatter cursors
-	copy(next, c.off)
-	for r, g := range codes {
 		c.rows[next[g]] = int32(r)
 		next[g]++
 	}
@@ -137,13 +125,20 @@ func denseSpan(lo, hi int64, rows int) int {
 
 type colKey struct{ table, col int }
 
-// Index caches per-column ColIndexes for one dataset. Building a column
-// index costs a bounds pass and a grouping pass over the column and
-// happens at most once per (table, column) pair; after that every query
-// against the dataset shares it. An Index is safe for concurrent use; the
-// CardinalityBatch worker pool and the corpus-labeling goroutines all
-// read through one instance. It also owns a pool of Evaluators so that the
-// package-level Cardinality entry point is allocation-free in steady state.
+// probeKey names the probe of one column's rows into another column's
+// groups.
+type probeKey struct{ probe, key colKey }
+
+// Index caches per-column ColIndexes for one dataset, and the probes that
+// join evaluation reads through them. Building a column index costs a
+// bounds pass and a grouping pass over the column and happens at most once
+// per (table, column) pair; a probe costs one pass over the probing column
+// and happens at most once per (probe column, key column) pair. After that
+// every query against the dataset shares them. An Index is safe for
+// concurrent use; the CardinalityBatch worker pool and the corpus-labeling
+// goroutines all read through one instance. It also owns a pool of
+// Evaluators so that the package-level Cardinality entry point is
+// allocation-free in steady state.
 //
 // An Index must not outlive mutations of its dataset: callers that change
 // table data in place must drop the shared Index via InvalidateIndex.
@@ -153,7 +148,8 @@ type Index struct {
 	cols map[colKey]*ColIndex
 	// wide marks columns found to have a wide domain by denseCol, whose
 	// index it declines to build.
-	wide map[colKey]bool
+	wide   map[colKey]bool
+	probes map[probeKey][]int32
 
 	evals sync.Pool
 }
@@ -161,7 +157,12 @@ type Index struct {
 // NewIndex returns an empty index over d; column indexes are built lazily
 // on first use.
 func NewIndex(d *dataset.Dataset) *Index {
-	ix := &Index{d: d, cols: make(map[colKey]*ColIndex), wide: make(map[colKey]bool)}
+	ix := &Index{
+		d:      d,
+		cols:   make(map[colKey]*ColIndex),
+		wide:   make(map[colKey]bool),
+		probes: make(map[probeKey][]int32),
+	}
 	ix.evals.New = func() any { return newEvaluator(d, ix) }
 	return ix
 }
@@ -194,7 +195,7 @@ func (ix *Index) denseCol(ti, ci int) *ColIndex {
 	ix.mu.RUnlock()
 	switch {
 	case c != nil:
-		if c.Dense == nil {
+		if c.groups != nil {
 			return nil
 		}
 		return c
@@ -223,6 +224,42 @@ func (ix *Index) build(k colKey, data []int64, lo, hi int64) *ColIndex {
 	c := buildColIndex(data, lo, hi)
 	ix.cols[k] = c
 	return c
+}
+
+// probe returns, for every row of column pc of table pt, the group its
+// value falls in within the index of column kc of table kt: the trailing
+// empty group when no row of that column holds the value. A key column's
+// probe into itself lists each row's own group, read off the grouping
+// without a map lookup. Each probe is built on first use.
+func (ix *Index) probe(pt, pc, kt, kc int) []int32 {
+	k := probeKey{colKey{pt, pc}, colKey{kt, kc}}
+	ix.mu.RLock()
+	p := ix.probes[k]
+	ix.mu.RUnlock()
+	if p != nil {
+		return p
+	}
+	key := ix.Col(kt, kc)
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if p := ix.probes[k]; p != nil {
+		return p
+	}
+	data := ix.d.Tables[pt].Col(pc).Data
+	p = make([]int32, len(data))
+	if k.probe == k.key {
+		for g := range int32(len(key.counts) - 1) {
+			for _, r := range key.groupRows(g) {
+				p[r] = g
+			}
+		}
+	} else {
+		for r, v := range data {
+			p[r] = key.group(v)
+		}
+	}
+	ix.probes[k] = p
+	return p
 }
 
 // acquire hands out a pooled evaluator bound to this index.

@@ -312,31 +312,3 @@ func sums(ys []float64, samples []int32) (sum, sumSq float64) {
 	}
 	return sum, sumSq
 }
-
-// MSELoss returns the mean squared error of the ensemble on (xs, ys);
-// exported for tests and training diagnostics.
-func (e *Ensemble) MSELoss(xs [][]float64, ys []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range xs {
-		d := e.Predict(xs[i]) - ys[i]
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// NumLeaves returns the total leaf count across trees, a complexity proxy
-// used in tests.
-func (e *Ensemble) NumLeaves() int {
-	n := 0
-	for _, t := range e.Trees {
-		for _, nd := range t.nodes {
-			if nd.leaf {
-				n++
-			}
-		}
-	}
-	return n
-}

@@ -214,12 +214,13 @@ func (e *Encoder) inferPool(n int) *sync.Pool {
 // vector (no gradient bookkeeping needed by callers). It replays a pooled
 // per-shape inference tape — each call owns its tape's buffers for the
 // duration, so concurrent Embed calls never share mutable state and
-// steady-state inference rebuilds no autodiff graph. Graphs whose feature
-// dimension does not match the architecture (only constructed by tests)
-// fall back to the transient dynamic path.
+// steady-state inference rebuilds no autodiff graph. Only a graph whose
+// every vertex row is InDim wide and whose E is n×n fills a tape
+// completely; any other graph takes the transient dynamic path, which
+// panics on ragged rows rather than embed stale tape values.
 func (e *Encoder) Embed(g *feature.Graph) []float64 {
 	n := g.NumVertices()
-	if n == 0 || len(g.V[0]) != e.cfg.InDim {
+	if n == 0 || !tapeShaped(g, e.cfg.InDim) {
 		return e.Forward(g).Row(0)
 	}
 	pool := e.inferPool(n)
@@ -233,4 +234,19 @@ func (e *Encoder) Embed(g *feature.Graph) []float64 {
 	out := it.tape.Forward().Row(0) // Row copies, so the tape can be reused
 	pool.Put(it)
 	return out
+}
+
+// tapeShaped reports whether every vertex row of g is dim wide and E is
+// n×n, so that copying g into an inference tape overwrites every input.
+func tapeShaped(g *feature.Graph, dim int) bool {
+	n := len(g.V)
+	if len(g.E) != n {
+		return false
+	}
+	for i := range n {
+		if len(g.V[i]) != dim || len(g.E[i]) != n {
+			return false
+		}
+	}
+	return true
 }

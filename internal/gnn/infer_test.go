@@ -31,6 +31,38 @@ func TestEmbedMatchesDynamicForward(t *testing.T) {
 	}
 }
 
+// TestEmbedRejectsShortRows: a graph whose later vertex row is short
+// must not embed through a pooled tape that still holds the previous
+// graph's value in the missing entry; it goes to the dynamic path, which
+// panics on ragged rows. A wrong-size E is refused the same way.
+func TestEmbedRejectsShortRows(t *testing.T) {
+	cfg := Config{InDim: 4, Hidden: 8, OutDim: 4, Layers: 2, Seed: 9}
+	e := New(cfg)
+	full := &feature.Graph{
+		V: [][]float64{{0.1, 0.2, 0.3, 0.4}, {0.5, 0.6, 0.7, 0.9}},
+		E: [][]float64{{0, 1}, {1, 0}},
+	}
+	e.Embed(full) // leaves 0.9 in the pooled 2-vertex tape
+	cases := map[string]*feature.Graph{
+		"short second row": {
+			V: [][]float64{{0.1, 0.2, 0.3, 0.4}, {0.5, 0.6, 0.7}},
+			E: [][]float64{{0, 1}, {1, 0}},
+		},
+		"short E row":  {V: full.V, E: [][]float64{{0, 1}, {1}}},
+		"E not n rows": {V: full.V, E: [][]float64{{0, 1}}},
+	}
+	for name, g := range cases {
+		t.Run(name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Embed accepted a malformed graph")
+				}
+			}()
+			e.Embed(g)
+		})
+	}
+}
+
 // TestEmbedConcurrent runs many goroutines embedding overlapping graph
 // sets through one encoder; with -race this verifies the pooled inference
 // path shares no mutable state between calls.

@@ -250,10 +250,10 @@ func (o *Optimizer) Plan(q *workload.Query) (*Plan, time.Duration) {
 	}, inferTime
 }
 
-// TrueCost costs a plan with true cardinalities from the engine — the
+// trueCost costs a plan with true cardinalities from the engine — the
 // simulated execution time driver. Bad join orders surface here as large
 // true intermediate results that the optimizer did not anticipate.
-func (o *Optimizer) TrueCost(q *workload.Query, p *Plan) float64 {
+func (o *Optimizer) trueCost(q *workload.Query, p *Plan) float64 {
 	trueCard := func(tables []int) float64 {
 		return float64(engine.Cardinality(o.d, &subQuery(q, tables).Query))
 	}
@@ -298,7 +298,7 @@ type Result struct {
 // Run plans and "executes" one query.
 func (o *Optimizer) Run(q *workload.Query) Result {
 	plan, infer := o.Plan(q)
-	cost := o.TrueCost(q, plan)
+	cost := o.trueCost(q, plan)
 	return Result{
 		Plan:      plan,
 		ExecTime:  time.Duration(cost * float64(CostUnitTime)),

@@ -74,8 +74,8 @@ func TestOracleBeatsAdversarialEstimates(t *testing.T) {
 	for _, q := range qs {
 		gp, _ := good.Plan(q)
 		bp, _ := bad.Plan(q)
-		goodCost += good.TrueCost(q, gp)
-		badCost += bad.TrueCost(q, bp)
+		goodCost += good.trueCost(q, gp)
+		badCost += bad.trueCost(q, bp)
 	}
 	if goodCost > badCost {
 		t.Fatalf("oracle plans cost %g, adversarial plans cost %g", goodCost, badCost)

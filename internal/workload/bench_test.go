@@ -43,8 +43,8 @@ func BenchmarkGenerateLabeled(b *testing.B) {
 
 // BenchmarkGenerateLabeledWide labels the same arrival with every value
 // scaled by 1e12, which keeps every join and query shape but makes every
-// column's domain wide: join keys take the map-backed index and
-// predicates are filtered by scans.
+// column's domain wide: join-key indexes number their groups through a
+// map, and predicates are filtered by scans.
 func BenchmarkGenerateLabeledWide(b *testing.B) {
 	d := churnArrival(b)
 	for _, t := range d.Tables {
