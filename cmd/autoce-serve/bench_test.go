@@ -116,6 +116,14 @@ func BenchmarkDecodeDatasetPayload(b *testing.B) {
 	benchDecode[datasetRequest](b, largestArrivalBody(b))
 }
 
+// BenchmarkDecodeWideDatasetPayload decodes a body of the same shape
+// whose values have 8 to 12 digits, half of them negative: the
+// scanner's int64 path, which BenchmarkDecodeDatasetPayload's mostly
+// short values rarely reach.
+func BenchmarkDecodeWideDatasetPayload(b *testing.B) {
+	benchDecode[datasetRequest](b, wideArrivalBody(b))
+}
+
 // BenchmarkDecodeDeclinedDatasetPayload decodes the same body with one
 // case-variant key near its end ("Name" for the last table's name): the
 // scanner reads and allocates nearly all of it before it declines, and

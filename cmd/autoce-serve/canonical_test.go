@@ -1,7 +1,10 @@
 package main
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
@@ -9,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/dataset"
 )
 
 // TestCanonicalKeysMatchTags: each key list the scanner accepts is its
@@ -49,6 +53,7 @@ func TestScanCanonicalAcceptsCanonicalBodies(t *testing.T) {
 		[]byte(" {\n\t\"fks\" : [ ] , \"tables\" : [ { \"cols\" : [ { \"data\" : [ -0 , 1 ] } ] } ] , \"name\" : \"db\" } \r\n"),
 		[]byte(`{"name":"db","tables":[{"name":"t0","cols":[{"name":"c0","data":null}]},{"cols":null}],"fks":null}`),
 		[]byte(`{}`),
+		[]byte("{\"tables\":[{\"cols\":[{\"data\":[ 1 , 22 ,333, 4444\n,\t55555\r]},{\"data\":[\n7 ]}]}]}"),
 	} {
 		if _, err := strictDecode[datasetRequest](t, body); err != nil {
 			t.Fatal(err)
@@ -62,6 +67,16 @@ func TestScanCanonicalAcceptsCanonicalBodies(t *testing.T) {
 				if cap(cp.Data) != len(cp.Data) {
 					t.Fatalf("column of %d values has capacity %d", len(cp.Data), cap(cp.Data))
 				}
+			}
+		}
+	}
+	for _, v := range acceptedIntegers() {
+		for _, body := range integerBodies(v) {
+			if _, err := strictDecode[datasetRequest](t, body); err != nil {
+				t.Fatal(err)
+			}
+			if !scanCanonical(body, new(datasetRequest)) {
+				t.Fatalf("scanner declined canonical /datasets body %s", body)
 			}
 		}
 	}
@@ -125,6 +140,13 @@ func TestScanCanonicalDeclines(t *testing.T) {
 			t.Errorf("scanner accepted non-canonical /estimate body %s", body)
 		}
 	}
+	for _, v := range declinedIntegers() {
+		for _, body := range integerBodies(v) {
+			if scanCanonical(body, new(datasetRequest)) {
+				t.Errorf("scanner accepted non-canonical /datasets body %q", body)
+			}
+		}
+	}
 	// A malformed array allocates nothing: a run of commas is shorter
 	// than the integers its commas separate would be.
 	commas := []byte(`{"tables":[{"cols":[{"data":[` + strings.Repeat(",", maxDatasetCells-1) + `]}]}]}`)
@@ -140,9 +162,106 @@ func TestScanCanonicalDeclines(t *testing.T) {
 	}
 }
 
+// acceptedIntegers are canonical integers around the edges of the
+// scanner's fast path: 1 to 19 digits (its 7/8-digit limit included),
+// zeros that do not lead, signs, and the ends of the int64 range.
+func acceptedIntegers() []string {
+	vs := []string{"0", "-0", "-1", "-1234567", "-12345678", "9999999", "10000000",
+		"99999999", "100000000", "999999999", "9223372036854775807", "-9223372036854775808"}
+	for n := 1; n <= 19; n++ {
+		vs = append(vs, "1234567890123456789"[:n], "1"+strings.Repeat("0", n-1))
+		if n < 19 {
+			vs = append(vs, strings.Repeat("9", n))
+		}
+	}
+	return vs
+}
+
+// declinedIntegers are array elements outside the canonical form: a
+// leading zero at every length the fast path sees, numbers past either
+// end of the int64 range, a fraction, an exponent, a plus sign, and
+// bytes of 0x80 and above right after digits.
+func declinedIntegers() []string {
+	vs := []string{"00", "00000000", "00000001", "-01", "-", "+1", "1.5", "1e3", "1E3",
+		"12345678.5", "9999999999999999999", "9223372036854775808", "-9223372036854775809",
+		"1\x80", "1234567\xff", "12\xc3\xa9", "0x1"}
+	for n := 1; n <= 8; n++ {
+		vs = append(vs, "0"+"12345678"[:n])
+	}
+	return vs
+}
+
+// integerBodies places v in /datasets bodies at the three places the
+// scanner reads an element differently: first in an array, after a
+// comma, and last, ending 6 bytes before the body's end, so that the
+// eight bytes from a 1-digit value would run past the body and those
+// from a 2-digit value just fit.
+func integerBodies(v string) [][]byte {
+	return [][]byte{
+		[]byte(`{"tables":[{"cols":[{"data":[` + v + `,5]}]}],"name":"padding"}`),
+		[]byte(`{"tables":[{"cols":[{"data":[5,` + v + `]}]}],"name":"padding"}`),
+		[]byte(`{"tables":[{"cols":[{"data":[5,` + v + `]}]}]}`),
+	}
+}
+
+// TestShortRunAgreesWithInt64: wherever the fast path takes a digit
+// run, int64 takes the same bytes as the same value. Buffers are drawn
+// from bytes that each end or extend a digit run.
+func TestShortRunAgreesWithInt64(t *testing.T) {
+	const alphabet = "0123456789000999-+ ,]./:e\x80\xff"
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 16)
+	taken := 0
+	for range 200000 {
+		n := 8 + rng.Intn(len(buf)-7)
+		for i := range n {
+			buf[i] = alphabet[rng.Intn(len(alphabet))]
+		}
+		w := binary.LittleEndian.Uint64(buf)
+		r := shortRun(w)
+		if r == 0 {
+			continue
+		}
+		taken++
+		v := foldRun(w, r)
+		slow := &scanner{buf: buf[:n]}
+		if u, ok := slow.int64(); !ok || u != v || slow.pos != r {
+			t.Fatalf("%q: fast path read %d up to %d, int64 read %d up to %d (ok %v)",
+				buf[:n], v, r, u, slow.pos, ok)
+		}
+	}
+	if taken == 0 {
+		t.Fatal("the fast path took no integer")
+	}
+}
+
 // largestArrivalBody encodes a dataset the size of the largest
 // tenant-churn arrival in perfbench: 3 tables of 50k rows, 4 columns each.
 func largestArrivalBody(tb testing.TB) []byte {
+	return mustJSON(tb, datasetBody(largestArrival(tb)))
+}
+
+// wideArrivalBody encodes the same tables with every value replaced by
+// one of 8 to 12 digits (digit count uniform), half of them negative, so
+// that each value takes the scanner's int64 path, not its fast path.
+func wideArrivalBody(tb testing.TB) []byte {
+	d := largestArrival(tb)
+	rng := rand.New(rand.NewSource(27))
+	for _, t := range d.Tables {
+		for _, c := range t.Cols {
+			for i := range c.Data {
+				lo := int64(math.Pow10(7 + rng.Intn(5)))
+				c.Data[i] = lo + rng.Int63n(9*lo)
+				if rng.Intn(2) == 0 {
+					c.Data[i] = -c.Data[i]
+				}
+			}
+		}
+	}
+	return mustJSON(tb, datasetBody(d))
+}
+
+func largestArrival(tb testing.TB) *dataset.Dataset {
 	tb.Helper()
 	p := datagen.DefaultParams(26)
 	p.Tables = 3
@@ -152,7 +271,7 @@ func largestArrivalBody(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return mustJSON(tb, datasetBody(d))
+	return d
 }
 
 // estimateBatchBody encodes an /estimate batch of n two-table join

@@ -54,6 +54,12 @@ func FuzzDatasetPayload(f *testing.F) {
 	f.Add([]byte(`{"name":"x","tables":[{"pk":-7,"cols":[{"data":[0,0,0]}]}]}`))
 	f.Add([]byte(`{"tables":[{"cols":[{"data":null}]}]}`))
 	f.Add([]byte(`{`))
+	for _, v := range append(acceptedIntegers(), declinedIntegers()...) {
+		for _, body := range integerBodies(v) {
+			f.Add(body)
+		}
+	}
+	f.Add([]byte("{\"tables\":[{\"cols\":[{\"data\":[ 1 , 22 ,333, 4444\n,\t55555\r]}]}]}"))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		req, err := strictDecode[datasetRequest](t, raw)
 		if err != nil {

@@ -230,15 +230,6 @@ func Index(name string) int {
 	return -1
 }
 
-// MustIndex is Index, panicking on an unknown name.
-func MustIndex(name string) int {
-	i := Index(name)
-	if i < 0 {
-		panic(fmt.Sprintf("ce: model %q is not registered", name))
-	}
-	return i
-}
-
 // CandidateIndexes returns the registry indexes of the candidate set M in
 // rank order.
 func CandidateIndexes() []int {

@@ -173,8 +173,9 @@ func TestSaveFileReplacesAtomically(t *testing.T) {
 }
 
 // TestLoadRejectsMalformedSamples: an artifact whose candidate samples do
-// not fit the encoder or each other fails to load with an error, where
-// it used to panic or load.
+// not fit the encoder or each other, or whose encoder weights do not fit
+// its architecture, fails to load with an error, where it used to panic
+// or load.
 func TestLoadRejectsMalformedSamples(t *testing.T) {
 	adv, err := Train(corpus(t, 6, 27), testConfig())
 	if err != nil {
@@ -219,6 +220,12 @@ func TestLoadRejectsMalformedSamples(t *testing.T) {
 		{"labels shorter than the others", func(st *advisorState) {
 			s := &st.Samples[4]
 			s.Sa, s.Se = s.Sa[:1], s.Se[:1]
+		}},
+		{"negative encoder InDim", func(st *advisorState) { st.Encoder.Config.InDim = -1 }},
+		{"encoder layers past its weights", func(st *advisorState) { st.Encoder.Config.Layers = 1 << 40 }},
+		{"short encoder weights", func(st *advisorState) {
+			w := st.Encoder.Params
+			w[1] = w[1][:len(w[1])-1]
 		}},
 	}
 	for _, tc := range cases {

@@ -109,9 +109,6 @@ func (t *Tensor) Scalar() float64 {
 	return t.V[0]
 }
 
-// IsParam reports whether t is a trainable leaf.
-func (t *Tensor) IsParam() bool { return t.param }
-
 func (t *Tensor) ensureGrad() {
 	if t.G == nil {
 		t.G = make([]float64, t.R*t.C)
