@@ -239,10 +239,10 @@ func TestServeQuarantineSurvivesEviction(t *testing.T) {
 	}
 }
 
-// TestServeCoalescedEstimatesMatchSolo pins batch ≡ single-query end to
-// end: concurrent single-query estimates return exactly the same
-// per-query answers as a solo batched call.
-func TestServeCoalescedEstimatesMatchSolo(t *testing.T) {
+// TestServeBatchEstimatesMatchSolo pins batch ≡ single-query end to end:
+// concurrent single-query estimates, each admitted as a batch of one,
+// return exactly the same per-query answers as one batched call.
+func TestServeBatchEstimatesMatchSolo(t *testing.T) {
 	_, ts := serveWithOpts(t, nil, serveOptions{})
 	d := serveDataset(t, 1, 207)
 	d.Name = "tenantA"
@@ -255,9 +255,8 @@ func TestServeCoalescedEstimatesMatchSolo(t *testing.T) {
 		t.Fatalf("baseline has %d estimates", len(baseline))
 	}
 
-	// Storm of concurrent singles: every response must match the solo
-	// answer for its own query — merged rides must never leak a
-	// neighbor's result into the wrong slot.
+	// Storm of concurrent singles: every response must match the batched
+	// answer for its own query, never a neighbor's.
 	const rounds = 8
 	var wg sync.WaitGroup
 	errs := make(chan error, rounds*nq)
@@ -278,7 +277,7 @@ func TestServeCoalescedEstimatesMatchSolo(t *testing.T) {
 					return
 				}
 				if er.Estimate != baseline[qi] {
-					errs <- fmt.Errorf("query %d: coalesced %v != solo %v", qi, er.Estimate, baseline[qi])
+					errs <- fmt.Errorf("query %d: single %v != batched %v", qi, er.Estimate, baseline[qi])
 				}
 			}(qi)
 		}

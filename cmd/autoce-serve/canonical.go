@@ -248,7 +248,9 @@ func numbers[T int | int64](s *scanner, dst *[]T) bool {
 				return false
 			}
 		}
-		if len(b)-pos >= 8 {
+		// A minus sign can never start a short run, so a negative value
+		// goes straight to int64 without the probe.
+		if len(b)-pos >= 8 && b[pos] != '-' {
 			w := binary.LittleEndian.Uint64(b[pos:])
 			if r := shortRun(w); r > 0 {
 				out[i] = T(foldRun(w, r))

@@ -367,6 +367,8 @@ func (s *server) onboard(req *datasetRequest) (*datasetResponse, int, error) {
 		return nil, http.StatusBadRequest, err
 	}
 	g, err := feature.Extract(d, feature.DefaultConfig())
+	// Feature extraction is the statistics view's only reader.
+	dataset.InvalidateStats(d)
 	if err != nil {
 		return nil, http.StatusBadRequest, fmt.Errorf("extracting features: %w", err)
 	}
@@ -583,6 +585,11 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	ctx := r.Context()
 	in, err := testbed.NewTrainInputForCtx(ctx, tn.d, cfg, spec.Kind)
+	// Only staging reads the join index (workload labeling, the join
+	// sample, the subset sizes); Fit and every read endpoint do not. Drop
+	// it, whether staging finished or not, so a resident tenant holds only
+	// its data; the next /train rebuilds what it reads.
+	engine.InvalidateIndex(tn.d)
 	if err != nil {
 		release()
 		writeDeadline(w, "training (input staging)", err)

@@ -8,10 +8,12 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ce"
 	"repro/internal/datagen"
 	"repro/internal/dataset"
+	"repro/internal/engine"
 	"repro/internal/testbed"
 )
 
@@ -517,5 +519,43 @@ func TestServeTrainHonorsExplicitZeroWa(t *testing.T) {
 	}
 	if !tr.Recommended || tr.Model != rec.ModelName {
 		t.Fatalf("wa=0 trained %q, recommendation under wa=0 was %q (%+v)", tr.Model, rec.ModelName, tr)
+	}
+}
+
+// TestServeTrainReleasesJoinIndex pins that a tenant holds no join index
+// between requests. Only /train's staging reads it, so the handler drops
+// it once staging returns: after a query-driven staging (workload
+// labeling), a data-driven one (join sample and subset sizes), and one
+// that ran out its deadline alike.
+func TestServeTrainReleasesJoinIndex(t *testing.T) {
+	adv, _ := testAdvisor(t, 8)
+	d := serveDataset(t, 3, 47)
+	for _, tc := range []struct {
+		model    string
+		deadline time.Duration
+		status   int
+	}{
+		{"LW-XGB", 0, http.StatusOK},
+		{"BayesCard", 0, http.StatusOK},
+		{"BayesCard", time.Nanosecond, http.StatusServiceUnavailable},
+	} {
+		s := newServerOpts(adv, nil, serveOptions{TrainDeadline: tc.deadline})
+		ts := httptest.NewServer(s)
+		onboard(t, ts, d)
+		tn := s.fleet.tenant(d.Name)
+		ix := engine.IndexFor(tn.d)
+		resp, data := postJSON(t, ts, "/train", map[string]any{
+			"dataset": d.Name, "model": tc.model, "queries": 40, "sample_rows": 100,
+		})
+		ts.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("/train %s (deadline %v) returned %d, want %d: %s", tc.model, tc.deadline, resp.StatusCode, tc.status, data)
+		}
+		if tc.status != http.StatusOK && !bytes.Contains(data, []byte("input staging")) {
+			t.Fatalf("/train %s did not run out its deadline in staging: %s", tc.model, data)
+		}
+		if engine.IndexFor(tn.d) == ix {
+			t.Fatalf("/train %s (deadline %v) left the tenant's join index resident", tc.model, tc.deadline)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -85,11 +86,16 @@ func writeFileAtomic(path string, write func(io.Writer) error) error {
 }
 
 // Load reads a trained advisor written by Save and recomputes the RCS
-// embeddings with the restored encoder.
+// embeddings with the restored encoder. It checks the configuration, then
+// the encoder and the candidate samples, before it builds anything from
+// them, so a malformed artifact returns an error rather than a panic.
 func Load(r io.Reader) (*Advisor, error) {
 	var st advisorState
 	if err := gob.NewDecoder(r).Decode(&st); err != nil {
 		return nil, fmt.Errorf("core: decoding advisor: %w", err)
+	}
+	if err := checkConfig(&st.Cfg); err != nil {
+		return nil, fmt.Errorf("core: loaded advisor: %w", err)
 	}
 	enc, err := gnn.FromState(st.Encoder)
 	if err != nil {
@@ -126,6 +132,31 @@ func Load(r io.Reader) (*Advisor, error) {
 	}
 	a.publishLocked()
 	return a, nil
+}
+
+// checkConfig reports whether the training and serving settings of cfg
+// are in range: at least one neighbor, finite Tau, Gamma and LR, a
+// TauQuantile and every WeightGrid entry in [0, 1], and no negative
+// Epochs or Batch.
+func checkConfig(cfg *Config) error {
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	unit := func(x float64) bool { return x >= 0 && x <= 1 }
+	switch {
+	case cfg.K < 1:
+		return fmt.Errorf("K %d is below 1", cfg.K)
+	case !finite(cfg.Tau) || !finite(cfg.Gamma) || !finite(cfg.LR):
+		return fmt.Errorf("Tau %g, Gamma %g and LR %g must be finite", cfg.Tau, cfg.Gamma, cfg.LR)
+	case !unit(cfg.TauQuantile):
+		return fmt.Errorf("TauQuantile %g outside [0, 1]", cfg.TauQuantile)
+	case cfg.Epochs < 0 || cfg.Batch < 0:
+		return fmt.Errorf("Epochs %d and Batch %d must not be negative", cfg.Epochs, cfg.Batch)
+	}
+	for i, w := range cfg.WeightGrid {
+		if !unit(w) {
+			return fmt.Errorf("WeightGrid[%d] %g outside [0, 1]", i, w)
+		}
+	}
+	return nil
 }
 
 // checkGraphShape reports whether g has the shape the encoder reads:

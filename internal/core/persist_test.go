@@ -173,9 +173,9 @@ func TestSaveFileReplacesAtomically(t *testing.T) {
 }
 
 // TestLoadRejectsMalformedSamples: an artifact whose candidate samples do
-// not fit the encoder or each other, or whose encoder weights do not fit
-// its architecture, fails to load with an error, where it used to panic
-// or load.
+// not fit the encoder or each other, whose encoder weights do not fit
+// its architecture, or whose configuration is out of range, fails to load
+// with an error, where it used to panic or load.
 func TestLoadRejectsMalformedSamples(t *testing.T) {
 	adv, err := Train(corpus(t, 6, 27), testConfig())
 	if err != nil {
@@ -227,6 +227,18 @@ func TestLoadRejectsMalformedSamples(t *testing.T) {
 			w := st.Encoder.Params
 			w[1] = w[1][:len(w[1])-1]
 		}},
+		{"K of 0", func(st *advisorState) { st.Cfg.K = 0 }},
+		{"negative K", func(st *advisorState) { st.Cfg.K = -2 }},
+		{"NaN Tau", func(st *advisorState) { st.Cfg.Tau = math.NaN() }},
+		{"infinite Gamma", func(st *advisorState) { st.Cfg.Gamma = math.Inf(1) }},
+		{"infinite LR", func(st *advisorState) { st.Cfg.LR = math.Inf(-1) }},
+		{"TauQuantile above 1", func(st *advisorState) { st.Cfg.TauQuantile = 1.5 }},
+		{"negative TauQuantile", func(st *advisorState) { st.Cfg.TauQuantile = -0.1 }},
+		{"NaN TauQuantile", func(st *advisorState) { st.Cfg.TauQuantile = math.NaN() }},
+		{"WeightGrid entry above 1", func(st *advisorState) { st.Cfg.WeightGrid = append(st.Cfg.WeightGrid, 1.01) }},
+		{"NaN WeightGrid entry", func(st *advisorState) { st.Cfg.WeightGrid[0] = math.NaN() }},
+		{"negative Epochs", func(st *advisorState) { st.Cfg.Epochs = -1 }},
+		{"negative Batch", func(st *advisorState) { st.Cfg.Batch = -24 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

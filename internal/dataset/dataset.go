@@ -20,8 +20,9 @@
 // one distinct-value set per endpoint column. Both layers are exact and
 // agree number for number. StatsFor keeps one Stats on each dataset
 // (Dataset.Derived, which engine.IndexFor uses too), so it is collected
-// with the dataset; only code that mutates table data in place must call
-// InvalidateStats.
+// with the dataset; code that mutates table data in place must call
+// InvalidateStats, and owners that keep a dataset past feature extraction
+// call it to release the view.
 package dataset
 
 import (
@@ -184,7 +185,8 @@ func (d *Dataset) Derived(key any, build func() any) any {
 }
 
 // DropDerived discards the value stored under key, so the next Derived
-// call rebuilds it. Call it after mutating table data in place.
+// call rebuilds it. Call it after mutating table data in place, or to
+// release state that no later use reads.
 func (d *Dataset) DropDerived(key any) { d.derived.Delete(key) }
 
 // NumTables returns the number of tables in the dataset.

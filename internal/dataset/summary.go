@@ -37,8 +37,9 @@ import (
 //     set (dense bitset or hash set) per endpoint column — the naive
 //     path rebuilds the PK set once per incident FK. StatsFor keeps one
 //     Stats on each dataset (Dataset.Derived, shared with
-//     engine.IndexFor), so it is collected with the dataset; only paths
-//     that mutate table data in place call InvalidateStats.
+//     engine.IndexFor), so it is collected with the dataset; paths that
+//     mutate table data in place call InvalidateStats, and so do owners
+//     that keep a dataset past feature extraction, to release it.
 //
 // Every number is exact: summaries are bit-identical to the per-call API
 // (ColumnStats shares colStatsKernel; equal fractions and join
@@ -858,7 +859,10 @@ func (st *Stats) TotalDomainSize() int {
 type statsKey struct{}
 
 // StatsFor returns the shared statistics view of d, creating it on first
-// use. The view lives on d and is collected with it.
+// use. The view lives on d until its owner drops it with InvalidateStats
+// or d is collected. Feature extraction is its only reader, so owners
+// that keep a dataset past extraction release it then: the offline
+// corpus (experiments.LabelDatasets) and autoce-serve's onboarding.
 func StatsFor(d *Dataset) *Stats {
 	return d.Derived(statsKey{}, func() any {
 		return &Stats{

@@ -30,7 +30,8 @@
 // The per-dataset Index (columns grouped by value, by counting sort where
 // the domain is dense, and the probes between join columns) lives on its
 // dataset (dataset.Dataset.Derived) and is collected with it; callers that
-// mutate a dataset in place must call InvalidateIndex.
+// mutate a dataset in place must call InvalidateIndex, and owners that
+// keep a dataset past its labeling call it to release the index.
 package engine
 
 import (

@@ -272,7 +272,11 @@ func (ix *Index) release(e *Evaluator) { ix.evals.Put(e) }
 type indexKey struct{}
 
 // IndexFor returns the shared index of d, creating it on first use. The
-// index lives on d and is collected with it.
+// index lives on d until its owner drops it with InvalidateIndex or d is
+// collected. Owners that keep a dataset past its labeling release it:
+// the offline corpus once its workloads are labeled
+// (experiments.LabelDatasets), and autoce-serve after each /train's
+// input staging, the only part of serving that reads it.
 func IndexFor(d *dataset.Dataset) *Index {
 	return d.Derived(indexKey{}, func() any { return NewIndex(d) }).(*Index)
 }
