@@ -2,8 +2,8 @@ package repro_test
 
 // Benchmark harness: one testing.B benchmark per table and figure of the
 // paper's evaluation section. Each benchmark regenerates its artifact at
-// the quick scale (the full-scale runs are driven by cmd/autoce-exp and
-// recorded in EXPERIMENTS.md); reported ns/op is the cost of one complete
+// the quick scale (the full-scale runs are regenerated by
+// `go run ./cmd/autoce-exp`); reported ns/op is the cost of one complete
 // regeneration, excluding the shared corpus labeling, which is built once
 // and reused — exactly how the experiments share Stage 1 in the paper.
 

@@ -19,7 +19,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ce"
 	"repro/internal/latency"
+	"repro/internal/workload"
 )
 
 // benchServe builds a served tenant and returns encoded /estimate bodies
@@ -155,4 +157,106 @@ func benchDecode[T any](b *testing.B, body []byte) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkHandleEstimate calls the /estimate handler in process, without
+// a client or a socket, with a single query for each servable model (one
+// sub-benchmark per model), so B/op and allocs/op count what the server
+// itself allocates per request: decode, validation, admission, inference
+// and the response encode.
+func BenchmarkHandleEstimate(b *testing.B) { benchHandleEstimate(b, 1) }
+
+// BenchmarkHandleEstimateBatch64 is BenchmarkHandleEstimate with 64
+// queries per request.
+func BenchmarkHandleEstimateBatch64(b *testing.B) { benchHandleEstimate(b, 64) }
+
+func benchHandleEstimate(b *testing.B, batch int) {
+	s, ts := serveWithOpts(b, nil, serveOptions{})
+	d := serveDataset(b, 2, 311)
+	d.Name = "bench"
+	if resp, data := postJSON(b, ts, "/datasets", datasetBody(d)); resp.StatusCode != http.StatusOK {
+		b.Fatalf("onboarding failed: %d %s", resp.StatusCode, data)
+	}
+	var queries []*queryPayload
+	for _, q := range workload.Generate(d, workload.DefaultConfig(batch, 312)) {
+		queries = append(queries, payloadOf(q))
+	}
+	for _, spec := range ce.Specs() {
+		if spec.Kind == ce.Composite {
+			continue
+		}
+		if resp, data := postJSON(b, ts, "/train", map[string]any{
+			"dataset": d.Name, "model": spec.Name, "queries": 30, "sample_rows": 80,
+		}); resp.StatusCode != http.StatusOK {
+			b.Fatalf("training %s failed: %d %s", spec.Name, resp.StatusCode, data)
+		}
+		req := map[string]any{"dataset": d.Name, "model": spec.Name, "queries": queries}
+		if batch == 1 {
+			req = map[string]any{"dataset": d.Name, "model": spec.Name, "query": queries[0]}
+		}
+		body := mustJSON(b, req)
+		if !scanCanonical(body, new(estimateRequest)) {
+			b.Fatal("the scanner declined the benchmark's body")
+		}
+		b.Run(spec.Name, func(b *testing.B) {
+			var w discardWriter
+			r := httptest.NewRequest(http.MethodPost, "/estimate", nil)
+			var rd bodyReader
+			b.ReportAllocs()
+			for b.Loop() {
+				rd.Reset(body)
+				r.Body, r.ContentLength = &rd, int64(len(body))
+				w.reset()
+				s.ServeHTTP(&w, r)
+				if w.code != http.StatusOK {
+					b.Fatalf("/estimate returned %d", w.code)
+				}
+			}
+		})
+	}
+}
+
+// payloadOf is the /estimate form of q.
+func payloadOf(q *workload.Query) *queryPayload {
+	p := &queryPayload{Tables: q.Tables}
+	for _, j := range q.Joins {
+		p.Joins = append(p.Joins, joinPayload{LeftTable: j.LeftTable, LeftCol: j.LeftCol, RightTable: j.RightTable, RightCol: j.RightCol})
+	}
+	for _, pr := range q.Preds {
+		p.Preds = append(p.Preds, predPayload{Table: pr.Table, Col: pr.Col, Lo: pr.Lo, Hi: pr.Hi})
+	}
+	return p
+}
+
+// bodyReader is a request body a benchmark rewinds between requests.
+type bodyReader struct{ bytes.Reader }
+
+func (*bodyReader) Close() error { return nil }
+
+// discardWriter is a reusable http.ResponseWriter that keeps only the
+// status code, so a handler benchmark counts the handler's allocations.
+type discardWriter struct {
+	h    http.Header
+	code int
+}
+
+func (w *discardWriter) Header() http.Header {
+	if w.h == nil {
+		w.h = http.Header{}
+	}
+	return w.h
+}
+
+func (w *discardWriter) WriteHeader(code int) { w.code = code }
+
+func (w *discardWriter) Write(p []byte) (int, error) {
+	if w.code == 0 {
+		w.code = http.StatusOK
+	}
+	return len(p), nil
+}
+
+func (w *discardWriter) reset() {
+	clear(w.h)
+	w.code = 0
 }

@@ -34,6 +34,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // The accepted keys of each object, in the order of its struct fields.
@@ -75,6 +76,12 @@ func scanCanonical(body []byte, dst any) bool {
 type scanner struct {
 	buf []byte
 	pos int
+	// An /estimate body's queries take their table, join and predicate
+	// lists from these request-wide backing arrays, so a batch of small
+	// lists costs a few allocations rather than a few per query.
+	tables []int
+	joins  []joinPayload
+	preds  []predPayload
 }
 
 func (s *scanner) space() {
@@ -209,13 +216,14 @@ func number[T int | int64](s *scanner, dst *T) bool {
 
 // numbers scans an integer array, or null. The slice is allocated at
 // exactly the array's length, one more than the commas before its
-// closing bracket, since dataset.NewColumn keeps the slice it is given.
+// closing bracket, since dataset.NewColumn keeps the slice it is given;
+// with a non-nil slab it is carved from *slab instead (carve).
 // n integers take at least 2n-1 bytes (a digit each, commas between);
 // a shorter span declines before anything is allocated, so the scanner
 // allocates at most four bytes per body byte, as a valid integer array
 // of that length costs encoding/json too, and a malformed one such as a
 // run of commas allocates nothing.
-func numbers[T int | int64](s *scanner, dst *[]T) bool {
+func numbers[T int | int64](s *scanner, slab *[]T, dst *[]T) bool {
 	if s.null() {
 		return true
 	}
@@ -234,7 +242,12 @@ func numbers[T int | int64](s *scanner, dst *[]T) bool {
 	if span < 2*n-1 {
 		return false
 	}
-	out := make([]T, n)
+	var out []T
+	if slab == nil {
+		out = make([]T, n)
+	} else {
+		out = carve(slab, n)
+	}
 	// The position stays in pos while elements take the fast path and
 	// moves through s.pos only around the whitespace skip and int64.
 	b, pos := s.buf, s.pos
@@ -276,18 +289,25 @@ func numbers[T int | int64](s *scanner, dst *[]T) bool {
 // empty array yields an empty, non-nil slice, as it does in
 // encoding/json.
 func array[T any](s *scanner, dst *[]T, elem func(*scanner, *T) bool) bool {
+	var own []T
+	return arrayIn(s, &own, dst, elem)
+}
+
+// arrayIn is array with the elements appended to *slab; the result is
+// the slab's tail they occupy, its capacity capped at its length.
+func arrayIn[T any](s *scanner, slab *[]T, dst *[]T, elem func(*scanner, *T) bool) bool {
 	if s.null() {
 		return true
 	}
 	if !s.consume('[') {
 		return false
 	}
-	out := []T{}
+	start := len(*slab)
 	if !s.consume(']') {
 		for {
 			var zero T
-			out = append(out, zero)
-			if !elem(s, &out[len(out)-1]) {
+			*slab = append(*slab, zero)
+			if !elem(s, &(*slab)[len(*slab)-1]) {
 				return false
 			}
 			if s.consume(']') {
@@ -298,8 +318,20 @@ func array[T any](s *scanner, dst *[]T, elem func(*scanner, *T) bool) bool {
 			}
 		}
 	}
-	*dst = out
+	if len(*slab) == start {
+		*dst = []T{}
+	} else {
+		*dst = (*slab)[start:len(*slab):len(*slab)]
+	}
 	return true
+}
+
+// carve extends *slab by n elements and returns them, with the capacity
+// capped at n, so a later carve never writes into the result.
+func carve[T any](slab *[]T, n int) []T {
+	start := len(*slab)
+	*slab = slices.Grow(*slab, n)[:start+n]
+	return (*slab)[start : start+n : start+n]
 }
 
 // object scans an object whose keys are all in keys, each at most once,
@@ -366,7 +398,7 @@ func (s *scanner) column(c *columnPayload) bool {
 		if k == 0 {
 			return s.str(&c.Name)
 		}
-		return numbers(s, &c.Data)
+		return numbers(s, nil, &c.Data)
 	})
 }
 
@@ -408,11 +440,11 @@ func (s *scanner) query(q *queryPayload) bool {
 	return s.object(queryKeys, func(k int) bool {
 		switch k {
 		case 0:
-			return numbers(s, &q.Tables)
+			return numbers(s, &s.tables, &q.Tables)
 		case 1:
-			return array(s, &q.Joins, (*scanner).join)
+			return arrayIn(s, &s.joins, &q.Joins, (*scanner).join)
 		default:
-			return array(s, &q.Preds, (*scanner).pred)
+			return arrayIn(s, &s.preds, &q.Preds, (*scanner).pred)
 		}
 	})
 }

@@ -88,9 +88,9 @@ func FuzzDatasetPayload(f *testing.F) {
 }
 
 // FuzzEstimatePayload: the canonical scanner agrees with encoding/json or
-// declines; arbitrary JSON through the strict decoder and toQuery
+// declines; arbitrary JSON through the strict decoder and toQueries
 // against a fixed two-table schema must never panic; the handlers index
-// datasets with whatever toQuery accepts.
+// datasets with whatever toQueries accepts.
 func FuzzEstimatePayload(f *testing.F) {
 	f.Add([]byte(`{"dataset":"db1","query":{"tables":[0],"preds":[{"table":0,"col":1,"lo":1,"hi":5}]}}`))
 	f.Add([]byte(`{"dataset":"db1","queries":[{"tables":[0,1],"joins":[{"left_table":1,"left_col":1,"right_table":0,"right_col":0}]}]}`))
@@ -100,7 +100,7 @@ func FuzzEstimatePayload(f *testing.F) {
 	f.Add([]byte(`{"queries":[null]}`))
 
 	// The schema every fuzzed query validates against: two joined tables,
-	// shared read-only across iterations (toQuery only reads it).
+	// shared read-only across iterations (toQueries only reads it).
 	d := &dataset.Dataset{
 		Name: "db1",
 		Tables: []*dataset.Table{
@@ -130,23 +130,24 @@ func FuzzEstimatePayload(f *testing.F) {
 		}
 		for _, p := range payloads {
 			if p == nil {
-				continue // the handler 400s null entries before toQuery
+				continue // toQueries 400s null entries
 			}
-			q, err := p.toQuery(d)
+			qs, err := toQueries(d, []*queryPayload{p})
 			if err != nil {
 				continue
 			}
+			q := qs[0]
 			// Accepted queries are safe to index the dataset with — the
 			// invariant every estimator relies on.
 			for _, ti := range q.Tables {
 				if ti < 0 || ti >= len(d.Tables) {
-					t.Fatalf("toQuery accepted out-of-range table %d: %s", ti, raw)
+					t.Fatalf("toQueries accepted out-of-range table %d: %s", ti, raw)
 				}
 			}
 			for _, pr := range q.Preds {
 				if pr.Table < 0 || pr.Table >= len(d.Tables) ||
 					pr.Col < 0 || pr.Col >= d.Tables[pr.Table].NumCols() {
-					t.Fatalf("toQuery accepted out-of-range predicate %+v: %s", pr, raw)
+					t.Fatalf("toQueries accepted out-of-range predicate %+v: %s", pr, raw)
 				}
 			}
 		}

@@ -135,12 +135,14 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -617,16 +619,40 @@ func decodePost(w http.ResponseWriter, r *http.Request, dst any, sizeHint int64)
 // (at most the cap) sizes the buffer up front, so a large onboarding body
 // is not regrown and copied on its way in. Only a caller already admitted
 // for that much memory may pass one: a hint taken from the declared
-// Content-Length commits memory on headers alone. With 0 the buffer grows
-// only as bytes arrive.
+// Content-Length commits memory on headers alone. Without one, a body
+// that declares at most smallBodyBytes is read into a buffer of its
+// declared length, and any other grows only as bytes arrive. Either way
+// the buffer holds one byte more than the expected length, so the read
+// that meets the body's end needs no regrowth.
 func readBody(w http.ResponseWriter, r *http.Request, sizeHint int64) ([]byte, error) {
-	var buf bytes.Buffer
-	if sizeHint > 0 && sizeHint <= maxBodyBytes {
-		buf.Grow(int(sizeHint) + bytes.MinRead)
+	size := int64(bytes.MinRead)
+	switch {
+	case sizeHint > 0 && sizeHint <= maxBodyBytes:
+		size = sizeHint + 1
+	case r.ContentLength > 0 && r.ContentLength <= smallBodyBytes:
+		size = r.ContentLength + 1
 	}
-	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	return buf.Bytes(), err
+	buf := make([]byte, 0, size)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	for {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, len(buf))
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
+
+// smallBodyBytes bounds the declared length readBody trusts without a
+// size hint: a request that lies about its length commits at most this
+// much. It covers a 64-query /estimate body several times over.
+const smallBodyBytes = 64 << 10
 
 // decodeBody decodes a request body into dst. A canonical /datasets or
 // /estimate body takes the reflection-free scanner (canonical.go); any

@@ -710,24 +710,52 @@ type predPayload struct {
 	Hi    int64 `json:"hi"`
 }
 
-func (p *queryPayload) toQuery(d *dataset.Dataset) (*workload.Query, error) {
-	q := engine.Query{Tables: p.Tables}
-	for _, j := range p.Joins {
-		q.Joins = append(q.Joins, engine.Join{
-			LeftTable: j.LeftTable, LeftCol: j.LeftCol,
-			RightTable: j.RightTable, RightCol: j.RightCol,
-		})
+// toQueries converts payloads into queries validated against d, or
+// returns the error of the first payload that is null or invalid. The
+// queries share one backing array each for themselves, their joins and
+// their predicates, so a batch costs the same few allocations whatever
+// its size.
+func toQueries(d *dataset.Dataset, payloads []*queryPayload) ([]*workload.Query, error) {
+	var nj, np int
+	for _, p := range payloads {
+		if p != nil {
+			nj, np = nj+len(p.Joins), np+len(p.Preds)
+		}
 	}
-	for _, pr := range p.Preds {
-		q.Preds = append(q.Preds, engine.Predicate{Table: pr.Table, Col: pr.Col, Lo: pr.Lo, Hi: pr.Hi})
+	qv := make([]workload.Query, len(payloads))
+	qs := make([]*workload.Query, len(payloads))
+	joins := make([]engine.Join, 0, nj)
+	preds := make([]engine.Predicate, 0, np)
+	for i, p := range payloads {
+		if p == nil {
+			return nil, fmt.Errorf("query %d is null", i)
+		}
+		q := &qv[i]
+		q.Tables, q.TrueCard = p.Tables, -1
+		if len(p.Joins) > 0 {
+			for _, j := range p.Joins {
+				joins = append(joins, engine.Join{
+					LeftTable: j.LeftTable, LeftCol: j.LeftCol,
+					RightTable: j.RightTable, RightCol: j.RightCol,
+				})
+			}
+			q.Joins = joins[len(joins)-len(p.Joins) : len(joins) : len(joins)]
+		}
+		if len(p.Preds) > 0 {
+			for _, pr := range p.Preds {
+				preds = append(preds, engine.Predicate{Table: pr.Table, Col: pr.Col, Lo: pr.Lo, Hi: pr.Hi})
+			}
+			q.Preds = preds[len(preds)-len(p.Preds) : len(preds) : len(preds)]
+		}
+		if len(q.Tables) == 0 {
+			return nil, fmt.Errorf("query %d: query lists no tables", i)
+		}
+		if err := q.Validate(d); err != nil {
+			return nil, fmt.Errorf("query %d: %v", i, err)
+		}
+		qs[i] = q
 	}
-	if len(q.Tables) == 0 {
-		return nil, fmt.Errorf("query lists no tables")
-	}
-	if err := q.Validate(d); err != nil {
-		return nil, err
-	}
-	return &workload.Query{Query: q, TrueCard: -1}, nil
+	return qs, nil
 }
 
 type estimateRequest struct {
@@ -806,18 +834,10 @@ func (s *server) estimateSnapshot(w http.ResponseWriter, r *http.Request, req *e
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds %d queries", len(payloads), maxBatchQueries))
 		return false
 	}
-	qs := make([]*workload.Query, len(payloads))
-	for i, p := range payloads {
-		if p == nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d is null", i))
-			return false
-		}
-		q, err := p.toQuery(tn.d)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("query %d: %v", i, err))
-			return false
-		}
-		qs[i] = q
+	qs, err := toQueries(tn.d, payloads)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err.Error())
+		return false
 	}
 
 	// Admit into the cheap class at batch weight, so one huge batch
@@ -850,7 +870,7 @@ func (s *server) estimateSnapshot(w http.ResponseWriter, r *http.Request, req *e
 	if req.Query != nil {
 		resp.Estimate = ests[0]
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeEstimate(w, &resp)
 	return false
 }
 

@@ -30,16 +30,21 @@ const estimateBatchChunk = 512
 // chunk boundaries cannot change values. A nil-deadline context degrades
 // to plain EstimateBatch plus one atomic load per chunk.
 func EstimateBatchContext(ctx context.Context, est Estimator, qs []*workload.Query) ([]float64, error) {
-	out := make([]float64, 0, len(qs))
+	var out []float64
 	for start := 0; start < len(qs); start += estimateBatchChunk {
 		if err := context.Cause(ctx); err != nil {
 			return nil, err
 		}
-		end := start + estimateBatchChunk
-		if end > len(qs) {
-			end = len(qs)
+		end := min(start+estimateBatchChunk, len(qs))
+		ests := est.EstimateBatch(qs[start:end])
+		if end-start == len(qs) {
+			out = ests // one chunk: answer with the batch's own slice
+			break
 		}
-		out = append(out, est.EstimateBatch(qs[start:end])...)
+		if out == nil {
+			out = make([]float64, 0, len(qs))
+		}
+		out = append(out, ests...)
 	}
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
@@ -48,15 +53,21 @@ func EstimateBatchContext(ctx context.Context, est Estimator, qs []*workload.Que
 }
 
 // ParallelEstimates implements EstimateBatch by fanning Estimate over
-// par.For with GOMAXPROCS workers. Each query's estimate is computed by
-// the unchanged per-query path, so values are bit-identical to a serial
-// loop regardless of scheduling. Every model's Estimate is safe for
-// concurrent use: inference reads the trained state only, and sampling
-// models draw a fresh stream per query. A panicking Estimate
-// reaches the caller as a *resilience.PanicError, where the serving
-// layer's panic fence quarantines the model.
+// par.For with GOMAXPROCS workers; a single query runs on the caller.
+// Each query's estimate is computed by the unchanged per-query path, so
+// values are bit-identical to a serial loop regardless of scheduling.
+// Every model's Estimate is safe for concurrent use: inference reads the
+// trained state only, sampling models draw a fresh stream per query, and
+// per-call scratch comes from the model's pools. A panicking Estimate in
+// a batch reaches the caller as a *resilience.PanicError, a single
+// query's panic unwinds as it is; the serving layer's panic fence
+// (resilience.Guard) turns either into a quarantine.
 func ParallelEstimates(e singleEstimator, qs []*workload.Query) []float64 {
 	out := make([]float64, len(qs))
+	if len(qs) == 1 {
+		out[0] = e.Estimate(qs[0])
+		return out
+	}
 	par.For(len(qs), runtime.GOMAXPROCS(0), func(i int) error {
 		out[i] = e.Estimate(qs[i])
 		return nil

@@ -57,6 +57,7 @@ type Model struct {
 	root     int
 
 	degenerate bool
+	scratch    ce.ScratchPool[bpScratch]
 }
 
 // New returns an untrained model.
@@ -199,57 +200,70 @@ func pairMI(rows [][]int, a, b, na, nb int) float64 {
 	return mi
 }
 
-// evidenceProb returns P(evidence) by an upward message pass on the tree.
-// ranges maps column slot -> inclusive bin range; absent columns are
-// unconstrained.
-func (m *Model) evidenceProb(ranges map[int][2]int) float64 {
-	// upMsg(c) returns, for each bin value of c's parent, the probability
-	// of the evidence in c's subtree given that parent value. For the
-	// root it returns the total probability as a single value.
-	var up func(c int) []float64
-	up = func(c int) []float64 {
-		nb := m.binner.NumBins(c)
-		allowed := func(b int) bool {
-			r, ok := ranges[c]
-			if !ok {
-				return true
-			}
-			return b >= r[0] && b <= r[1]
-		}
-		// childFactor[b] = product over children of msg_child[b].
-		childFactor := make([]float64, nb)
-		for b := range childFactor {
-			childFactor[b] = 1
-		}
-		for _, ch := range m.children[c] {
-			msg := up(ch)
-			for b := 0; b < nb; b++ {
-				childFactor[b] *= msg[b]
-			}
-		}
-		if m.parent[c] == -1 {
-			total := 0.0
-			for b := 0; b < nb; b++ {
-				if allowed(b) {
-					total += m.prior[c][b] * childFactor[b]
-				}
-			}
-			return []float64{total}
-		}
-		np := m.binner.NumBins(m.parent[c])
-		msg := make([]float64, np)
-		for pb := 0; pb < np; pb++ {
-			var s float64
-			for b := 0; b < nb; b++ {
-				if allowed(b) {
-					s += m.cpt[c][pb*nb+b] * childFactor[b]
-				}
-			}
-			msg[pb] = s
-		}
-		return msg
+// bpScratch is the working memory of one estimate: the query's bin
+// ranges and the message pass's per-column buffers.
+type bpScratch struct {
+	ce.QueryScratch
+	factor [][]float64 // per column c: the product of its children's messages, by bin of c
+	msg    [][]float64 // per non-root column c: its message, by bin of c's parent
+}
+
+// evidenceProb returns P(evidence) for the ranges in sc by an upward
+// message pass on the tree; columns without a range are unconstrained.
+func (m *Model) evidenceProb(sc *bpScratch) float64 {
+	if len(sc.factor) != len(m.parent) {
+		sc.factor = make([][]float64, len(m.parent))
+		sc.msg = make([][]float64, len(m.parent))
 	}
-	return up(m.root)[0]
+	return m.up(m.root, sc)
+}
+
+// up passes column c's subtree. A non-root c leaves in sc.msg[c], for
+// each bin of c's parent, the probability of the evidence in c's subtree
+// given that bin; the root returns the total probability.
+func (m *Model) up(c int, sc *bpScratch) float64 {
+	nb := m.binner.NumBins(c)
+	lo, hi := 0, nb-1
+	if r, ok := sc.Ranges.Range(c); ok {
+		lo, hi = r[0], min(r[1], nb-1)
+	}
+	sc.factor[c] = resize(sc.factor[c], nb)
+	factor := sc.factor[c]
+	for b := range factor {
+		factor[b] = 1
+	}
+	for _, ch := range m.children[c] {
+		m.up(ch, sc)
+		for b, v := range sc.msg[ch][:nb] {
+			factor[b] *= v
+		}
+	}
+	if m.parent[c] == -1 {
+		total := 0.0
+		for b := lo; b <= hi; b++ {
+			total += m.prior[c][b] * factor[b]
+		}
+		return total
+	}
+	np := m.binner.NumBins(m.parent[c])
+	sc.msg[c] = resize(sc.msg[c], np)
+	for pb := range sc.msg[c] {
+		cpt := m.cpt[c][pb*nb : (pb+1)*nb]
+		var s float64
+		for b := lo; b <= hi; b++ {
+			s += cpt[b] * factor[b]
+		}
+		sc.msg[c][pb] = s
+	}
+	return 0
+}
+
+// resize returns s with length n, reallocated when its capacity is short.
+func resize(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // Estimate implements ce.Estimator.
@@ -257,15 +271,16 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	if m.degenerate {
 		return 1
 	}
-	ranges, ok, unresolved := ce.QueryBinRanges(m.binner, m.slots, q)
-	if !ok {
+	sc := m.scratch.Get()
+	defer m.scratch.Put(sc)
+	if !ce.QueryBinRanges(&sc.Ranges, m.binner, m.slots, q) {
 		return 1
 	}
-	p := m.evidenceProb(ranges)
-	for _, pr := range unresolved {
+	p := m.evidenceProb(sc)
+	for _, pr := range sc.Ranges.Unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
-	est := p * float64(m.sizes.Size(q.Tables))
+	est := p * float64(m.sizes.Size(sc.SubsetKey(q.Tables), q.Tables))
 	return workload.ClampCard(est)
 }
 

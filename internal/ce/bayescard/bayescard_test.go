@@ -92,10 +92,20 @@ func TestCPTsAreDistributions(t *testing.T) {
 	}
 }
 
+// scratchOf returns an estimate's scratch holding the column → bin range
+// evidence.
+func scratchOf(ranges map[int][2]int) *bpScratch {
+	sc := new(bpScratch)
+	for c, r := range ranges {
+		sc.Ranges.Set(c, r)
+	}
+	return sc
+}
+
 func TestEvidenceProbNoEvidenceIsOne(t *testing.T) {
 	d := singleTable(t, 5)
 	m := trained(t, d, 6)
-	if p := m.evidenceProb(map[int][2]int{}); math.Abs(p-1) > 1e-9 {
+	if p := m.evidenceProb(scratchOf(nil)); math.Abs(p-1) > 1e-9 {
 		t.Fatalf("P(no evidence) = %g", p)
 	}
 }
@@ -107,7 +117,7 @@ func TestEvidenceProbMatchesEmpirical(t *testing.T) {
 	lo, _ := col.MinMax()
 	// Evidence: column 0 equals its minimum value's bin.
 	bin := m.binner.Bin(0, lo)
-	p := m.evidenceProb(map[int][2]int{0: {bin, bin}})
+	p := m.evidenceProb(scratchOf(map[int][2]int{0: {bin, bin}}))
 	empirical := 0
 	for _, v := range col.Data {
 		if m.binner.Bin(0, v) == bin {
@@ -139,9 +149,9 @@ func TestExactInferenceOnIndependentColumns(t *testing.T) {
 	m := trained(t, d, 10)
 	binA := m.binner.Bin(0, 1)
 	binB := m.binner.Bin(1, 1)
-	pa := m.evidenceProb(map[int][2]int{0: {binA, binA}})
-	pb := m.evidenceProb(map[int][2]int{1: {binB, binB}})
-	pab := m.evidenceProb(map[int][2]int{0: {binA, binA}, 1: {binB, binB}})
+	pa := m.evidenceProb(scratchOf(map[int][2]int{0: {binA, binA}}))
+	pb := m.evidenceProb(scratchOf(map[int][2]int{1: {binB, binB}}))
+	pab := m.evidenceProb(scratchOf(map[int][2]int{0: {binA, binA}, 1: {binB, binB}}))
 	if math.Abs(pab-pa*pb) > 0.03 {
 		t.Fatalf("P(A,B)=%g but P(A)P(B)=%g on independent data", pab, pa*pb)
 	}
@@ -166,8 +176,8 @@ func TestCapturesPerfectDependence(t *testing.T) {
 	binA1 := m.binner.Bin(0, 1)
 	binB1 := m.binner.Bin(1, 1)
 	binB2 := m.binner.Bin(1, 2)
-	agree := m.evidenceProb(map[int][2]int{0: {binA1, binA1}, 1: {binB1, binB1}})
-	conflict := m.evidenceProb(map[int][2]int{0: {binA1, binA1}, 1: {binB2, binB2}})
+	agree := m.evidenceProb(scratchOf(map[int][2]int{0: {binA1, binA1}, 1: {binB1, binB1}}))
+	conflict := m.evidenceProb(scratchOf(map[int][2]int{0: {binA1, binA1}, 1: {binB2, binB2}}))
 	if conflict > 0.05 {
 		t.Fatalf("P(A=1,B=2) = %g on perfectly coupled data", conflict)
 	}

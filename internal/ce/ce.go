@@ -46,7 +46,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/workload"
 )
 
 // SubsetKey canonically identifies a set of table indexes: sorted,
@@ -55,13 +54,17 @@ import (
 // collided once indexes passed two digits).
 func SubsetKey(tables []int) string {
 	s := append([]int(nil), tables...)
-	sort.Ints(s)
-	key := make([]byte, 0, len(s)*4)
-	for _, t := range s {
-		key = strconv.AppendInt(key, int64(t), 10)
-		key = append(key, ',')
+	slices.Sort(s)
+	return string(appendSubsetKey(make([]byte, 0, len(s)*4), s))
+}
+
+// appendSubsetKey appends the subset key of the sorted tables to dst.
+func appendSubsetKey(dst []byte, sorted []int) []byte {
+	for _, t := range sorted {
+		dst = strconv.AppendInt(dst, int64(t), 10)
+		dst = append(dst, ',')
 	}
-	return string(key)
+	return dst
 }
 
 // ParseSubsetKey inverts SubsetKey, accepting exactly the canonical form:
@@ -160,11 +163,12 @@ func ComputeSubsetSizesCtx(ctx context.Context, d *dataset.Dataset) (*SubsetSize
 	return ss, nil
 }
 
-// Size returns the unfiltered join size of the given tables; when the
-// subset was not precomputed (disconnected), it falls back to the product
-// of base-table sizes.
-func (ss *SubsetSizes) Size(tables []int) int64 {
-	if v, ok := ss.Sizes[SubsetKey(tables)]; ok {
+// Size returns the unfiltered join size of the given tables, whose subset
+// key (SubsetKey, or QueryScratch.SubsetKey without allocating) is key;
+// when the subset was not precomputed (disconnected), it falls back to
+// the product of base-table sizes.
+func (ss *SubsetSizes) Size(key []byte, tables []int) int64 {
+	if v, ok := ss.Sizes[string(key)]; ok {
 		return v
 	}
 	prod := int64(1)
@@ -395,38 +399,4 @@ func ColSlots(sample *engine.JoinSample) map[[2]int]int {
 		m[[2]int{cr.Table, cr.Col}] = j
 	}
 	return m
-}
-
-// QueryBinRanges resolves a query's predicates to per-sample-column bin
-// ranges. Columns without predicates are absent from the map. The second
-// return is false when some predicate selects an empty range (estimate 0),
-// and the third lists predicates on columns outside the sample (key or FK
-// columns), which the caller must handle separately.
-func QueryBinRanges(b *Binner, slots map[[2]int]int, q *workload.Query) (map[int][2]int, bool, []engine.Predicate) {
-	ranges := map[int][2]int{}
-	var unresolved []engine.Predicate
-	for _, p := range q.Preds {
-		slot, okSlot := slots[[2]int{p.Table, p.Col}]
-		if !okSlot {
-			unresolved = append(unresolved, p)
-			continue
-		}
-		lo, hi, ok := b.BinRange(slot, p.Lo, p.Hi)
-		if !ok {
-			return nil, false, nil
-		}
-		if prev, exists := ranges[slot]; exists {
-			if lo < prev[0] {
-				lo = prev[0]
-			}
-			if hi > prev[1] {
-				hi = prev[1]
-			}
-			if lo > hi {
-				return nil, false, nil
-			}
-		}
-		ranges[slot] = [2]int{lo, hi}
-	}
-	return ranges, true, unresolved
 }

@@ -76,7 +76,7 @@ func TestComputeSubsetSizesMatchesEngine(t *testing.T) {
 	ss := ComputeSubsetSizes(d)
 	// Singletons are table sizes.
 	for ti, tbl := range d.Tables {
-		if got := ss.Size([]int{ti}); got != int64(tbl.Rows()) {
+		if got := ss.Size([]byte(SubsetKey([]int{ti})), []int{ti}); got != int64(tbl.Rows()) {
 			t.Fatalf("singleton size %d, want %d", got, tbl.Rows())
 		}
 	}
@@ -92,7 +92,7 @@ func TestComputeSubsetSizesMatchesEngine(t *testing.T) {
 			RightTable: fk.ToTable, RightCol: fk.ToCol,
 		})
 	}
-	if got := ss.Size(all); got != engine.Cardinality(d, q) {
+	if got := ss.Size([]byte(SubsetKey(all)), all); got != engine.Cardinality(d, q) {
 		t.Fatalf("full-set size %d, engine %d", got, engine.Cardinality(d, q))
 	}
 }
@@ -164,14 +164,14 @@ func TestQueryBinRangesRoutesPredicates(t *testing.T) {
 			{Table: pkTable, Col: pkCol, Lo: 1, Hi: 10},
 		},
 	}}
-	ranges, ok, unresolved := QueryBinRanges(b, slots, q)
-	if !ok {
+	var ranges BinRanges
+	if !QueryBinRanges(&ranges, b, slots, q) {
 		t.Fatal("valid query rejected")
 	}
-	if _, present := ranges[0]; !present {
+	if _, present := ranges.Range(0); !present {
 		t.Fatal("sampled-column predicate not resolved to slot 0")
 	}
-	if len(unresolved) != 1 || unresolved[0].Table != pkTable {
-		t.Fatalf("unresolved = %+v", unresolved)
+	if len(ranges.Unresolved) != 1 || ranges.Unresolved[0].Table != pkTable {
+		t.Fatalf("unresolved = %+v", ranges.Unresolved)
 	}
 }

@@ -56,7 +56,7 @@ func DefaultConfig() Config {
 type node interface {
 	// prob returns the probability of the bin ranges (keyed by sample
 	// column slot) under this node's scope; absent columns marginalize.
-	prob(ranges map[int][2]int) float64
+	prob(ranges *ce.BinRanges) float64
 }
 
 type leaf struct {
@@ -64,8 +64,8 @@ type leaf struct {
 	dist []float64
 }
 
-func (l *leaf) prob(ranges map[int][2]int) float64 {
-	r, ok := ranges[l.col]
+func (l *leaf) prob(ranges *ce.BinRanges) float64 {
+	r, ok := ranges.Range(l.col)
 	if !ok {
 		return 1
 	}
@@ -78,7 +78,7 @@ func (l *leaf) prob(ranges map[int][2]int) float64 {
 
 type product struct{ children []node }
 
-func (p *product) prob(ranges map[int][2]int) float64 {
+func (p *product) prob(ranges *ce.BinRanges) float64 {
 	out := 1.0
 	for _, c := range p.children {
 		out *= c.prob(ranges)
@@ -91,7 +91,7 @@ type sum struct {
 	weights  []float64
 }
 
-func (s *sum) prob(ranges map[int][2]int) float64 {
+func (s *sum) prob(ranges *ce.BinRanges) float64 {
 	var out float64
 	for i, c := range s.children {
 		out += s.weights[i] * c.prob(ranges)
@@ -109,6 +109,7 @@ type Model struct {
 	root   node
 
 	degenerate bool
+	scratch    ce.ScratchPool[ce.QueryScratch]
 }
 
 // New returns an untrained model.
@@ -358,17 +359,18 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	if m.degenerate {
 		return 1
 	}
-	ranges, ok, unresolved := ce.QueryBinRanges(m.binner, m.slots, q)
-	if !ok {
+	sc := m.scratch.Get()
+	defer m.scratch.Put(sc)
+	if !ce.QueryBinRanges(&sc.Ranges, m.binner, m.slots, q) {
 		return 1
 	}
-	p := m.root.prob(ranges)
+	p := m.root.prob(&sc.Ranges)
 	// Predicates on key/FK columns (outside the join-space model) fall
 	// back to uniform selectivity over the column range.
-	for _, pr := range unresolved {
+	for _, pr := range sc.Ranges.Unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
-	est := p * float64(m.sizes.Size(q.Tables))
+	est := p * float64(m.sizes.Size(sc.SubsetKey(q.Tables), q.Tables))
 	return workload.ClampCard(est)
 }
 

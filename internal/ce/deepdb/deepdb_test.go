@@ -34,12 +34,19 @@ func singleTable(t *testing.T, seed int64) *dataset.Dataset {
 	return d
 }
 
+// rangeOf returns the bin ranges that query column c over [lo, hi].
+func rangeOf(c, lo, hi int) *ce.BinRanges {
+	var br ce.BinRanges
+	br.Set(c, [2]int{lo, hi})
+	return &br
+}
+
 func TestSPNProbabilityIsNormalized(t *testing.T) {
 	d := singleTable(t, 1)
 	m := trained(t, d, 2)
 	// No constraints: probability of everything is ~1 (sum nodes are
 	// convex combinations, product of ones, leaves sum to 1).
-	p := m.root.prob(map[int][2]int{})
+	p := m.root.prob(new(ce.BinRanges))
 	if math.Abs(p-1) > 1e-6 {
 		t.Fatalf("unconstrained SPN probability %g", p)
 	}
@@ -50,7 +57,7 @@ func TestSPNProbabilityBounds(t *testing.T) {
 	m := trained(t, d, 4)
 	for j := range m.binner.Edges {
 		for lo := 0; lo < m.binner.NumBins(j); lo += 2 {
-			p := m.root.prob(map[int][2]int{j: {lo, lo + 1}})
+			p := m.root.prob(rangeOf(j, lo, lo+1))
 			if p < 0 || p > 1+1e-9 {
 				t.Fatalf("SPN probability %g outside [0,1]", p)
 			}

@@ -4,7 +4,10 @@ package ce_test
 // front-end (/estimate) and the testbed's measurement loop ride. Each
 // vectorized/parallel EstimateBatch is benchmarked against the per-query
 // Estimate loop it replaces (the *PerQuery twins), so the batch-vs-loop
-// margin stays visible and regression-gated in every checkout.
+// margin stays visible and regression-gated in every checkout. The
+// sampling and message-passing models (NeuroCard, UAE, BayesCard) have
+// batch benchmarks only: their allocs/op gate keeps the pooled per-call
+// scratch from regressing to per-query garbage.
 
 import (
 	"math/rand"
@@ -12,9 +15,12 @@ import (
 	"testing"
 
 	"repro/internal/ce"
+	"repro/internal/ce/bayescard"
 	"repro/internal/ce/deepdb"
 	"repro/internal/ce/lwnn"
 	"repro/internal/ce/mscn"
+	"repro/internal/ce/neurocard"
+	"repro/internal/ce/uae"
 	"repro/internal/datagen"
 	"repro/internal/engine"
 	"repro/internal/workload"
@@ -133,4 +139,22 @@ func BenchmarkEstimateBatchDeepDBPerQuery(b *testing.B) {
 	m := deepdb.New(deepdb.DefaultConfig())
 	fitBench(b, m)
 	benchPerQueryPath(b, m)
+}
+
+func BenchmarkEstimateBatchNeuroCard(b *testing.B) {
+	m := neurocard.New(neurocard.DefaultConfig())
+	fitBench(b, m)
+	benchBatchPath(b, m)
+}
+
+func BenchmarkEstimateBatchUAE(b *testing.B) {
+	m := uae.New(uae.DefaultConfig())
+	fitBench(b, m)
+	benchBatchPath(b, m)
+}
+
+func BenchmarkEstimateBatchBayesCard(b *testing.B) {
+	m := bayescard.New(bayescard.DefaultConfig())
+	fitBench(b, m)
+	benchBatchPath(b, m)
 }

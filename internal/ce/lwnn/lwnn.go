@@ -49,6 +49,8 @@ type Model struct {
 	cfg Config
 	enc *workload.Encoder
 	net *nn.MLP
+
+	scratch ce.ScratchPool[inferScratch]
 }
 
 // New returns an untrained LW-NN model.
@@ -115,31 +117,50 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 	return nil
 }
 
-// Estimate implements ce.Estimator with a single forward pass.
+// Estimate implements ce.Estimator as a batch of one.
 func (m *Model) Estimate(q *workload.Query) float64 {
-	x := nn.FromRow(m.enc.Encode(q))
-	return workload.ExpCard(m.net.Forward(x).Scalar())
+	var est [1]float64
+	m.estimateInto(est[:], []*workload.Query{q})
+	return est[0]
 }
 
-// EstimateBatch implements ce.Estimator as one vectorized forward pass:
-// the batch is encoded into a single matrix and the network runs once.
-// The dense kernels compute each output row from its input row alone, so
-// every estimate is bit-identical to a per-query Estimate.
+// EstimateBatch implements ce.Estimator as one vectorized forward pass
+// (estimateInto).
 func (m *Model) EstimateBatch(qs []*workload.Query) []float64 {
 	if len(qs) == 0 {
 		return nil
 	}
-	dim := m.enc.Dim()
-	x := nn.Zeros(len(qs), dim)
-	for i, q := range qs {
-		copy(x.V[i*dim:(i+1)*dim], m.enc.Encode(q))
-	}
-	out := m.net.Forward(x)
 	ests := make([]float64, len(qs))
-	for i := range ests {
-		ests[i] = workload.ExpCard(out.V[i])
-	}
+	m.estimateInto(ests, qs)
 	return ests
+}
+
+// inferScratch is the working memory of one estimateInto call, pooled per
+// model and grown to the largest batch it has served.
+type inferScratch struct {
+	x   []float64 // the batch's encodings, one row per query
+	buf nn.InferBuf
+}
+
+// estimateInto writes the estimates of qs into dst: the batch is encoded
+// into one matrix and the network runs once. The dense kernels compute
+// each output row from its input row alone, so an estimate does not
+// depend on the batch it rides in.
+func (m *Model) estimateInto(dst []float64, qs []*workload.Query) {
+	sc := m.scratch.Get()
+	defer m.scratch.Put(sc)
+	dim := m.enc.Dim()
+	if cap(sc.x) < len(qs)*dim {
+		sc.x = make([]float64, len(qs)*dim)
+	}
+	x := sc.x[:len(qs)*dim]
+	for i, q := range qs {
+		m.enc.EncodeInto(x[i*dim:(i+1)*dim], q)
+	}
+	out := m.net.Infer(&sc.buf, x, len(qs))
+	for i := range dst {
+		dst[i] = workload.ExpCard(out[i])
+	}
 }
 
 // modelState is the gob form of a trained model.

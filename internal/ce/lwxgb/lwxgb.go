@@ -42,6 +42,8 @@ type Model struct {
 	cfg Config
 	enc *workload.Encoder
 	ens *gbt.Ensemble
+
+	scratch ce.ScratchPool[[]float64] // a query's flat encoding
 }
 
 // New returns an untrained LW-XGB model.
@@ -73,7 +75,11 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 
 // Estimate implements ce.Estimator.
 func (m *Model) Estimate(q *workload.Query) float64 {
-	return workload.ExpCard(m.ens.Predict(m.enc.Encode(q)))
+	x := m.scratch.Get()
+	*x = m.enc.EncodeInto(*x, q)
+	est := workload.ExpCard(m.ens.Predict(*x))
+	m.scratch.Put(x)
+	return est
 }
 
 // EstimateBatch implements ce.Estimator with the shared parallel fan-out.

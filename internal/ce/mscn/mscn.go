@@ -11,6 +11,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ce"
 	"repro/internal/nn"
@@ -62,6 +63,8 @@ type Model struct {
 
 	// Per-element input dims.
 	tDim, jDim, pDim int
+
+	scratch ce.ScratchPool[inferScratch]
 }
 
 // New returns an untrained MSCN model.
@@ -69,68 +72,6 @@ func New(cfg Config) *Model { return &Model{cfg: cfg} }
 
 // Name implements ce.Estimator.
 func (m *Model) Name() string { return "MSCN" }
-
-// setElements builds the per-set element matrices for one query:
-// table rows are one-hots over tables, join rows one-hots over FK edges,
-// predicate rows (column one-hot, lo, hi).
-func (m *Model) setElements(q *workload.Query) (tables, joins, preds *nn.Tensor) {
-	tRows := make([][]float64, 0, len(q.Tables))
-	for _, ti := range q.Tables {
-		row := make([]float64, m.tDim)
-		if ti >= 0 && ti < m.tDim { // a table the model lacks marks nothing
-			row[ti] = 1
-		}
-		tRows = append(tRows, row)
-	}
-	tables = nn.FromRows(tRows)
-
-	flat := m.enc.Encode(q)
-	jBase := m.enc.TableDim()
-	jRows := make([][]float64, 0, 4)
-	// Loop the encoder's true join width: on zero-FK datasets m.jDim is
-	// padded to 1 for the MLP input, but flat has no join block there and
-	// reading it would mistake the first predicate flag for a join. The
-	// empty-set token below covers that case — the same decomposition
-	// extractSets feeds the training path.
-	for fi := 0; fi < m.enc.JoinDim(); fi++ {
-		if flat[jBase+fi] > 0 {
-			row := make([]float64, m.jDim)
-			row[fi] = 1
-			jRows = append(jRows, row)
-		}
-	}
-	if len(jRows) == 0 {
-		jRows = append(jRows, make([]float64, m.jDim)) // empty-set token
-	}
-	joins = nn.FromRows(jRows)
-
-	pBase := m.enc.TableDim() + m.enc.JoinDim()
-	nCols := m.enc.PredDim() / 3
-	pRows := make([][]float64, 0, len(q.Preds))
-	for slot := 0; slot < nCols; slot++ {
-		if flat[pBase+3*slot] > 0 {
-			row := make([]float64, nCols+2)
-			row[slot] = 1
-			row[nCols] = flat[pBase+3*slot+1]
-			row[nCols+1] = flat[pBase+3*slot+2]
-			pRows = append(pRows, row)
-		}
-	}
-	if len(pRows) == 0 {
-		pRows = append(pRows, make([]float64, nCols+2))
-	}
-	preds = nn.FromRows(pRows)
-	return tables, joins, preds
-}
-
-// forward computes the 1×1 log-cardinality prediction for one query.
-func (m *Model) forward(q *workload.Query) *nn.Tensor {
-	t, j, p := m.setElements(q)
-	tEmb := nn.MeanRows(m.tableMLP.Forward(t))
-	jEmb := nn.MeanRows(m.joinMLP.Forward(j))
-	pEmb := nn.MeanRows(m.predMLP.Forward(p))
-	return m.outMLP.Forward(nn.ConcatCols(tEmb, jEmb, pEmb))
-}
 
 func (m *Model) params() []*nn.Tensor {
 	var out []*nn.Tensor
@@ -141,7 +82,7 @@ func (m *Model) params() []*nn.Tensor {
 	return out
 }
 
-// querySets is the precomputed set representation of one training query.
+// querySets is the set representation of one query.
 type querySets struct {
 	tables []int        // table ids (one-hot rows of the table set)
 	joins  []int        // FK-edge slots (one-hot rows of the join set)
@@ -149,13 +90,17 @@ type querySets struct {
 	target float64
 }
 
-// extractSets builds the set representation from the flat encoding, the
-// same decomposition setElements performs per query at inference time.
-func (m *Model) extractSets(q *workload.Query) querySets {
-	var s querySets
-	s.tables = append(s.tables, q.Tables...)
-	flat := m.enc.Encode(q)
+// extractSets overwrites s with q's set representation, decomposed from
+// its flat encoding flat; training and inference share it. Table rows are
+// one-hots over tables, join rows one-hots over FK edges, predicate rows
+// (column one-hot, lo, hi).
+func (m *Model) extractSets(s *querySets, flat []float64, q *workload.Query) {
+	s.tables = append(s.tables[:0], q.Tables...)
+	s.joins, s.preds = s.joins[:0], s.preds[:0]
 	jBase := m.enc.TableDim()
+	// Loop the encoder's true join width: on zero-FK datasets m.jDim is
+	// padded to 1 for the MLP input, but flat has no join block there and
+	// reading it would mistake the first predicate flag for a join.
 	for fi := 0; fi < m.enc.JoinDim(); fi++ {
 		if flat[jBase+fi] > 0 {
 			s.joins = append(s.joins, fi)
@@ -169,7 +114,6 @@ func (m *Model) extractSets(q *workload.Query) querySets {
 		}
 	}
 	s.target = workload.LogCard(q.TrueCard)
-	return s
 }
 
 // batchShape keys a recorded minibatch graph: the batch size and the
@@ -220,7 +164,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 
 	sets := make([]querySets, len(train))
 	for qi, q := range train {
-		sets[qi] = m.extractSets(q)
+		m.extractSets(&sets[qi], m.enc.Encode(q), q)
 	}
 
 	build := func(sh batchShape) *batchTape {
@@ -301,7 +245,7 @@ func (m *Model) Fit(in *ce.TrainInput) error {
 
 // poolSet writes query bi's pooling weights for a set of cnt elements
 // packed from row on: 1/cnt over its cnt rows, or weight 1 on one zero
-// row when the set is empty — the empty-set token of the per-query path.
+// row when the set is empty — the empty-set token inference uses too.
 // It returns the row after the query's last.
 func poolSet(pool *nn.Tensor, bi, row, cnt int) int {
 	if cnt == 0 {
@@ -315,82 +259,129 @@ func poolSet(pool *nn.Tensor, bi, row, cnt int) int {
 	return row + cnt
 }
 
-// Estimate implements ce.Estimator.
+// Estimate implements ce.Estimator as a batch of one.
 func (m *Model) Estimate(q *workload.Query) float64 {
-	return workload.ExpCard(m.forward(q).Scalar())
+	var est [1]float64
+	m.estimateInto(est[:], []*workload.Query{q})
+	return est[0]
 }
 
-// EstimateBatch implements ce.Estimator as one vectorized pass: every
-// query's set elements are stacked into three shared matrices, each
-// set-MLP runs once over its stack, the per-query mean pooling replicates
-// nn.MeanRows' arithmetic over each query's row span, and the output MLP
-// runs once over the pooled batch. Dense-kernel rows are computed
-// independently and pooling sums rows in the same ascending order as the
-// per-query path, so every estimate is bit-identical to Estimate.
+// EstimateBatch implements ce.Estimator as one vectorized pass
+// (estimateInto).
 func (m *Model) EstimateBatch(qs []*workload.Query) []float64 {
 	if len(qs) == 0 {
 		return nil
 	}
-	type span struct{ start, n int }
-	tSpans := make([]span, len(qs))
-	jSpans := make([]span, len(qs))
-	pSpans := make([]span, len(qs))
-	tEls := make([]*nn.Tensor, len(qs))
-	jEls := make([]*nn.Tensor, len(qs))
-	pEls := make([]*nn.Tensor, len(qs))
-	var tRows, jRows, pRows int
-	for i, q := range qs {
-		t, j, p := m.setElements(q)
-		tEls[i], jEls[i], pEls[i] = t, j, p
-		tSpans[i] = span{tRows, t.R}
-		jSpans[i] = span{jRows, j.R}
-		pSpans[i] = span{pRows, p.R}
-		tRows += t.R
-		jRows += j.R
-		pRows += p.R
-	}
-	stack := func(els []*nn.Tensor, rows, dim int) *nn.Tensor {
-		x := nn.Zeros(rows, dim)
-		off := 0
-		for _, e := range els {
-			copy(x.V[off:off+len(e.V)], e.V)
-			off += len(e.V)
-		}
-		return x
-	}
-	hT := m.tableMLP.Forward(stack(tEls, tRows, m.tDim))
-	hJ := m.joinMLP.Forward(stack(jEls, jRows, m.jDim))
-	hP := m.predMLP.Forward(stack(pEls, pRows, m.pDim))
+	ests := make([]float64, len(qs))
+	m.estimateInto(ests, qs)
+	return ests
+}
 
-	h := hT.C
-	pooled := nn.Zeros(len(qs), 3*h)
-	meanInto := func(dst []float64, src *nn.Tensor, sp span) {
-		// Sum the span's rows in ascending order, then multiply by the
-		// reciprocal — exactly nn.MeanRows (SumRows + Scale) on the
-		// per-query matrix.
-		for r := sp.start; r < sp.start+sp.n; r++ {
-			row := src.V[r*src.C : (r+1)*src.C]
-			for j, v := range row {
-				dst[j] += v
+// span is the rows one query's set occupies in a stacked set matrix.
+type span struct{ start, n int }
+
+// inferScratch is the working memory of one estimateInto call, pooled per
+// model and grown to the largest batch it has served.
+type inferScratch struct {
+	flat       []float64
+	sets       querySets
+	xT, xJ, xP []float64 // stacked set-element matrices
+	tS, jS, pS []span    // per query: its rows in each stack
+	pooled     []float64 // len(qs)×3h pooled embeddings
+	buf        nn.InferBuf
+}
+
+// estimateInto writes the estimates of qs into dst in one vectorized
+// pass: every query's set elements are stacked into three shared
+// matrices, each set MLP runs once over its stack, each query's rows are
+// mean-pooled, and the output MLP runs once over the pooled batch. A set
+// with no elements contributes one zero row, the empty-set token Fit
+// trains with. Dense-kernel rows are computed independently and pooling
+// sums rows in ascending order and then scales by the reciprocal count
+// (nn.MeanRows' arithmetic), so an estimate does not depend on the batch
+// it rides in.
+func (m *Model) estimateInto(dst []float64, qs []*workload.Query) {
+	sc := m.scratch.Get()
+	defer m.scratch.Put(sc)
+	nCols := m.pDim - 2
+	sc.xT, sc.xJ, sc.xP = sc.xT[:0], sc.xJ[:0], sc.xP[:0]
+	sc.tS, sc.jS, sc.pS = sc.tS[:0], sc.jS[:0], sc.pS[:0]
+	for _, q := range qs {
+		sc.flat = m.enc.EncodeInto(sc.flat, q)
+		s := &sc.sets
+		m.extractSets(s, sc.flat, q)
+		var row []float64
+		sc.tS = append(sc.tS, span{len(sc.xT) / m.tDim, len(s.tables)})
+		for _, ti := range s.tables {
+			sc.xT, row = addRow(sc.xT, m.tDim)
+			if ti >= 0 && ti < m.tDim { // a table the model lacks marks nothing
+				row[ti] = 1
 			}
 		}
-		s := 1 / float64(sp.n)
-		for j := range dst[:src.C] {
-			dst[j] *= s
+		sc.jS = append(sc.jS, span{len(sc.xJ) / m.jDim, max(len(s.joins), 1)})
+		sc.xJ, row = addRow(sc.xJ, m.jDim) // the empty-set token when there are none
+		for k, fi := range s.joins {
+			if k > 0 {
+				sc.xJ, row = addRow(sc.xJ, m.jDim)
+			}
+			row[fi] = 1
+		}
+		sc.pS = append(sc.pS, span{len(sc.xP) / m.pDim, max(len(s.preds), 1)})
+		sc.xP, row = addRow(sc.xP, m.pDim)
+		for k, pr := range s.preds {
+			if k > 0 {
+				sc.xP, row = addRow(sc.xP, m.pDim)
+			}
+			row[int(pr[0])] = 1
+			row[nCols] = pr[1]
+			row[nCols+1] = pr[2]
 		}
 	}
-	for i := range qs {
-		row := pooled.V[i*3*h : (i+1)*3*h]
-		meanInto(row[:h], hT, tSpans[i])
-		meanInto(row[h:2*h], hJ, jSpans[i])
-		meanInto(row[2*h:], hP, pSpans[i])
+
+	h := m.cfg.Hidden
+	sc.pooled, _ = addRow(sc.pooled[:0], len(qs)*3*h)
+	for set, c := range []struct {
+		mlp   *nn.MLP
+		x     []float64
+		dim   int
+		spans []span
+	}{{m.tableMLP, sc.xT, m.tDim, sc.tS}, {m.joinMLP, sc.xJ, m.jDim, sc.jS}, {m.predMLP, sc.xP, m.pDim, sc.pS}} {
+		hs := c.mlp.Infer(&sc.buf, c.x, len(c.x)/c.dim)
+		for i, sp := range c.spans {
+			meanInto(sc.pooled[i*3*h+set*h:][:h], hs, sp, h)
+		}
 	}
-	out := m.outMLP.Forward(pooled)
-	ests := make([]float64, len(qs))
-	for i := range ests {
-		ests[i] = workload.ExpCard(out.V[i])
+	out := m.outMLP.Infer(&sc.buf, sc.pooled, len(qs))
+	for i := range dst {
+		dst[i] = workload.ExpCard(out[i])
 	}
-	return ests
+}
+
+// meanInto writes into the zeroed dst the mean of the span's rows of the
+// h-wide matrix src: it sums them in ascending order, then multiplies by
+// the reciprocal count, exactly nn.MeanRows (SumRows + Scale). An empty
+// span leaves dst zero.
+func meanInto(dst, src []float64, sp span, h int) {
+	if sp.n == 0 {
+		return
+	}
+	for r := sp.start; r < sp.start+sp.n; r++ {
+		for j, v := range src[r*h : (r+1)*h] {
+			dst[j] += v
+		}
+	}
+	s := 1 / float64(sp.n)
+	for j := range dst {
+		dst[j] *= s
+	}
+}
+
+// addRow extends x by one zeroed row of width n, returning x and the row.
+func addRow(x []float64, n int) ([]float64, []float64) {
+	x = slices.Grow(x, n)[:len(x)+n]
+	row := x[len(x)-n:]
+	clear(row)
+	return x, row
 }
 
 // modelState is the gob form of a trained model.

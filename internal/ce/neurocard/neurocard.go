@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/ce"
 	"repro/internal/nn"
@@ -109,7 +108,7 @@ type Made struct {
 	// they change and only read by ProgressiveSample; scratch pools the
 	// per-call path buffers, so concurrent calls share nothing mutable.
 	inf     *sampler
-	scratch sync.Pool
+	scratch ce.ScratchPool[pathScratch]
 }
 
 // NewMade builds the masked network for the given per-column bin counts.
@@ -255,6 +254,7 @@ type Model struct {
 	made   *Made
 
 	degenerate bool
+	scratch    ce.ScratchPool[ce.QueryScratch]
 }
 
 // New returns an untrained model.
@@ -466,21 +466,13 @@ func (s *sampler) columnDist(pre, dist []float64, c int) []float64 {
 // pre-activation are computed once. Paths still draw from rng one by one,
 // in path order, so the estimate and rng's final state are those of
 // sampling every path on its own.
-func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *SplitMix64) float64 {
-	lastQueried := -1
-	for c := range ranges {
-		if c > lastQueried {
-			lastQueried = c
-		}
-	}
-	if lastQueried == -1 {
+func ProgressiveSample(made *Made, ranges *ce.BinRanges, samples int, rng *SplitMix64) float64 {
+	if len(ranges.Cols) == 0 {
 		return 1
 	}
+	lastQueried := ranges.Cols[len(ranges.Cols)-1]
 	sp := made.inf
-	sc, _ := made.scratch.Get().(*pathScratch)
-	if sc == nil {
-		sc = new(pathScratch)
-	}
+	sc := made.scratch.Get()
 	defer made.scratch.Put(sc)
 	sc.grow(sp, samples)
 	h, mb := sp.hidden, sp.maxBins
@@ -492,7 +484,7 @@ func ProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *Spli
 		sc.group[p] = 0
 	}
 	for c := 0; c <= lastQueried; c++ {
-		r, queried := ranges[c]
+		r, queried := ranges.Range(c)
 		pre, prob := sc.pre[cur], sc.prob[cur]
 		for g := 0; g < groups; g++ {
 			sc.mass[g] = 0
@@ -590,16 +582,18 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	if m.degenerate {
 		return 1
 	}
-	ranges, ok, unresolved := ce.QueryBinRanges(m.binner, m.slots, q)
-	if !ok {
+	sc := m.scratch.Get()
+	defer m.scratch.Put(sc)
+	if !ce.QueryBinRanges(&sc.Ranges, m.binner, m.slots, q) {
 		return 1
 	}
-	rng := QueryStream(m.cfg.Seed, q.Tables, ranges)
-	p := ProgressiveSample(m.made, ranges, m.cfg.Samples, &rng)
-	for _, pr := range unresolved {
+	key := sc.SubsetKey(q.Tables)
+	rng := QueryStream(m.cfg.Seed, key, &sc.Ranges)
+	p := ProgressiveSample(m.made, &sc.Ranges, m.cfg.Samples, &rng)
+	for _, pr := range sc.Ranges.Unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
-	est := p * float64(m.sizes.Size(q.Tables))
+	est := p * float64(m.sizes.Size(key, q.Tables))
 	return workload.ClampCard(est)
 }
 

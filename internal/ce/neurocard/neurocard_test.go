@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ce"
 	"repro/internal/nn"
 )
 
@@ -119,17 +120,17 @@ func TestProgressiveSampleBounds(t *testing.T) {
 	m := NewMade(rng, []int{4, 4}, 8)
 	stream := SplitMix64(5)
 	// No constraints: probability 1.
-	if p := ProgressiveSample(m, nil, 10, &stream); p != 1 {
+	if p := ProgressiveSample(m, rangesOf(nil), 10, &stream); p != 1 {
 		t.Fatalf("unconstrained probability %g", p)
 	}
 	// Full-range constraints: probability ~1.
 	full := map[int][2]int{0: {0, 3}, 1: {0, 3}}
-	if p := ProgressiveSample(m, full, 20, &stream); math.Abs(p-1) > 1e-9 {
+	if p := ProgressiveSample(m, rangesOf(full), 20, &stream); math.Abs(p-1) > 1e-9 {
 		t.Fatalf("full-range probability %g", p)
 	}
 	// Constraints bound probability to [0,1].
 	partial := map[int][2]int{0: {0, 1}, 1: {2, 3}}
-	p := ProgressiveSample(m, partial, 30, &stream)
+	p := ProgressiveSample(m, rangesOf(partial), 30, &stream)
 	if p < 0 || p > 1 {
 		t.Fatalf("probability %g outside [0,1]", p)
 	}
@@ -150,7 +151,7 @@ func TestProgressiveSampleMatchesMarginal(t *testing.T) {
 	m := NewMade(rng, []int{2}, 8)
 	TrainMade(m, rows, 20, 32, 0.05, rng)
 	stream := SplitMix64(6)
-	p := ProgressiveSample(m, map[int][2]int{0: {0, 0}}, 50, &stream)
+	p := ProgressiveSample(m, rangesOf(map[int][2]int{0: {0, 0}}), 50, &stream)
 	if math.Abs(p-0.75) > 0.1 {
 		t.Fatalf("sampled P(bin0) = %g, want ~0.75", p)
 	}
@@ -193,6 +194,15 @@ func TestSplitMix64ReferenceStream(t *testing.T) {
 	}
 }
 
+// rangesOf returns the bin ranges of a column → range map.
+func rangesOf(ranges map[int][2]int) *ce.BinRanges {
+	var br ce.BinRanges
+	for c, r := range ranges {
+		br.Set(c, r)
+	}
+	return &br
+}
+
 // TestQueryStreamCanonical: the stream depends on the query's table set
 // and bin ranges, not on their order (table order, map order), and a
 // different range, table set or model seed draws another stream.
@@ -204,18 +214,18 @@ func TestQueryStreamCanonical(t *testing.T) {
 		}
 		return r
 	}
-	base := QueryStream(9, []int{0, 2}, ranges())
+	base := QueryStream(9, []byte(ce.SubsetKey([]int{0, 2})), rangesOf(ranges()))
 	for i := 0; i < 20; i++ {
-		if got := QueryStream(9, []int{2, 0}, ranges()); got != base {
+		if got := QueryStream(9, []byte(ce.SubsetKey([]int{2, 0})), rangesOf(ranges())); got != base {
 			t.Fatalf("respelled query drew stream %d, want %d", got, base)
 		}
 	}
 	other := ranges()
 	other[7] = [2]int{7, 9}
 	for _, s := range []SplitMix64{
-		QueryStream(9, []int{0, 2}, other),
-		QueryStream(9, []int{0, 1}, ranges()),
-		QueryStream(10, []int{0, 2}, ranges()),
+		QueryStream(9, []byte(ce.SubsetKey([]int{0, 2})), rangesOf(other)),
+		QueryStream(9, []byte(ce.SubsetKey([]int{0, 1})), rangesOf(ranges())),
+		QueryStream(10, []byte(ce.SubsetKey([]int{0, 2})), rangesOf(ranges())),
 	} {
 		if s == base {
 			t.Fatalf("a different query or seed drew the same stream %d", s)
@@ -334,7 +344,7 @@ func TestProgressiveSampleMatchesPerPath(t *testing.T) {
 			samples := 1 + rng.Intn(96)
 			seed := SplitMix64(rng.Uint64())
 			got, want := seed, seed
-			pg := ProgressiveSample(m, ranges, samples, &got)
+			pg := ProgressiveSample(m, rangesOf(ranges), samples, &got)
 			pw := refProgressiveSample(m, ranges, samples, &want)
 			if math.Float64bits(pg) != math.Float64bits(pw) || got != want {
 				t.Fatalf("trial %d: bins %v ranges %v samples %d: got %v (stream %d), per-path %v (stream %d)",

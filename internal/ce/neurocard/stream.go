@@ -2,8 +2,6 @@ package neurocard
 
 import (
 	"encoding/binary"
-	"hash/fnv"
-	"slices"
 
 	"repro/internal/ce"
 )
@@ -30,25 +28,31 @@ func (g *SplitMix64) Float64() float64 { return float64(g.Uint64()>>11) / (1 << 
 
 // QueryStream returns the sampling stream of one query: SplitMix64 seeded
 // with the model's seed plus the 64-bit FNV-1a hash of the query's
-// canonical form — its table subset key, then each resolved bin range in
-// ascending column order. An estimate is thereby a pure function of the
-// model and the query: replicas, cold loads and any interleaving of
-// concurrent estimates all answer alike.
-func QueryStream(seed int64, tables []int, ranges map[int][2]int) SplitMix64 {
-	h := fnv.New64a()
-	h.Write([]byte(ce.SubsetKey(tables)))
-	cols := make([]int, 0, len(ranges))
-	for c := range ranges {
-		cols = append(cols, c)
+// canonical form — its table subset key (ce.SubsetKey, here as key), then
+// each resolved bin range in ascending column order. An estimate is
+// thereby a pure function of the model and the query: replicas, cold
+// loads and any interleaving of concurrent estimates all answer alike.
+func QueryStream(seed int64, key []byte, ranges *ce.BinRanges) SplitMix64 {
+	h := uint64(fnvOffset64)
+	for _, b := range key {
+		h = (h ^ uint64(b)) * fnvPrime64
 	}
-	slices.Sort(cols)
 	var buf [24]byte
-	for _, c := range cols {
-		r := ranges[c]
+	for _, c := range ranges.Cols {
+		r, _ := ranges.Range(c)
 		binary.LittleEndian.PutUint64(buf[0:], uint64(c))
 		binary.LittleEndian.PutUint64(buf[8:], uint64(r[0]))
 		binary.LittleEndian.PutUint64(buf[16:], uint64(r[1]))
-		h.Write(buf[:])
+		for _, b := range buf {
+			h = (h ^ uint64(b)) * fnvPrime64
+		}
 	}
-	return SplitMix64(uint64(seed) + h.Sum64())
+	return SplitMix64(uint64(seed) + h)
 }
+
+// The 64-bit FNV-1a parameters (hash/fnv), inlined so hashing a query
+// allocates nothing.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)

@@ -78,6 +78,15 @@ type Model struct {
 	corr *nn.MLP
 
 	degenerate bool
+	scratch    ce.ScratchPool[estScratch]
+}
+
+// estScratch is the working memory of one estimate: the sampling side's
+// query scratch, then the correction pass's encoding and layer buffers.
+type estScratch struct {
+	ce.QueryScratch
+	x   []float64 // the query's flat encoding
+	buf nn.InferBuf
 }
 
 // New returns an untrained model.
@@ -91,16 +100,18 @@ func (m *Model) arEstimate(q *workload.Query) float64 {
 	if m.degenerate {
 		return 1
 	}
-	ranges, ok, unresolved := ce.QueryBinRanges(m.binner, m.slots, q)
-	if !ok {
+	sc := m.scratch.Get()
+	defer m.scratch.Put(sc)
+	if !ce.QueryBinRanges(&sc.Ranges, m.binner, m.slots, q) {
 		return 1
 	}
-	rng := neurocard.QueryStream(m.cfg.Seed, q.Tables, ranges)
-	p := neurocard.ProgressiveSample(m.made, ranges, m.cfg.Samples, &rng)
-	for _, pr := range unresolved {
+	key := sc.SubsetKey(q.Tables)
+	rng := neurocard.QueryStream(m.cfg.Seed, key, &sc.Ranges)
+	p := neurocard.ProgressiveSample(m.made, &sc.Ranges, m.cfg.Samples, &rng)
+	for _, pr := range sc.Ranges.Unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
-	est := p * float64(m.sizes.Size(q.Tables))
+	est := p * float64(m.sizes.Size(key, q.Tables))
 	return workload.ClampCard(est)
 }
 
@@ -191,7 +202,10 @@ func (m *Model) Estimate(q *workload.Query) float64 {
 	if m.corr == nil {
 		return ar
 	}
-	r := m.corr.Forward(nn.FromRow(m.enc.Encode(q))).Scalar()
+	sc := m.scratch.Get()
+	sc.x = m.enc.EncodeInto(sc.x, q)
+	r := m.corr.Infer(&sc.buf, sc.x, 1)[0]
+	m.scratch.Put(sc)
 	if r > 4 {
 		r = 4
 	}

@@ -25,8 +25,8 @@ import (
 
 // Scale sets experiment sizes. The paper uses 1,000 training + 200 testing
 // datasets with 10,000-query workloads; DefaultScale is the CPU-friendly
-// regime recorded in EXPERIMENTS.md and QuickScale keeps unit tests and
-// benchmarks fast.
+// regime `go run ./cmd/autoce-exp` regenerates the tables and figures at,
+// and QuickScale keeps unit tests and benchmarks fast.
 type Scale struct {
 	TrainDatasets int
 	TestDatasets  int

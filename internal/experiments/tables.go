@@ -443,8 +443,8 @@ func TableV(c *Corpus) (*TableVResult, error) {
 	// workloads ~50x (1.73h vs 125s). Our tables are ~100x smaller than
 	// the paper's, so multi-table joins execute proportionally too fast
 	// relative to (real, wall-clock) model inference; scaling the multi
-	// pool's simulated execution restores the paper's regime. Documented
-	// in EXPERIMENTS.md.
+	// pool's simulated execution restores the paper's regime; `go run
+	// ./cmd/autoce-exp -run tab5` regenerates the table.
 	runPool := func(pool []*dataset.Dataset, agg map[string]*totals, execScale float64) error {
 		for di, d := range pool {
 			cfg := c.Scale.TestbedConfig(c.Scale.Seed + 401 + int64(di)*7)

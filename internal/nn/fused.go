@@ -57,6 +57,14 @@ func actBackward(act Activation, dpre, out, dout []float64) {
 	}
 }
 
+// affineInto writes act(x@w + b) into dst, with x: m×k, w: k×n, b: 1×n
+// and dst: m×n: the forward of Affine and of MLP.Infer alike.
+func affineInto(dst, x, w, b []float64, m, k, n int, act Activation) {
+	matMulInto(dst, x, w, m, k, n, nil)
+	addBiasRows(dst, b, m, n)
+	actInPlace(act, dst[:m*n])
+}
+
 // Affine returns act(x@w + b) as a single fused operation.
 // x: m×k, w: k×n, b: 1×n.
 func Affine(x, w, b *Tensor, act Activation) *Tensor {
@@ -68,11 +76,7 @@ func Affine(x, w, b *Tensor, act Activation) *Tensor {
 	}
 	m, k, n := x.R, x.C, w.C
 	out := Zeros(m, n)
-	out.fwd = func() {
-		matMulInto(out.V, x.V, w.V, m, k, n, nil)
-		addBiasRows(out.V, b.V, m, n)
-		actInPlace(act, out.V)
-	}
+	out.fwd = func() { affineInto(out.V, x.V, w.V, b.V, m, k, n, act) }
 	out.fwd()
 	out.prev = []*Tensor{x, w, b}
 	dpre := make([]float64, m*n)

@@ -62,6 +62,31 @@ func (m *MLP) Forward(x *Tensor) *Tensor {
 	return x
 }
 
+// InferBuf is the caller-owned scratch of MLP.Infer: two buffers the
+// layers write into by turns, grown to the largest shape served. The
+// zero value is ready to use; a buffer serves one Infer at a time.
+type InferBuf struct{ cur, next []float64 }
+
+// Infer is Forward without the autodiff graph, for inference: it applies
+// the layers to x, a rows×in matrix, and returns the rows×out result.
+// Each layer writes into buf, so a warm buf allocates nothing; the result
+// aliases buf and is overwritten by its next use, and x must not alias
+// it. Every layer runs Affine's forward kernels, so each value is
+// bit-identical to Forward's.
+func (m *MLP) Infer(buf *InferBuf, x []float64, rows int) []float64 {
+	for _, l := range m.Layers {
+		k, n := l.W.R, l.W.C
+		if cap(buf.cur) < rows*n {
+			buf.cur = make([]float64, rows*n)
+		}
+		out := buf.cur[:rows*n]
+		affineInto(out, x, l.W.V, l.B.V, rows, k, n, l.Act)
+		x = out
+		buf.cur, buf.next = buf.next, buf.cur
+	}
+	return x
+}
+
 // Params returns all trainable tensors of the MLP.
 func (m *MLP) Params() []*Tensor {
 	var out []*Tensor

@@ -1,6 +1,6 @@
 // Package nn is a small, pure-Go neural-network stack: row-major 2-D
 // tensors, reverse-mode automatic differentiation, dense layers, and the
-// Adam/SGD optimizers. It is the substrate for every learned component in
+// Adam optimizer. It is the substrate for every learned component in
 // the repository — the query-driven estimators (MSCN, LW-NN), the
 // autoregressive data-driven estimators (NeuroCard, UAE), the MLP selection
 // baseline, and AutoCE's GIN graph encoder.
@@ -13,6 +13,12 @@
 // subsequent Forward/Backward passes reset and replay the recorded closures
 // in place of rebuilding the graph, making steady-state steps allocation
 // free.
+//
+// Inference has one forward of its own: MLP.Infer, the graph-free twin of
+// MLP.Forward, runs the same fused dense kernels into caller-owned
+// buffers (InferBuf) and builds no tensors, so a warm call allocates
+// nothing and every value is bit-identical to Forward's. The estimators
+// use it for a single query, a batch and the measurement after Fit alike.
 package nn
 
 import (

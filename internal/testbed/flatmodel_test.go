@@ -228,10 +228,15 @@ func (m *flatModel) Estimate(q *workload.Query) float64 {
 	if m.degenerate {
 		return 1
 	}
-	ranges, ok, unresolved := ce.QueryBinRanges(m.binner, m.slots, q)
-	if !ok {
+	var br ce.BinRanges
+	if !ce.QueryBinRanges(&br, m.binner, m.slots, q) {
 		return 1
 	}
+	ranges := map[int][2]int{}
+	for _, c := range br.Cols {
+		ranges[c], _ = br.Range(c)
+	}
+	unresolved := br.Unresolved
 	p := 1.0
 	for _, g := range m.groups {
 		p *= g.prob(ranges, m.cfg.Alpha)
@@ -239,7 +244,7 @@ func (m *flatModel) Estimate(q *workload.Query) float64 {
 	for _, pr := range unresolved {
 		p *= m.bounds.UniformSel(pr)
 	}
-	est := p * float64(m.sizes.Size(q.Tables))
+	est := p * float64(m.sizes.Size([]byte(ce.SubsetKey(q.Tables)), q.Tables))
 	if est < 1 {
 		return 1
 	}

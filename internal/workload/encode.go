@@ -67,8 +67,16 @@ func (e *Encoder) JoinDim() int  { return e.numJoins }
 func (e *Encoder) PredDim() int  { return 3 * len(e.colLo) }
 
 // Encode returns the flat feature vector of q.
-func (e *Encoder) Encode(q *Query) []float64 {
-	v := make([]float64, e.Dim())
+func (e *Encoder) Encode(q *Query) []float64 { return e.EncodeInto(nil, q) }
+
+// EncodeInto is Encode into v's memory when its capacity suffices (a new
+// slice otherwise); it returns the vector, of length Dim.
+func (e *Encoder) EncodeInto(v []float64, q *Query) []float64 {
+	if cap(v) < e.Dim() {
+		v = make([]float64, e.Dim())
+	}
+	v = v[:e.Dim()]
+	clear(v)
 	for _, ti := range q.Tables {
 		if ti >= 0 && ti < e.numTables { // a table the encoder lacks adds nothing
 			v[ti] = 1
