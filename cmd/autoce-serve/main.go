@@ -143,6 +143,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -294,6 +295,8 @@ type server struct {
 	// Either may be nil.
 	peers    *peerSet
 	manifest *tenantManifest
+	// bodies keeps a /datasets read buffer for reuse.
+	bodies bodyBuffer
 
 	// adm is the two-class admission controller; opts carries the
 	// per-endpoint deadlines (see resilience.go).
@@ -414,7 +417,7 @@ type recommendResponse struct {
 
 func (s *server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	var req recommendRequest
-	if _, ok := decodePost(w, r, &req, 0); !ok {
+	if _, ok := decodePost(w, r, &req, nil); !ok {
 		return
 	}
 	if req.Wa < 0 || req.Wa > 1 {
@@ -474,7 +477,7 @@ type driftResponse struct {
 
 func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
 	var req graphPayload
-	if _, ok := decodePost(w, r, &req, 0); !ok {
+	if _, ok := decodePost(w, r, &req, nil); !ok {
 		return
 	}
 	snap := s.adv.Serving()
@@ -504,7 +507,7 @@ type adaptResponse struct {
 
 func (s *server) handleAdapt(w http.ResponseWriter, r *http.Request) {
 	var req adaptRequest
-	if _, ok := decodePost(w, r, &req, 0); !ok {
+	if _, ok := decodePost(w, r, &req, nil); !ok {
 		return
 	}
 	snap := s.adv.Serving()
@@ -602,37 +605,37 @@ const maxBodyBytes = 64 << 20
 // itself and reports whether the handler should proceed; the body is
 // returned for handlers that persist or forward it. A body over the cap
 // answers 413 even when its first JSON value ends before the cap.
-// sizeHint is passed on to readBody.
-func decodePost(w http.ResponseWriter, r *http.Request, dst any, sizeHint int64) ([]byte, bool) {
+// buf is passed on to readBody.
+func decodePost(w http.ResponseWriter, r *http.Request, dst any, buf []byte) ([]byte, bool) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return nil, false
 	}
-	body, err := readBody(w, r, sizeHint)
+	body, err := readBody(w, r, buf)
 	if err == nil {
 		err = decodeBody(body, dst)
 	}
 	return body, decodeOK(w, err)
 }
 
-// readBody reads r's body once, under maxBodyBytes. A positive sizeHint
-// (at most the cap) sizes the buffer up front, so a large onboarding body
-// is not regrown and copied on its way in. Only a caller already admitted
-// for that much memory may pass one: a hint taken from the declared
-// Content-Length commits memory on headers alone. Without one, a body
-// that declares at most smallBodyBytes is read into a buffer of its
-// declared length, and any other grows only as bytes arrive. Either way
-// the buffer holds one byte more than the expected length, so the read
-// that meets the body's end needs no regrowth.
-func readBody(w http.ResponseWriter, r *http.Request, sizeHint int64) ([]byte, error) {
-	size := int64(bytes.MinRead)
-	switch {
-	case sizeHint > 0 && sizeHint <= maxBodyBytes:
-		size = sizeHint + 1
-	case r.ContentLength > 0 && r.ContentLength <= smallBodyBytes:
-		size = r.ContentLength + 1
+// readBody reads r's body once, under maxBodyBytes, into buf. A non-nil
+// buf comes from bodyBuffer.take, sized up front from the declared
+// Content-Length, so a large onboarding body is not regrown and copied on
+// its way in. Only a caller already admitted for that much memory may
+// pass one: a buffer sized from the header commits memory on headers
+// alone. With a nil buf, a body that declares at most smallBodyBytes is
+// read into a buffer of its declared length, and any other grows only as
+// bytes arrive. Either way the buffer holds one byte more than the
+// expected length, so the read that meets the body's end needs no
+// regrowth.
+func readBody(w http.ResponseWriter, r *http.Request, buf []byte) ([]byte, error) {
+	if buf == nil {
+		size := int64(bytes.MinRead)
+		if r.ContentLength > 0 && r.ContentLength <= smallBodyBytes {
+			size = r.ContentLength + 1
+		}
+		buf = make([]byte, 0, size)
 	}
-	buf := make([]byte, 0, size)
 	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	for {
 		if len(buf) == cap(buf) {
@@ -650,9 +653,51 @@ func readBody(w http.ResponseWriter, r *http.Request, sizeHint int64) ([]byte, e
 }
 
 // smallBodyBytes bounds the declared length readBody trusts without a
-// size hint: a request that lies about its length commits at most this
+// sized buffer: a request that lies about its length commits at most this
 // much. It covers a 64-query /estimate body several times over.
 const smallBodyBytes = 64 << 10
+
+// bodyBuffer keeps one /datasets read buffer from one onboarding to the
+// next. After the rows it decodes to, an onboarding body is the write
+// path's largest allocation, and it is garbage once the manifest holds
+// it; with rows released after /train the live heap is small, so a fresh
+// buffer per onboarding both runs the GC more often and faults its pages
+// in anew. A buffer past maxKeptBody is not kept, so one outsized upload
+// does not stay resident.
+type bodyBuffer struct {
+	mu  sync.Mutex
+	buf []byte
+}
+
+const maxKeptBody = 8 << 20
+
+// take returns an empty buffer for a body that declares n bytes: the kept
+// one when it holds n+1 bytes, else a new one that does. With n unknown
+// or past maxBodyBytes it returns the kept buffer, or nil for readBody's
+// own sizing.
+func (b *bodyBuffer) take(n int64) []byte {
+	b.mu.Lock()
+	buf := b.buf
+	b.buf = nil
+	b.mu.Unlock()
+	if n > 0 && n <= maxBodyBytes && int64(cap(buf)) <= n {
+		return make([]byte, 0, n+1)
+	}
+	return buf[:0]
+}
+
+// give keeps buf for the next take, unless a larger buffer is kept. The
+// caller must hold no reference into buf afterwards.
+func (b *bodyBuffer) give(buf []byte) {
+	if cap(buf) > maxKeptBody {
+		return
+	}
+	b.mu.Lock()
+	if cap(buf) > cap(b.buf) {
+		b.buf = buf
+	}
+	b.mu.Unlock()
+}
 
 // decodeBody decodes a request body into dst. A canonical /datasets or
 // /estimate body takes the reflection-free scanner (canonical.go); any

@@ -417,7 +417,7 @@ func TestServeDeclaredLengthCommitsNoMemory(t *testing.T) {
 	}
 	r := httptest.NewRequest(http.MethodPost, "/estimate", strings.NewReader(`{}`))
 	r.ContentLength = maxBodyBytes
-	if body, err := readBody(httptest.NewRecorder(), r, 0); err != nil || cap(body) > 4096 {
-		t.Errorf("readBody without a size hint: capacity %d, err %v", cap(body), err)
+	if body, err := readBody(httptest.NewRecorder(), r, nil); err != nil || cap(body) > 4096 {
+		t.Errorf("readBody without a buffer: capacity %d, err %v", cap(body), err)
 	}
 }

@@ -1,12 +1,14 @@
 package main
 
-// The tenant manifest: restart recovery for onboarded datasets. Each
-// shard records every dataset payload it accepts (its own primaries and
-// the replication fan-ins it backs) next to the model artifacts. A
-// restarted shard replays the records through the normal onboarding path
-// before serving, re-registering each tenant's stored artifacts as
-// cold-loadable stubs — so a crashed shard rejoins the fleet serving
-// estimates with zero client action.
+// The tenant manifest: restart recovery for onboarded datasets, and the
+// copy of a trained tenant's rows. Each shard records every dataset
+// payload it accepts (its own primaries and the replication fan-ins it
+// backs) next to the model artifacts. A restarted shard replays the
+// records through the normal onboarding path before serving,
+// re-registering each tenant's stored artifacts as cold-loadable stubs —
+// so a crashed shard rejoins the fleet serving estimates with zero client
+// action. A tenant whose rows were released once its first /train
+// published reads them back from its record on its next /train.
 //
 // The manifest is a directory holding one record per tenant, in a file
 // named ce.EscapeName(dataset name) — ce.Store's escaping, so no name,
@@ -26,17 +28,20 @@ package main
 // without that model rather than with a wrong one.
 //
 // The manifest keeps no payload in memory except records whose write
-// failed; the next successful put retries them. The directory is read
-// only by load, once at startup. A corrupt record is quarantined on its
-// own (renamed with the "#.corrupt" suffix) and every other tenant still
-// recovers. EscapeName always escapes '#', so temp files and quarantined
-// records, which both carry one, never collide with a tenant's record.
+// failed; the next successful put retries them. The directory is read by
+// load, once at startup, and by read, one record per /train of a tenant
+// that holds no rows. Only load quarantines: a corrupt record is renamed
+// with the "#.corrupt" suffix on its own and every other tenant still
+// recovers; read reports a missing or corrupt record as an error.
+// EscapeName always escapes '#', so temp files and quarantined records,
+// which both carry one, never collide with a tenant's record.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -91,14 +96,15 @@ func newTenantManifest(path string) (*tenantManifest, error) {
 }
 
 // put records (or replaces) one dataset's onboarding payload. On failure
-// the payload is kept as pending — the running process serves the tenant
-// either way; only restart durability degrades — and the next successful
-// put writes it too.
+// a copy of the payload is kept as pending — the running process serves
+// the tenant either way; only restart durability degrades — and the next
+// successful put writes it too. The caller may reuse payload once put
+// returns.
 func (m *tenantManifest) put(name string, payload []byte) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := m.save(name, payload); err != nil {
-		m.pending[name] = payload
+		m.pending[name] = bytes.Clone(payload)
 		return err
 	}
 	delete(m.pending, name)
@@ -158,6 +164,35 @@ func (m *tenantManifest) load(fn func(name string, payload []byte)) error {
 		fn(name, payload)
 	}
 	return errors.Join(errs...)
+}
+
+// read returns name's recorded payload, for a /train whose tenant holds
+// no rows. A missing record, or one that fails its integrity check or
+// names another tenant, is an error; read quarantines nothing, since
+// only load, at startup, decides what the manifest holds.
+func (m *tenantManifest) read(name string) ([]byte, error) {
+	raw, err := os.ReadFile(filepath.Join(m.dir, ce.EscapeName(name)))
+	if err != nil {
+		return nil, err
+	}
+	got, payload, err := decodeTenantRecord(raw)
+	if err == nil && got != name {
+		err = fmt.Errorf("%w: the record of %q names %q", envelope.ErrCorrupt, name, got)
+	}
+	return payload, err
+}
+
+// recordSum identifies one payload by its length and CRC-32C; a record
+// read back is checked against the sum taken when it was accepted.
+type recordSum struct {
+	size int
+	crc  uint32
+}
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+func sumOf(payload []byte) recordSum {
+	return recordSum{len(payload), crc32.Checksum(payload, castagnoli)}
 }
 
 // writeTenantRecord atomically replaces name's record in dir: tempfile,

@@ -24,6 +24,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -74,17 +75,69 @@ func schemaSignature(d *dataset.Dataset) string {
 	return b.String()
 }
 
+// schemaOf returns d's schema: names, PK columns and FKs, with no column
+// data. schemaSignature, Query.Validate and the /train read-back check
+// read nothing else.
+func schemaOf(d *dataset.Dataset) *dataset.Dataset {
+	sd := &dataset.Dataset{Name: d.Name, FKs: d.FKs, Tables: make([]*dataset.Table, len(d.Tables))}
+	for i, t := range d.Tables {
+		st := &dataset.Table{Name: t.Name, PKCol: t.PKCol, Cols: make([]*dataset.Column, len(t.Cols))}
+		for j, c := range t.Cols {
+			st.Cols[j] = &dataset.Column{Name: c.Name}
+		}
+		sd.Tables[i] = st
+	}
+	return sd
+}
+
+// sameSchema reports whether d has the names, PK columns and FKs of the
+// schema sd.
+func sameSchema(d, sd *dataset.Dataset) bool {
+	if d.Name != sd.Name || len(d.Tables) != len(sd.Tables) || !slices.Equal(d.FKs, sd.FKs) {
+		return false
+	}
+	for i, t := range d.Tables {
+		st := sd.Tables[i]
+		if t.Name != st.Name || t.PKCol != st.PKCol || len(t.Cols) != len(st.Cols) {
+			return false
+		}
+		for j, c := range t.Cols {
+			if c.Name != st.Cols[j].Name {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // tenant is one onboarded dataset with its feature graph and trained
 // models. All fields are immutable once published; updates clone.
+//
+// d is the dataset's schema alone: table and column names, the PK
+// column and the FKs, with no column data. Every read path validates and
+// fingerprints against it. Clones share it and every onboarding builds a
+// new one, so its pointer identifies the tenant's generation.
+//
+// rows holds the decoded data only while this shard may still train on it
+// and has no durable copy: from onboarding until the generation's first
+// /train publishes, and past that only when the manifest does not hold
+// the generation's payload on disk. Replicas (which never /train) and
+// tenants recovered from the manifest keep none; without a manifest the
+// rows are the only copy and stay. A /train that finds rows nil reads the
+// record back (server.trainRows).
 type tenant struct {
-	d      *dataset.Dataset
-	graph  *feature.Graph
-	models map[string]*servedModel
-	active string // most recently trained model name
+	d       *dataset.Dataset
+	rows    *dataset.Dataset
+	record  recordSum // the /datasets payload this generation was decoded from
+	durable bool      // the manifest holds that payload on disk
+	graph   *feature.Graph
+	models  map[string]*servedModel
+	active  string // most recently trained model name
 }
 
 func (t *tenant) clone() *tenant {
-	nt := &tenant{d: t.d, graph: t.graph, active: t.active,
+	nt := &tenant{d: t.d, rows: t.rows, record: t.record, durable: t.durable,
+		graph: t.graph, active: t.active,
 		models: make(map[string]*servedModel, len(t.models))}
 	for k, v := range t.models {
 		nt.models[k] = v
@@ -289,8 +342,14 @@ func (s *server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if resp == nil {
 		return
 	}
-	s.replicate(r, name, body)
+	sent := s.replicate(r, name, body)
 	writeJSON(w, http.StatusOK, resp)
+	// Decoding copies what it keeps and the manifest copies what it
+	// holds, so only a fan-out may still read the body: a client's
+	// transport can write a request body after its response arrived.
+	if !sent {
+		s.bodies.give(body)
+	}
 }
 
 // onboardHeavy is handleDatasets up to the replica fan-out, run inside
@@ -309,7 +368,7 @@ func (s *server) onboardHeavy(w http.ResponseWriter, r *http.Request) (string, [
 	// The heavy slot bounds how many onboarding bodies are read at once,
 	// so this one may size its buffer from the declared length.
 	var req datasetRequest
-	body, ok := decodePost(w, r, &req, r.ContentLength)
+	body, ok := decodePost(w, r, &req, s.bodies.take(r.ContentLength))
 	if !ok {
 		return "", nil, nil
 	}
@@ -323,45 +382,45 @@ func (s *server) onboardHeavy(w http.ResponseWriter, r *http.Request) (string, [
 		writeError(w, http.StatusInternalServerError, "onboarding: "+err.Error())
 		return "", nil, nil
 	}
-	resp, status, err := s.onboard(&req)
+	resp, status, err := s.onboard(&req, body, false)
 	if err != nil {
 		writeError(w, status, err.Error())
 		return "", nil, nil
-	}
-	// Best-effort: a failed write degrades restart durability, not
-	// serving.
-	if s.manifest != nil {
-		if err := s.manifest.put(req.Name, body); err != nil {
-			log.Printf("onboarding %q: manifest write failed (restart recovery degraded): %v", req.Name, err)
-		}
 	}
 	return req.Name, body, resp
 }
 
 // replicate is the fan-out tail of a successful onboarding: when this
 // shard is the dataset's primary, it sends the same request body to the
-// rest of the replica set so they can serve reads. Replication fan-ins
-// (requests already carrying X-Shard-Replicate) are never re-fanned.
-func (s *server) replicate(r *http.Request, name string, body []byte) {
+// rest of the replica set so they can serve reads, and reports whether it
+// sent it anywhere. Replication fan-ins (requests already carrying
+// X-Shard-Replicate) are never re-fanned.
+func (s *server) replicate(r *http.Request, name string, body []byte) (sent bool) {
 	if s.peers == nil || s.shard == nil || r.Header.Get(headerReplicate) != "" || !s.shard.owns(name) {
-		return
+		return false
 	}
 	for _, peer := range s.shard.replicasOf(name) {
 		if peer == s.shard.index {
 			continue
 		}
+		sent = true
 		if err := s.peers.replicate(r.Context(), peer, name, body); err != nil {
 			// Best-effort: the replica serves 404s for this tenant until a
 			// later onboarding reaches it; reads fail over to the primary.
 			log.Printf("onboarding %q: replicating to shard %d failed: %v", name, peer, err)
 		}
 	}
+	return sent
 }
 
 // onboard is the core of dataset onboarding, shared by the HTTP handler
-// and manifest replay at startup. It returns the HTTP status to pair
-// with a non-nil error.
-func (s *server) onboard(req *datasetRequest) (*datasetResponse, int, error) {
+// and manifest replay at startup; body is the payload req was decoded
+// from. A live onboarding writes body to the manifest, under the tenant's
+// handle lock so that the record on disk is always the payload of the
+// generation published last; replay passes recorded, since its record is
+// already on disk. It returns the HTTP status to pair with a non-nil
+// error.
+func (s *server) onboard(req *datasetRequest, body []byte, recorded bool) (*datasetResponse, int, error) {
 	d, err := req.toDataset()
 	if err != nil {
 		return nil, http.StatusBadRequest, err
@@ -380,7 +439,14 @@ func (s *server) onboard(req *datasetRequest) (*datasetResponse, int, error) {
 		return nil, http.StatusBadRequest, fmt.Errorf(
 			"dataset features have dimension %d, advisor's encoder expects %d", len(g.V[0]), inDim)
 	}
-	tn := &tenant{d: d, graph: g, models: map[string]*servedModel{}}
+	tn := &tenant{d: schemaOf(d), durable: recorded, graph: g, models: map[string]*servedModel{}}
+	if s.manifest != nil {
+		tn.record = sumOf(body)
+	}
+	// Only a primary trains, and a recovered tenant's record is durable.
+	if !recorded && (s.shard == nil || s.shard.owns(d.Name)) {
+		tn.rows = d
+	}
 	// Register persisted artifacts for this dataset name as cold-loadable
 	// stubs, so a restarted server resumes serving estimates once the data
 	// is back. Only the artifact wrapper is read here (schema fingerprint,
@@ -433,6 +499,15 @@ func (s *server) onboard(req *datasetRequest) (*datasetResponse, int, error) {
 
 	h := s.fleet.getOrCreate(d.Name)
 	h.mu.Lock()
+	if !recorded && s.manifest != nil {
+		// Best-effort: a failed write degrades restart durability, not
+		// serving, and the tenant keeps its rows.
+		if err := s.manifest.put(d.Name, body); err != nil {
+			log.Printf("onboarding %q: manifest write failed (restart recovery degraded): %v", d.Name, err)
+		} else {
+			tn.durable = true
+		}
+	}
 	if old := h.snap.Load(); old != nil {
 		// Previously trained models describe the old data and are dropped
 		// with it (stored artifacts above were re-registered explicitly).
@@ -471,7 +546,7 @@ func (s *server) recoverTenants() {
 			log.Printf("manifest recovery: decoding %q: %v", name, err)
 			return
 		}
-		if _, _, err := s.onboard(&req); err != nil {
+		if _, _, err := s.onboard(&req, payload, true); err != nil {
 			log.Printf("manifest recovery: onboarding %q: %v", name, err)
 			return
 		}
@@ -510,7 +585,7 @@ type trainResponse struct {
 
 func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	var req trainRequest
-	if _, ok := decodePost(w, r, &req, 0); !ok {
+	if _, ok := decodePost(w, r, &req, nil); !ok {
 		return
 	}
 	if !s.shardPrimaryOK(w, req.Dataset) {
@@ -584,12 +659,27 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 
 	t0 := time.Now()
 	ctx := r.Context()
-	in, err := testbed.NewTrainInputForCtx(ctx, tn.d, cfg, spec.Kind)
+	rows, err := s.trainRows(tn)
+	if err != nil {
+		release()
+		// A re-onboarding writes its record before it publishes, under
+		// the handle lock: wait that out, then tell a replaced record (the
+		// same conflict as a replacement during training) from a lost one.
+		s.fleet.settle(req.Dataset)
+		if cur := s.fleet.tenant(req.Dataset); cur == nil || cur.d != tn.d {
+			writeReplaced(w, req.Dataset)
+			return
+		}
+		writeError(w, http.StatusInternalServerError, fmt.Sprintf(
+			"dataset %q: reading its rows back from the tenant manifest: %v; re-onboard it (POST /datasets)", req.Dataset, err))
+		return
+	}
+	in, err := testbed.NewTrainInputForCtx(ctx, rows, cfg, spec.Kind)
 	// Only staging reads the join index (workload labeling, the join
 	// sample, the subset sizes); Fit and every read endpoint do not. Drop
-	// it, whether staging finished or not, so a resident tenant holds only
-	// its data; the next /train rebuilds what it reads.
-	engine.InvalidateIndex(tn.d)
+	// it, whether staging finished or not, so resident rows are only
+	// data; the next /train rebuilds what it reads.
+	engine.InvalidateIndex(rows)
 	if err != nil {
 		release()
 		writeDeadline(w, "training (input staging)", err)
@@ -639,20 +729,20 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Publish under this tenant's handle lock — no other tenant observes
-	// anything. The model was trained against the dataset captured in tn;
-	// if the dataset was replaced mid-training (same name, different data
-	// — tenant clones share the dataset pointer, replacements do not),
-	// both publishing the stale model and persisting its artifact would
-	// leak a model indexed for data the tenant no longer holds, so
+	// anything. The model was trained against the generation captured in
+	// tn; if the dataset was replaced mid-training (same name, different
+	// data — tenant clones share the schema pointer d, replacements do
+	// not), both publishing the stale model and persisting its artifact
+	// would leak a model indexed for data the tenant no longer holds, so
 	// conflict instead. The artifact write happens under the same lock as
-	// the pointer check: a replacement cannot slip between validation and
-	// persistence.
+	// the generation check: a replacement cannot slip between validation
+	// and persistence.
 	h := s.fleet.getOrCreate(req.Dataset)
 	h.mu.Lock()
 	cur := h.snap.Load()
 	if cur == nil || cur.d != tn.d {
 		h.mu.Unlock()
-		writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q was replaced during training; re-train against the new data", req.Dataset))
+		writeReplaced(w, req.Dataset)
 		return
 	}
 	// Forget the superseded model before writing the new artifact, so a
@@ -682,10 +772,54 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	nt := cur.clone()
 	nt.models[name] = sm
 	nt.active = name
+	if nt.durable {
+		nt.rows = nil // the next /train reads the record back
+	}
 	h.snap.Store(nt)
 	h.mu.Unlock()
 
 	writeJSON(w, http.StatusOK, resp)
+}
+
+// writeReplaced answers a /train whose tenant was re-onboarded while it
+// ran.
+func writeReplaced(w http.ResponseWriter, ds string) {
+	writeError(w, http.StatusConflict, fmt.Sprintf("dataset %q was replaced during training; re-train against the new data", ds))
+}
+
+// trainRows returns the rows /train stages tn from: the resident ones,
+// or else the tenant's manifest record, decoded by onboarding's strict
+// path (decodeTenantRecord, decodeBody, toDataset). The record must hold
+// this generation's payload, by length and CRC-32C, and decode to its
+// schema; a missing, torn or quarantined record, or one a re-onboarding
+// has since replaced, is an error, so /train never stages another
+// generation's or another tenant's rows.
+func (s *server) trainRows(tn *tenant) (*dataset.Dataset, error) {
+	if tn.rows != nil {
+		return tn.rows, nil
+	}
+	if !tn.durable || s.manifest == nil {
+		return nil, errors.New("this shard holds neither its rows nor a manifest record of them")
+	}
+	payload, err := s.manifest.read(tn.d.Name)
+	if err != nil {
+		return nil, err
+	}
+	if sumOf(payload) != tn.record {
+		return nil, errors.New("the record holds another generation's payload")
+	}
+	var req datasetRequest
+	if err := decodeBody(payload, &req); err != nil {
+		return nil, fmt.Errorf("decoding the record: %w", err)
+	}
+	d, err := req.toDataset()
+	if err != nil {
+		return nil, fmt.Errorf("decoding the record: %w", err)
+	}
+	if !sameSchema(d, tn.d) {
+		return nil, errors.New("the record decodes to another schema")
+	}
+	return d, nil
 }
 
 // --------------------------------------------------------------- estimate
@@ -776,7 +910,7 @@ type estimateResponse struct {
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req estimateRequest
-	if _, ok := decodePost(w, r, &req, 0); !ok {
+	if _, ok := decodePost(w, r, &req, nil); !ok {
 		return
 	}
 	if !s.shardReadOK(w, req.Dataset) {

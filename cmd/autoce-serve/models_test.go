@@ -6,6 +6,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -526,7 +529,10 @@ func TestServeTrainHonorsExplicitZeroWa(t *testing.T) {
 // between requests. Only /train's staging reads it, so the handler drops
 // it once staging returns: after a query-driven staging (workload
 // labeling), a data-driven one (join sample and subset sizes), and one
-// that ran out its deadline alike.
+// that ran out its deadline alike. These servers keep no manifest, so the
+// rows stay resident; with one, the first /train that publishes releases
+// the rows too, and the next /train reads them back from the record and
+// trains the same model.
 func TestServeTrainReleasesJoinIndex(t *testing.T) {
 	adv, _ := testAdvisor(t, 8)
 	d := serveDataset(t, 3, 47)
@@ -543,7 +549,7 @@ func TestServeTrainReleasesJoinIndex(t *testing.T) {
 		ts := httptest.NewServer(s)
 		onboard(t, ts, d)
 		tn := s.fleet.tenant(d.Name)
-		ix := engine.IndexFor(tn.d)
+		ix := engine.IndexFor(tn.rows)
 		resp, data := postJSON(t, ts, "/train", map[string]any{
 			"dataset": d.Name, "model": tc.model, "queries": 40, "sample_rows": 100,
 		})
@@ -554,8 +560,50 @@ func TestServeTrainReleasesJoinIndex(t *testing.T) {
 		if tc.status != http.StatusOK && !bytes.Contains(data, []byte("input staging")) {
 			t.Fatalf("/train %s did not run out its deadline in staging: %s", tc.model, data)
 		}
-		if engine.IndexFor(tn.d) == ix {
+		if engine.IndexFor(tn.rows) == ix {
 			t.Fatalf("/train %s (deadline %v) left the tenant's join index resident", tc.model, tc.deadline)
 		}
+		if s.fleet.tenant(d.Name).rows == nil {
+			t.Fatalf("/train %s (deadline %v) released the rows of a tenant with no manifest", tc.model, tc.deadline)
+		}
+	}
+
+	dir := t.TempDir()
+	store, err := ce.NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, ts := serveWithOpts(t, store, serveOptions{ManifestPath: filepath.Join(dir, "tenants.manifest")})
+	onboard(t, ts, d)
+	if s.fleet.tenant(d.Name).rows == nil {
+		t.Fatal("an untrained tenant holds no rows for its first /train")
+	}
+	queries := rangeQueryBodies(d, 6)
+	var artifacts [2][]byte
+	var estimates [2][]float64
+	for i := range artifacts {
+		resp, data := postJSON(t, ts, "/train", map[string]any{
+			"dataset": d.Name, "model": "LW-XGB", "queries": 40, "sample_rows": 100,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/train %d returned %d: %s", i, resp.StatusCode, data)
+		}
+		var tr trainResponse
+		if err := json.Unmarshal(data, &tr); err != nil {
+			t.Fatal(err)
+		}
+		if artifacts[i], err = os.ReadFile(tr.Artifact); err != nil {
+			t.Fatal(err)
+		}
+		if tn := s.fleet.tenant(d.Name); tn.rows != nil {
+			t.Fatalf("after /train %d the tenant still holds its rows", i)
+		}
+		estimates[i] = batchEstimates(t, ts, d.Name, queries)
+	}
+	if !bytes.Equal(artifacts[0], artifacts[1]) {
+		t.Fatal("the /train that read the rows back wrote another artifact")
+	}
+	if !slices.Equal(estimates[0], estimates[1]) {
+		t.Fatalf("estimates after retraining from the record %v, want %v", estimates[1], estimates[0])
 	}
 }

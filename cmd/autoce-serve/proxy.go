@@ -162,7 +162,7 @@ func (ps *peerSet) orderTargets(cands []int) []int {
 // the answer only once every other member has answered 404 too —
 // otherwise the read ends in the JSON 502.
 func (ps *peerSet) forward(w http.ResponseWriter, r *http.Request, key string, read bool) {
-	body, err := readBody(w, r, 0)
+	body, err := readBody(w, r, nil)
 	if !decodeOK(w, err) {
 		return
 	}

@@ -182,11 +182,14 @@ func TestManifestSaveFailpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resilience.ClearFailpoints()
-	if err := m.put("a", []byte(`{}`)); !errors.Is(err, resilience.ErrInjected) {
+	payload := []byte(`{"gen":1}`)
+	if err := m.put("a", payload); !errors.Is(err, resilience.ErrInjected) {
 		t.Fatalf("put under failpoint: %v, want injected fault", err)
 	}
 	// The entry is kept in memory (serving continues; durability degrades)
-	// and lands on disk with the next successful save.
+	// and lands on disk with the next successful save, as it was put: the
+	// caller may reuse its buffer.
+	copy(payload, `{"gen":2}`)
 	resilience.ClearFailpoints()
 	if err := m.put("b", []byte(`{}`)); err != nil {
 		t.Fatal(err)
@@ -195,8 +198,8 @@ func TestManifestSaveFailpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m2.snapshot(); len(got) != 2 {
-		t.Fatalf("after failpoint round: %q, want a and b", got)
+	if got := m2.snapshot(); len(got) != 2 || string(got["a"]) != `{"gen":1}` {
+		t.Fatalf("after failpoint round: %q, want a as put and b", got)
 	}
 }
 

@@ -298,8 +298,7 @@ type inferScratch struct {
 // with no elements contributes one zero row, the empty-set token Fit
 // trains with. Dense-kernel rows are computed independently and pooling
 // sums rows in ascending order and then scales by the reciprocal count
-// (nn.MeanRows' arithmetic), so an estimate does not depend on the batch
-// it rides in.
+// (meanInto), so an estimate does not depend on the batch it rides in.
 func (m *Model) estimateInto(dst []float64, qs []*workload.Query) {
 	sc := m.scratch.Get()
 	defer m.scratch.Put(sc)
@@ -359,8 +358,8 @@ func (m *Model) estimateInto(dst []float64, qs []*workload.Query) {
 
 // meanInto writes into the zeroed dst the mean of the span's rows of the
 // h-wide matrix src: it sums them in ascending order, then multiplies by
-// the reciprocal count, exactly nn.MeanRows (SumRows + Scale). An empty
-// span leaves dst zero.
+// the reciprocal count, so every query's pooled row has the same
+// arithmetic whatever batch it rides in. An empty span leaves dst zero.
 func meanInto(dst, src []float64, sp span, h int) {
 	if sp.n == 0 {
 		return

@@ -358,11 +358,13 @@ type sampler struct {
 	hidden  int
 	maxBins int
 	w1m     []float64 // InDim×hidden, W1∘mask1
-	w2m     []float64 // hidden×InDim, W2∘mask2
 	// colUnits[c] lists the hidden units whose mask2 block for column c is
 	// nonzero (units of autoregressive degree < c): the only units that
 	// can move column c's logits. Column 0 has none by construction.
 	colUnits [][]int
+	// colW[c] packs column c's block of W2∘mask2 for its colUnits
+	// contiguously: units × bins, the k-th unit's row at k·bins.
+	colW [][]float64
 }
 
 // pathScratch is the working memory of one ProgressiveSample call, taken
@@ -378,6 +380,8 @@ type pathScratch struct {
 	mass  []float64    // per group: its mass in this column (0: its paths draw nothing)
 	child []int32      // groups×maxBins: (group, bin) → next column's group, -1 if none yet
 	group []int32      // per path: its group (-1 = dead path)
+	coef  []float64    // per hidden unit: an active unit's activation (columnDist)
+	unit  []int32      // per hidden unit: that unit's row in colW (columnDist)
 }
 
 // newSampler snapshots the trained network for inference.
@@ -388,15 +392,17 @@ func (m *Made) newSampler() *sampler {
 	for i, v := range m.W1.V {
 		s.w1m[i] = v * m.mask1[i]
 	}
-	s.w2m = make([]float64, len(m.W2.V))
-	for i, v := range m.W2.V {
-		s.w2m[i] = v * m.mask2[i]
-	}
 	s.colUnits = make([][]int, len(m.Bins))
+	s.colW = make([][]float64, len(m.Bins))
 	for c, off := range m.Offsets {
+		nb := m.Bins[c]
 		for i := 0; i < hidden; i++ {
 			if m.mask2[i*m.InDim+off] != 0 {
 				s.colUnits[c] = append(s.colUnits[c], i)
+				row := i*m.InDim + off
+				for j := row; j < row+nb; j++ {
+					s.colW[c] = append(s.colW[c], m.W2.V[j]*m.mask2[j])
+				}
 			}
 		}
 	}
@@ -419,23 +425,50 @@ func (sc *pathScratch) grow(s *sampler, paths int) {
 		sc.child = make([]int32, paths*s.maxBins)
 		sc.group = make([]int32, paths)
 	}
+	if len(sc.coef) < s.hidden {
+		sc.coef = make([]float64, s.hidden)
+		sc.unit = make([]int32, s.hidden)
+	}
 }
 
 // columnDist writes the softmax distribution of column c for the path
-// whose pre-activations are pre into dist, returning dist[:bins].
-func (s *sampler) columnDist(pre, dist []float64, c int) []float64 {
+// whose pre-activations are pre into dist, returning dist[:bins]; coef
+// and unit, hidden long each, are its scratch.
+//
+// Whether a hidden unit is active after the ReLU is close to a coin flip,
+// so a branch on it mispredicts often. The active units are compacted
+// without one instead: every unit is written and the count advances only
+// past an active one. The skip test stays v <= 0, so NaN and -0 act as
+// in a branch. Each logit then adds its active units' terms in unit
+// order, four bins at a time, which gives the same sums bit for bit.
+func (s *sampler) columnDist(pre, dist, coef []float64, unit []int32, c int) []float64 {
 	off, nb := s.made.Offsets[c], s.made.Bins[c]
-	out := dist[:nb]
-	copy(out, s.made.B2.V[off:off+nb])
-	for _, i := range s.colUnits[c] {
+	n := 0
+	for k, i := range s.colUnits[c] {
 		v := pre[i]
-		if v <= 0 {
-			continue // ReLU: inactive hidden unit
+		coef[n], unit[n] = v, int32(k)
+		n += activeUnit(v)
+	}
+	coef, unit = coef[:n], unit[:n]
+	w, b, out := s.colW[c], s.made.B2.V[off:off+nb], dist[:nb]
+	j := 0
+	for ; j+4 <= nb; j += 4 {
+		a0, a1, a2, a3 := b[j], b[j+1], b[j+2], b[j+3]
+		for k, v := range coef {
+			r := w[int(unit[k])*nb+j:][:4]
+			a0 += v * r[0]
+			a1 += v * r[1]
+			a2 += v * r[2]
+			a3 += v * r[3]
 		}
-		wrow := s.w2m[i*s.made.InDim+off:][:nb]
-		for j, wv := range wrow {
-			out[j] += v * wv
+		out[j], out[j+1], out[j+2], out[j+3] = a0, a1, a2, a3
+	}
+	for ; j < nb; j++ {
+		a := b[j]
+		for k, v := range coef {
+			a += v * w[int(unit[k])*nb+j]
 		}
+		out[j] = a
 	}
 	maxv := out[0]
 	for _, v := range out[1:] {
@@ -453,6 +486,16 @@ func (s *sampler) columnDist(pre, dist []float64, c int) []float64 {
 		out[j] /= sum
 	}
 	return out
+}
+
+// activeUnit is 1 for a hidden pre-activation the ReLU passes and 0 for
+// one it zeroes; it compiles to a flag set, not a branch.
+func activeUnit(v float64) int {
+	n := 1
+	if v <= 0 {
+		n = 0
+	}
+	return n
 }
 
 // ProgressiveSample estimates the probability of the bin ranges under the
@@ -491,7 +534,7 @@ func ProgressiveSample(made *Made, ranges *ce.BinRanges, samples int, rng *Split
 			if prob[g] == 0 {
 				continue // dead group: a queried range had zero mass
 			}
-			dist := sp.columnDist(pre[g*h:(g+1)*h], sc.dist[g*mb:(g+1)*mb], c)
+			dist := sp.columnDist(pre[g*h:(g+1)*h], sc.dist[g*mb:(g+1)*mb], sc.coef, sc.unit, c)
 			mass := 1.0
 			if queried {
 				mass = 0

@@ -251,6 +251,7 @@ func refProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *S
 	pres := make([]float64, samples*sp.hidden)
 	pathP := make([]float64, samples)
 	scratch := make([]float64, sp.maxBins)
+	coef, unit := make([]float64, sp.hidden), make([]int32, sp.hidden)
 	for p := 0; p < samples; p++ {
 		copy(pres[p*sp.hidden:(p+1)*sp.hidden], made.B1.V)
 		pathP[p] = 1
@@ -262,7 +263,7 @@ func refProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *S
 				continue
 			}
 			pre := pres[p*sp.hidden : (p+1)*sp.hidden]
-			dist := sp.columnDist(pre, scratch, c)
+			dist := sp.columnDist(pre, scratch, coef, unit, c)
 			var mass float64
 			if queried {
 				for b := r[0]; b <= r[1] && b < len(dist); b++ {
@@ -307,6 +308,90 @@ func refProgressiveSample(made *Made, ranges map[int][2]int, samples int, rng *S
 		total += pathP[p]
 	}
 	return total / float64(samples)
+}
+
+// refColumnDist is the sampler's column distribution as a loop that
+// branches on each unit's activation and reads W2∘mask2 in place, kept
+// as the reference for TestColumnDistMatchesBranchLoop.
+func refColumnDist(s *sampler, pre, dist []float64, c int) []float64 {
+	m := s.made
+	off, nb := m.Offsets[c], m.Bins[c]
+	out := dist[:nb]
+	copy(out, m.B2.V[off:off+nb])
+	for _, i := range s.colUnits[c] {
+		v := pre[i]
+		if v <= 0 {
+			continue
+		}
+		for j := range out {
+			k := i*m.InDim + off + j
+			out[j] += v * (m.W2.V[k] * m.mask2[k])
+		}
+	}
+	maxv := out[0]
+	for _, v := range out[1:] {
+		if v > maxv {
+			maxv = v
+		}
+	}
+	var sum float64
+	for j, v := range out {
+		e := math.Exp(v - maxv)
+		out[j] = e
+		sum += e
+	}
+	for j := range out {
+		out[j] /= sum
+	}
+	return out
+}
+
+// TestColumnDistMatchesBranchLoop: the packed, branch-free columnDist
+// returns the branching loop's distribution bit for bit on random
+// networks with random output masks (so any unit subset may feed a
+// column), bin counts on both sides of the four-bin step, and
+// pre-activations that mix positives, negatives, zeros of both signs and
+// NaN.
+func TestColumnDistMatchesBranchLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for trial := 0; trial < 500; trial++ {
+		bins := make([]int, 1+rng.Intn(5))
+		for c := range bins {
+			bins[c] = 1 + rng.Intn(11)
+		}
+		hidden := 1 + rng.Intn(40)
+		m := NewMade(rng, bins, hidden)
+		for _, p := range m.Params() {
+			for i := range p.V {
+				p.V[i] = rng.NormFloat64()
+			}
+		}
+		for i := range m.mask2 {
+			m.mask2[i] = float64(rng.Intn(2))
+		}
+		s := m.newSampler()
+		pre := make([]float64, hidden)
+		coef, unit := make([]float64, hidden), make([]int32, hidden)
+		got, want := make([]float64, s.maxBins), make([]float64, s.maxBins)
+		for draw := 0; draw < 8; draw++ {
+			for i := range pre {
+				pre[i] = rng.NormFloat64()
+				if rng.Intn(6) == 0 {
+					pre[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			for c := range bins {
+				g := s.columnDist(pre, got, coef, unit, c)
+				w := refColumnDist(s, pre, want, c)
+				for j := range w {
+					if math.Float64bits(g[j]) != math.Float64bits(w[j]) && !(math.IsNaN(g[j]) && math.IsNaN(w[j])) {
+						t.Fatalf("trial %d column %d bin %d: %v, want %v", trial, c, j, g[j], w[j])
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestProgressiveSampleMatchesPerPath: the prefix-group sampler returns

@@ -411,15 +411,6 @@ func SumRows(a *Tensor) *Tensor {
 	return out
 }
 
-// MeanRows returns the column means of a as a 1×C tensor — MSCN's set
-// average pooling.
-func MeanRows(a *Tensor) *Tensor {
-	if a.R == 0 {
-		return Zeros(1, a.C)
-	}
-	return Scale(SumRows(a), 1/float64(a.R))
-}
-
 // ConcatCols concatenates tensors with equal row counts along columns.
 func ConcatCols(ts ...*Tensor) *Tensor {
 	if len(ts) == 0 {

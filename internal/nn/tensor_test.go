@@ -94,9 +94,6 @@ func TestBiasScalePoolingGradients(t *testing.T) {
 	checkGrads(t, "sumrows", []*Tensor{a}, func() *Tensor {
 		return MSE(SumRows(a), make([]float64, 4))
 	})
-	checkGrads(t, "meanrows", []*Tensor{a}, func() *Tensor {
-		return MSE(MeanRows(a), make([]float64, 4))
-	})
 }
 
 func TestConcatSliceGradients(t *testing.T) {

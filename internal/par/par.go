@@ -36,53 +36,65 @@ func For(n, workers int, fn func(i int) error) error {
 		return nil
 	}
 	workers = min(max(workers, 1), n)
-	var (
-		next     atomic.Int64
-		mu       sync.Mutex
-		errAt    = n
-		err      error
-		panicked *resilience.PanicError
-	)
-	work := func() {
-		defer func() {
-			if v := recover(); v != nil {
-				next.Store(int64(n))
-				pe := resilience.NewPanicError("par.For", v)
-				mu.Lock()
-				if panicked == nil {
-					panicked = pe
-				}
-				mu.Unlock()
+	// One allocation holds every piece of shared state, so a fan-out costs
+	// it plus one per started goroutine.
+	st := &forState{n: n, errAt: n, fn: fn}
+	st.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go st.worker()
+	}
+	st.work()
+	st.wg.Wait()
+	if st.panicked != nil {
+		panic(st.panicked)
+	}
+	return st.err
+}
+
+// forState is what the workers of one For call share.
+type forState struct {
+	next     atomic.Int64
+	n        int
+	fn       func(i int) error
+	wg       sync.WaitGroup
+	mu       sync.Mutex // guards errAt, err and panicked
+	errAt    int
+	err      error
+	panicked *resilience.PanicError
+}
+
+func (st *forState) worker() {
+	defer st.wg.Done()
+	st.work()
+}
+
+// work runs indices from the shared counter until they run out, an
+// index fails, or fn panics.
+func (st *forState) work() {
+	defer func() {
+		if v := recover(); v != nil {
+			st.next.Store(int64(st.n))
+			pe := resilience.NewPanicError("par.For", v)
+			st.mu.Lock()
+			if st.panicked == nil {
+				st.panicked = pe
 			}
-		}()
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
+			st.mu.Unlock()
+		}
+	}()
+	for {
+		i := int(st.next.Add(1)) - 1
+		if i >= st.n {
+			return
+		}
+		if e := st.fn(i); e != nil {
+			st.next.Store(int64(st.n))
+			st.mu.Lock()
+			if i < st.errAt {
+				st.errAt, st.err = i, e
 			}
-			if e := fn(i); e != nil {
-				next.Store(int64(n))
-				mu.Lock()
-				if i < errAt {
-					errAt, err = i, e
-				}
-				mu.Unlock()
-				return
-			}
+			st.mu.Unlock()
+			return
 		}
 	}
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	if panicked != nil {
-		panic(panicked)
-	}
-	return err
 }
