@@ -682,6 +682,12 @@ func (s *server) handleTrain(w http.ResponseWriter, r *http.Request) {
 	engine.InvalidateIndex(rows)
 	if err != nil {
 		release()
+		if errors.Is(err, engine.ErrJoinTooLarge) {
+			// The tenant's schema joins to more rows than the sampler
+			// materializes; retrying cannot help.
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("dataset %q: %v", req.Dataset, err))
+			return
+		}
 		writeDeadline(w, "training (input staging)", err)
 		return
 	}

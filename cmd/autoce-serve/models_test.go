@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -605,5 +606,55 @@ func TestServeTrainReleasesJoinIndex(t *testing.T) {
 	}
 	if !slices.Equal(estimates[0], estimates[1]) {
 		t.Fatalf("estimates after retraining from the record %v, want %v", estimates[1], estimates[0])
+	}
+}
+
+// TestServeTrainJoinTooLarge is the regression for a tenant that could
+// kill the server: two 5,000-row tables with no FK between them onboard
+// fine, and a data-driven /train then sampled their 25M-tuple cross
+// product, asking for 50M row-id slots up front. The sampler now sizes
+// each join step before it allocates and declines past its cap, so the
+// /train answers 400 naming the join size and the cap, the cross product
+// is never allocated, and the server keeps serving.
+func TestServeTrainJoinTooLarge(t *testing.T) {
+	p := datagen.Params{
+		Tables:  2,
+		MinCols: 2, MaxCols: 2,
+		MinRows: 5000, MaxRows: 5000,
+		Domain: 25,
+		JoinLo: 0.5, JoinHi: 1,
+		Seed: 5,
+	}
+	d, err := datagen.Generate("unconnected", p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.FKs = nil
+	_, ts := serveWithOpts(t, nil, serveOptions{})
+	onboard(t, ts, d)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	resp, data := postJSON(t, ts, "/train", map[string]any{"dataset": d.Name, "model": "DeepDB"})
+	runtime.ReadMemStats(&after)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("/train of an unconnected tenant returned %d, want 400: %s", resp.StatusCode, data)
+	}
+	for _, want := range []string{"50000000 row-id slots", "cap of 16777216"} {
+		if !bytes.Contains(data, []byte(want)) {
+			t.Fatalf("/train error %s does not name %q", data, want)
+		}
+	}
+	const crossBytes = 5000 * 5000 * 2 * 4
+	if n := after.TotalAlloc - before.TotalAlloc; n > crossBytes/4 {
+		t.Fatalf("/train allocated %d bytes; the cross product alone is %d", n, crossBytes)
+	}
+	hresp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusOK {
+		t.Fatalf("/healthz returned %d after the declined /train", hresp.StatusCode)
 	}
 }

@@ -159,7 +159,10 @@ func TestSampleDatasetPreservesJoins(t *testing.T) {
 	}
 	// The sampled full join must be non-empty (FK integrity preserved).
 	rng := rand.New(rand.NewSource(10))
-	js := engine.SampleJoin(sampled, 100, rng)
+	js, err := engine.SampleJoin(sampled, 100, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if js.FullJoinSize == 0 {
 		t.Fatal("sampled dataset has an empty full join")
 	}

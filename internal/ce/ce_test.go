@@ -27,7 +27,11 @@ func sampleFixture(t *testing.T, tables int, seed int64) (*dataset.Dataset, *eng
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
-	return d, engine.SampleJoin(d, 500, rng)
+	sample, err := engine.SampleJoin(d, 500, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, sample
 }
 
 func TestSubsetKeyCanonical(t *testing.T) {

@@ -158,9 +158,13 @@ func trainZoo(tb testing.TB, p datagen.Params, sampleRows, nq int) ([]ce.Model, 
 	rng := rand.New(rand.NewSource(p.Seed + 1))
 	qs := workload.Generate(d, workload.DefaultConfig(nq, p.Seed+2))
 	train, test := workload.Split(qs, 0.6, p.Seed+3)
+	sample, err := engine.SampleJoin(d, sampleRows, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	in := &ce.TrainInput{
 		Dataset: d,
-		Sample:  engine.SampleJoin(d, sampleRows, rng),
+		Sample:  sample,
 		Queries: train,
 		Sizes:   ce.ComputeSubsetSizes(d),
 	}

@@ -15,7 +15,10 @@ import (
 func trained(t *testing.T, d *dataset.Dataset, seed int64) *Model {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sample := engine.SampleJoin(d, 800, rng)
+	sample, err := engine.SampleJoin(d, 800, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New(DefaultConfig())
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Sample: sample}); err != nil {
 		t.Fatal(err)

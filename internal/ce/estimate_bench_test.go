@@ -53,9 +53,13 @@ func benchFixture(b *testing.B) (*ce.TrainInput, []*workload.Query) {
 		}
 		rng := rand.New(rand.NewSource(9002))
 		qs := workload.Generate(d, workload.DefaultConfig(benchBatch+60, 9003))
+		sample, err := engine.SampleJoin(d, 600, rng)
+		if err != nil {
+			panic(err)
+		}
 		benchIn = &ce.TrainInput{
 			Dataset: d,
-			Sample:  engine.SampleJoin(d, 600, rng),
+			Sample:  sample,
 			Queries: qs[benchBatch:],
 			Sizes:   ce.ComputeSubsetSizes(d),
 		}

@@ -53,7 +53,11 @@ func dataFitFixture(b *testing.B) *ce.TrainInput {
 	in := fitFixture(b)
 	dataFixtureOnce.Do(func() {
 		in := *in
-		in.Sample = engine.SampleJoin(in.Dataset, 400, rand.New(rand.NewSource(9103)))
+		sample, err := engine.SampleJoin(in.Dataset, 400, rand.New(rand.NewSource(9103)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		in.Sample = sample
 		in.Sizes = ce.ComputeSubsetSizes(in.Dataset)
 		dataFitIn = &in
 	})

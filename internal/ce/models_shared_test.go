@@ -53,9 +53,13 @@ func makeFixture(t *testing.T, tables int, seed int64) *fixture {
 	rng := rand.New(rand.NewSource(seed + 1))
 	qs := workload.Generate(d, workload.DefaultConfig(120, seed+2))
 	train, test := workload.Split(qs, 0.6, seed+3)
+	sample, err := engine.SampleJoin(d, 600, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return &fixture{
 		d:      d,
-		sample: engine.SampleJoin(d, 600, rng),
+		sample: sample,
 		train:  train,
 		test:   test,
 	}

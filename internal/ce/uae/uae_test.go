@@ -22,7 +22,10 @@ func TestQueryCorrectionImprovesOverPureAR(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	sample := engine.SampleJoin(d, 600, rng)
+	sample, err := engine.SampleJoin(d, 600, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	qs := workload.Generate(d, workload.DefaultConfig(150, 3))
 	train, test := workload.Split(qs, 0.6, 4)
 
@@ -56,7 +59,10 @@ func TestHybridWithoutQueriesDegradesToDataDriven(t *testing.T) {
 	p.MinRows, p.MaxRows = 200, 300
 	d, _ := datagen.Generate("u", p)
 	rng := rand.New(rand.NewSource(6))
-	sample := engine.SampleJoin(d, 400, rng)
+	sample, err := engine.SampleJoin(d, 400, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := New(DefaultConfig())
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Sample: sample, Queries: nil}); err != nil {
 		t.Fatal(err)

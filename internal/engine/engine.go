@@ -15,8 +15,14 @@
 // with the base tables rather than the join result. Each message is an
 // array over the groups of a join-key column's index, which a parent reads
 // through a cached probe of its own join column; a value missing from the
-// key column probes a trailing zero. Only cycle edges (and SampleJoin,
-// which genuinely needs rows) fall back to tuple materialization.
+// key column probes a trailing zero.
+//
+// The engine has one materializing join, the Evaluator's fold over flat
+// row-id tuples (breadth-first table order, hash-join steps through the
+// same probes, cross products for unreached tables, leftover edges as
+// filters). Two callers need rows: components with cycle edges, which it
+// counts uncapped, and SampleJoin, which runs it on a fresh evaluator and
+// declines with ErrJoinTooLarge a join past its cap on row-id slots.
 //
 // Three entry tiers trade convenience for control:
 //

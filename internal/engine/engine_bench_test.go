@@ -174,6 +174,8 @@ func BenchmarkSampleJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SampleJoin(d, 1000, rng)
+		if _, err := SampleJoin(d, 1000, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -180,7 +180,10 @@ func TestQueryValidate(t *testing.T) {
 func TestSampleJoinSingleTable(t *testing.T) {
 	d := tinyDataset(t, 21, 1)
 	rng := rand.New(rand.NewSource(1))
-	js := SampleJoin(d, 10, rng)
+	js, err := SampleJoin(d, 10, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if js.FullJoinSize != int64(d.Tables[0].Rows()) {
 		t.Fatalf("full join size %d, want %d", js.FullJoinSize, d.Tables[0].Rows())
 	}
@@ -199,7 +202,10 @@ func TestSampleJoinMultiTableMatchesEngine(t *testing.T) {
 			continue
 		}
 		rng := rand.New(rand.NewSource(2))
-		js := SampleJoin(d, 1<<20, rng)
+		js, err := SampleJoin(d, 1<<20, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Full join size must equal the engine's unfiltered cardinality
 		// over all tables.
 		all := make([]int, len(d.Tables))

@@ -1,14 +1,19 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
+	"math"
+
 	"repro/internal/dataset"
 )
 
 // Evaluator executes queries against one dataset through its shared Index,
 // owning all scratch memory the evaluation needs: per-table selection
 // vectors, a pool of message arrays for the count-propagating join fold,
-// and flat tuple buffers and chain heads for the cycle-edge fallback.
-// Repeated calls on a warmed evaluator allocate nothing.
+// and the flat tuple buffers and chain heads of the engine's one
+// materializing join (join), which counts components with cycle edges and
+// draws SampleJoin's rows. Repeated calls on a warmed evaluator allocate nothing.
 //
 // Filtering is columnar: a table's selection vector is seeded with the
 // contiguous run of row ids that the narrowest predicate on a dense-domain
@@ -40,22 +45,24 @@ type Evaluator struct {
 	msgPool  [][]int64
 	msgStack []childMsg
 
-	// Component-analysis scratch (union-find roots, membership flags).
-	ufParent []int
-	inJoin   []bool
-	compDone []bool
-	compTbls []int
+	// Component scratch: the breadth-first visiting order of the query's
+	// tables, the order position where each table's component starts, and
+	// one component's edges.
+	order    []int
+	comp     []int
 	compEdge []Join
 
-	// Cycle-fallback scratch: two flat tuple buffers (ping-pong), the
-	// per-table slot assignment, the used-edge flags of the fold, and a
-	// chained hash over filtered rows: the 1-based head position of each
-	// key group (all zero between uses) and the next-row links.
+	// Materializing-join scratch: two flat tuple buffers (ping-pong), the
+	// per-table slot assignment, the joined and used-edge flags of the
+	// fold, and a chained hash over filtered rows: the 1-based head
+	// position and row count of each key group (all zero between uses) and
+	// the next-row links.
 	tupA, tupB []int32
 	slot       []int
 	bound      []bool
 	edgeUsed   []bool
 	heads      []int32
+	hcount     []int64
 	chain      []int32
 }
 
@@ -85,16 +92,11 @@ func newEvaluator(d *dataset.Dataset, ix *Index) *Evaluator {
 		selRows:  make([][]int32, nt),
 		selAll:   make([]bool, nt),
 		selCount: make([]int64, nt),
-		ufParent: make([]int, nt),
-		inJoin:   make([]bool, nt),
-		compDone: make([]bool, nt),
+		comp:     make([]int, nt),
 		slot:     make([]int, nt),
 		bound:    make([]bool, nt),
 	}
 }
-
-// Dataset returns the dataset this evaluator executes against.
-func (e *Evaluator) Dataset() *dataset.Dataset { return e.d }
 
 // filter computes the selection of table ti under q's predicates into the
 // evaluator's reusable per-table buffers and returns its size. Tables
@@ -167,8 +169,8 @@ func (e *Evaluator) filter(q *Query, ti int) int64 {
 // selections feed a count-propagating fold over the join graph: acyclic
 // components never materialize tuples — each table sends its parent a
 // message, the multiplicity of each group of its join-key column — and
-// only components with cycle edges fall back to (flat, buffer-reused)
-// tuple materialization. Components and join-free tables combine by
+// only components with cycle edges fall back to the materializing join
+// (flat, buffer-reused tuples). Components and join-free tables combine by
 // product.
 func (e *Evaluator) Cardinality(q *Query) int64 {
 	if len(q.Tables) == 0 {
@@ -183,50 +185,30 @@ func (e *Evaluator) Cardinality(q *Query) int64 {
 		return e.selCount[q.Tables[0]]
 	}
 
-	// Union-find the join graph into connected components.
-	for _, ti := range q.Tables {
-		e.ufParent[ti] = ti
-		e.inJoin[ti] = false
-		e.compDone[ti] = false
-	}
-	for _, j := range q.Joins {
-		e.inJoin[j.LeftTable] = true
-		e.inJoin[j.RightTable] = true
-		e.union(j.LeftTable, j.RightTable)
-	}
-
+	// Each pass of the visiting order is one connected component.
+	order := e.visit(q.Tables, q.Joins)
 	total := int64(1)
-	for _, ti := range q.Tables {
-		if !e.inJoin[ti] {
-			// Join-free table: contributes its filtered count by cross
-			// product.
-			total *= e.selCount[ti]
-			continue
-		}
-		root := e.find(ti)
-		if e.compDone[root] {
-			continue
-		}
-		e.compDone[root] = true
-		tbls := e.compTbls[:0]
-		for _, t2 := range q.Tables {
-			if e.inJoin[t2] && e.find(t2) == root {
-				tbls = append(tbls, t2)
-			}
+	for start, n := 0, 0; start < len(order); start += n {
+		for n = 1; start+n < len(order) && e.comp[order[start+n]] == start; n++ {
 		}
 		edges := e.compEdge[:0]
 		for _, j := range q.Joins {
-			if e.find(j.LeftTable) == root {
+			if e.comp[j.LeftTable] == start {
 				edges = append(edges, j)
 			}
 		}
-		e.compTbls, e.compEdge = tbls, edges
+		e.compEdge = edges
 
 		var c int64
-		if len(edges) == len(tbls)-1 {
-			c = e.treeCount(tbls, edges)
-		} else {
-			c = e.cyclicCount(tbls, edges)
+		switch {
+		case len(edges) == 0:
+			// Join-free table: contributes its filtered count by cross
+			// product.
+			c = e.selCount[order[start]]
+		case len(edges) == n-1:
+			c = e.treeCount(order[start], edges)
+		default:
+			c = e.cyclicCount(order[start:start+n], edges)
 		}
 		if c == 0 {
 			return 0
@@ -236,27 +218,45 @@ func (e *Evaluator) Cardinality(q *Query) int64 {
 	return total
 }
 
-func (e *Evaluator) find(x int) int {
-	for e.ufParent[x] != x {
-		e.ufParent[x] = e.ufParent[e.ufParent[x]]
-		x = e.ufParent[x]
+// visit returns tbls in breadth-first order along edges, each of which
+// joins two tables of tbls. A pass starts from the first table of tbls no
+// earlier pass reached and follows edges in order, so each pass is one
+// connected component; e.comp[t] is the position in the order where t's
+// pass starts. The order lives in the evaluator's scratch.
+func (e *Evaluator) visit(tbls []int, edges []Join) []int {
+	order := e.order[:0]
+	for _, ti := range tbls {
+		e.comp[ti] = -1
 	}
-	return x
-}
-
-func (e *Evaluator) union(a, b int) {
-	ra, rb := e.find(a), e.find(b)
-	if ra != rb {
-		e.ufParent[ra] = rb
+	for _, ti := range tbls {
+		if e.comp[ti] >= 0 {
+			continue
+		}
+		start := len(order)
+		e.comp[ti] = start
+		order = append(order, ti)
+		for h := start; h < len(order); h++ {
+			for _, j := range edges {
+				if j.LeftTable == order[h] && e.comp[j.RightTable] < 0 {
+					e.comp[j.RightTable] = start
+					order = append(order, j.RightTable)
+				}
+				if j.RightTable == order[h] && e.comp[j.LeftTable] < 0 {
+					e.comp[j.LeftTable] = start
+					order = append(order, j.LeftTable)
+				}
+			}
+		}
 	}
+	e.order = order
+	return order
 }
 
 // treeCount counts an acyclic join component by multiplicity propagation:
-// rooted at tbls[0], every table aggregates the product of its children's
+// rooted at root, every table aggregates the product of its children's
 // messages over its filtered rows, keyed by the join column toward its
 // parent. The root sums instead of keying. No tuple is ever materialized.
-func (e *Evaluator) treeCount(tbls []int, edges []Join) int64 {
-	root := tbls[0]
+func (e *Evaluator) treeCount(root int, edges []Join) int64 {
 	base := len(e.msgStack)
 	e.pushChildren(root, -1, edges)
 	children := e.msgStack[base:]
@@ -377,150 +377,210 @@ func (e *Evaluator) getMsg(n int) []int64 {
 }
 
 // cyclicCount counts a join component that contains cycle edges (or
-// parallel/self edges) by the materializing fold: tuples live in a flat
-// reused buffer with one int32 slot per component table, join edges either
-// extend the tuple set through a hash lookup or — when both sides are
-// already bound — filter it in place.
-func (e *Evaluator) cyclicCount(tbls []int, edges []Join) int64 {
-	stride := len(tbls)
-	for i, ti := range tbls {
+// parallel or self edges), its tables in visiting order, as the number of
+// tuples its materialized join holds. Workload queries are trees, so
+// labeling never reaches this path. It is uncapped, since Cardinality has
+// no error path.
+func (e *Evaluator) cyclicCount(order []int, edges []Join) int64 {
+	tuples, _ := e.join(order, edges, math.MaxInt)
+	return int64(len(tuples) / len(order))
+}
+
+// ErrJoinTooLarge reports a join that was not materialized because one of
+// its steps would pass the caller's cap on row-id slots.
+var ErrJoinTooLarge = errors.New("join too large to materialize")
+
+// join is the engine's one materializing join. It folds the tables of
+// order, each filtered by the last Cardinality or marked unfiltered, along
+// edges into a flat buffer of int32 row ids: tuple i occupies
+// [i*len(order), (i+1)*len(order)), and e.slot[t] is the position of
+// table t's row within a tuple.
+//
+// The tables join in order, which is visit's order over these edges: each
+// through the first unused edge to the tables already joined
+// (extendFlat), or by cross product when no edge reaches them (crossFlat),
+// the first table being the cross product with one empty tuple. Every
+// leftover edge then filters the tuples in place. Every step keeps tuple
+// order, so the result is a deterministic function of the inputs.
+//
+// Each step sizes its output before writing it and fails with
+// ErrJoinTooLarge when that would pass maxSlots row ids. The result lives
+// in the evaluator's scratch until its next join.
+func (e *Evaluator) join(order []int, edges []Join, maxSlots int) ([]int32, error) {
+	stride := len(order)
+	for i, ti := range order {
 		e.slot[ti] = i
 		e.bound[ti] = false
 	}
-	bound := e.bound
-
-	// Seed with the first edge's left table.
-	seed := edges[0].LeftTable
-	cur := e.tupA[:0]
-	if e.selAll[seed] {
-		n := e.d.Tables[seed].Rows()
-		for r := 0; r < n; r++ {
-			cur = appendTuple(cur, stride, e.slot[seed], int32(r))
-		}
-	} else {
-		for _, r := range e.selRows[seed] {
-			cur = appendTuple(cur, stride, e.slot[seed], r)
-		}
-	}
-	bound[seed] = true
-	nTup := len(cur) / stride
-
 	if cap(e.edgeUsed) < len(edges) {
 		e.edgeUsed = make([]bool, len(edges))
 	}
 	used := e.edgeUsed[:len(edges)]
-	for i := range used {
-		used[i] = false
-	}
+	clear(used)
 
-	for done := 0; done < len(edges); done++ {
+	cur := sized(e.tupA, stride)
+	clear(cur)
+	var err error
+	for _, ti := range order {
 		pick := -1
 		for i, j := range edges {
-			if used[i] {
-				continue
-			}
-			if bound[j.LeftTable] || bound[j.RightTable] {
+			if !used[i] && (j.LeftTable == ti && e.bound[j.RightTable] || j.RightTable == ti && e.bound[j.LeftTable]) {
 				pick = i
 				break
 			}
 		}
-		if pick == -1 {
-			// Unreachable for a connected component; guard anyway.
-			break
-		}
-		j := edges[pick]
-		used[pick] = true
-		lIn, rIn := bound[j.LeftTable], bound[j.RightTable]
 		switch {
-		case lIn && rIn:
-			// Cycle edge: filter tuples in place.
-			lcol := e.d.Tables[j.LeftTable].Col(j.LeftCol).Data
-			rcol := e.d.Tables[j.RightTable].Col(j.RightCol).Data
-			ls, rs := e.slot[j.LeftTable], e.slot[j.RightTable]
-			out := 0
-			for i := 0; i < nTup; i++ {
-				tp := cur[i*stride : (i+1)*stride]
-				if lcol[tp[ls]] == rcol[tp[rs]] {
-					copy(cur[out*stride:], tp)
-					out++
-				}
-			}
-			nTup = out
-			cur = cur[:nTup*stride]
-		case lIn:
-			cur, nTup = e.extendFlat(cur, nTup, stride, j.LeftTable, j.LeftCol, j.RightTable, j.RightCol)
-			bound[j.RightTable] = true
+		case pick < 0:
+			cur, err = e.crossFlat(cur, stride, ti, maxSlots)
+		case edges[pick].LeftTable == ti:
+			j := edges[pick]
+			cur, err = e.extendFlat(cur, stride, j.RightTable, j.RightCol, ti, j.LeftCol, maxSlots)
 		default:
-			cur, nTup = e.extendFlat(cur, nTup, stride, j.RightTable, j.RightCol, j.LeftTable, j.LeftCol)
-			bound[j.LeftTable] = true
+			j := edges[pick]
+			cur, err = e.extendFlat(cur, stride, j.LeftTable, j.LeftCol, ti, j.RightCol, maxSlots)
 		}
-		if nTup == 0 {
-			e.tupA = cur[:0]
-			return 0
+		if err != nil {
+			return nil, err
+		}
+		if pick >= 0 {
+			used[pick] = true
+		}
+		e.bound[ti] = true
+		if len(cur) == 0 {
+			return cur, nil
 		}
 	}
-	e.tupA = cur[:0]
-	return int64(nTup)
-}
-
-func appendTuple(buf []int32, stride, slot int, r int32) []int32 {
-	n := len(buf)
-	for i := 0; i < stride; i++ {
-		buf = append(buf, 0)
+	for i, j := range edges {
+		if used[i] {
+			continue
+		}
+		lcol := e.d.Tables[j.LeftTable].Col(j.LeftCol).Data
+		rcol := e.d.Tables[j.RightTable].Col(j.RightCol).Data
+		ls, rs := e.slot[j.LeftTable], e.slot[j.RightTable]
+		n := 0
+		for k := 0; k < len(cur); k += stride {
+			tp := cur[k : k+stride]
+			if lcol[tp[ls]] == rcol[tp[rs]] {
+				copy(cur[n:], tp)
+				n += stride
+			}
+		}
+		cur = cur[:n]
 	}
-	buf[n+slot] = r
-	return buf
+	e.tupA = cur
+	return cur, nil
 }
 
-// extendFlat joins the flat tuple set (bound through inTable.inCol) with
-// newTable.newCol. The probe side is the tuple set, read through inCol's
-// probe into newCol's groups; the build side is either the shared
-// ColIndex's group rows (unpredicated table) or a chained hash over the
-// reusable selection vector, headed per group. The result lands in the
-// evaluator's second tuple buffer, which is swapped with the first.
-func (e *Evaluator) extendFlat(cur []int32, nTup, stride, inTable, inCol, newTable, newCol int) ([]int32, int) {
+// extendFlat joins the tuples of cur, bound through inTable.inCol, with
+// the rows of newTable that match them on newCol, into the evaluator's
+// second tuple buffer, which it swaps with the first. The tuples read
+// inCol's probe into newCol's groups; the build side is the shared
+// ColIndex's group rows for an unpredicated table, or else a chained hash
+// over the reusable selection vector, headed per group. The output holds
+// the sum of the probed groups' counts.
+func (e *Evaluator) extendFlat(cur []int32, stride, inTable, inCol, newTable, newCol, maxSlots int) ([]int32, error) {
 	probe := e.ix.probe(inTable, inCol, newTable, newCol)
 	ci := e.ix.Col(newTable, newCol)
 	inSlot, newSlot := e.slot[inTable], e.slot[newTable]
-	dst := e.tupB[:0]
-
-	if e.selAll[newTable] {
-		for i := 0; i < nTup; i++ {
-			tp := cur[i*stride : (i+1)*stride]
-			for _, r := range ci.groupRows(probe[tp[inSlot]]) {
-				n := len(dst)
-				dst = append(dst, tp...)
-				dst[n+newSlot] = r
-			}
-		}
-	} else {
-		rows := e.selRows[newTable]
-		code := e.ix.probe(newTable, newCol, newTable, newCol)
+	counts, rows := ci.counts, e.selRows[newTable]
+	var code []int32 // the chained hash's group of each row; nil when unpredicated
+	if !e.selAll[newTable] {
+		code = e.ix.probe(newTable, newCol, newTable, newCol)
 		if len(e.heads) < len(ci.counts) {
 			e.heads = make([]int32, len(ci.counts))
+			e.hcount = make([]int64, len(ci.counts))
 		}
-		if cap(e.chain) < len(rows) {
-			e.chain = make([]int32, len(rows))
-		}
-		heads, chain := e.heads, e.chain[:len(rows)]
+		e.chain = sized(e.chain, len(rows))
 		for i, r := range rows {
 			g := code[r]
-			chain[i] = heads[g]
-			heads[g] = int32(i + 1)
+			e.chain[i] = e.heads[g]
+			e.heads[g] = int32(i + 1)
+			e.hcount[g]++
 		}
-		for i := 0; i < nTup; i++ {
-			tp := cur[i*stride : (i+1)*stride]
-			for pos := heads[probe[tp[inSlot]]]; pos != 0; pos = chain[pos-1] {
-				n := len(dst)
-				dst = append(dst, tp...)
-				dst[n+newSlot] = rows[pos-1]
+		counts = e.hcount
+	}
+	need := 0
+	for i := inSlot; i < len(cur); i += stride {
+		need += int(counts[probe[cur[i]]])
+	}
+	fits := need <= maxSlots/stride
+	var dst []int32
+	if fits {
+		dst = sized(e.tupB, need*stride)
+		k := 0
+		for i := 0; i < len(cur); i += stride {
+			tp := cur[i : i+stride]
+			g := probe[tp[inSlot]]
+			if code == nil {
+				for _, r := range ci.groupRows(g) {
+					copy(dst[k:], tp)
+					dst[k+newSlot] = r
+					k += stride
+				}
+				continue
+			}
+			for pos := e.heads[g]; pos != 0; pos = e.chain[pos-1] {
+				copy(dst[k:], tp)
+				dst[k+newSlot] = rows[pos-1]
+				k += stride
 			}
 		}
+	}
+	if code != nil {
 		for _, r := range rows {
-			heads[code[r]] = 0
+			g := code[r]
+			e.heads[g], e.hcount[g] = 0, 0
 		}
 	}
-	e.tupB = cur[:0] // old buffer becomes the next scratch target
-	e.tupA = dst
-	return dst, len(dst) / stride
+	if !fits {
+		return nil, errJoinTooLarge(int64(need), stride, maxSlots)
+	}
+	return e.swap(cur, dst), nil
+}
+
+// crossFlat joins every tuple of cur with every selected row of table ti,
+// tuple-major, into the evaluator's second tuple buffer, which it swaps
+// with the first.
+func (e *Evaluator) crossFlat(cur []int32, stride, ti, maxSlots int) ([]int32, error) {
+	n, nTup := int(e.selCount[ti]), len(cur)/stride
+	if n > 0 && nTup > maxSlots/stride/n {
+		return nil, errJoinTooLarge(int64(nTup)*int64(n), stride, maxSlots)
+	}
+	dst := sized(e.tupB, nTup*n*stride)
+	slot, all, rows := e.slot[ti], e.selAll[ti], e.selRows[ti]
+	k := 0
+	for i := 0; i < len(cur); i += stride {
+		tp := cur[i : i+stride]
+		for x := 0; x < n; x++ {
+			copy(dst[k:], tp)
+			if all {
+				dst[k+slot] = int32(x)
+			} else {
+				dst[k+slot] = rows[x]
+			}
+			k += stride
+		}
+	}
+	return e.swap(cur, dst), nil
+}
+
+// swap makes dst the evaluator's first tuple buffer and cur, which dst
+// replaces, the scratch target of the next step.
+func (e *Evaluator) swap(cur, dst []int32) []int32 {
+	e.tupA, e.tupB = dst, cur[:0]
+	return dst
+}
+
+// sized returns buf resliced to length n, reallocating only when its
+// capacity falls short; the contents are not preserved.
+func sized(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+func errJoinTooLarge(tuples int64, stride, maxSlots int) error {
+	return fmt.Errorf("%w: a step yields %d tuples of %d tables, %d row-id slots, past the cap of %d",
+		ErrJoinTooLarge, tuples, stride, tuples*int64(stride), maxSlots)
 }

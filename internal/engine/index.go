@@ -52,10 +52,6 @@ func (c *ColIndex) groupRows(g int32) []int32 {
 	return c.rows[c.off[g]:c.off[g+1]:c.off[g+1]]
 }
 
-// RowsOf returns the ascending ids of the rows holding v. The slice
-// aliases the index and must not be modified.
-func (c *ColIndex) RowsOf(v int64) []int32 { return c.groupRows(c.group(v)) }
-
 // rangeRows returns the ids of the rows whose value lies in [lo, hi],
 // grouped by value, of a dense column. The slice aliases the index.
 func (c *ColIndex) rangeRows(lo, hi int64) []int32 {
@@ -166,9 +162,6 @@ func NewIndex(d *dataset.Dataset) *Index {
 	ix.evals.New = func() any { return newEvaluator(d, ix) }
 	return ix
 }
-
-// Dataset returns the dataset this index was built over.
-func (ix *Index) Dataset() *dataset.Dataset { return ix.d }
 
 // Col returns the index of column ci of table ti, building it on first use.
 func (ix *Index) Col(ti, ci int) *ColIndex {

@@ -11,9 +11,9 @@ import (
 	"repro/internal/par"
 )
 
-// TestColIndexRowsOf checks both ColIndex forms against a brute-force
-// ascending scan, for every value the column holds and for values
-// between, below and above them.
+// TestColIndexRowsOf checks the rows of each value, groupRows(group(v)),
+// in both ColIndex forms against a brute-force ascending scan, for every
+// value the column holds and for values between, below and above them.
 func TestColIndexRowsOf(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -48,9 +48,9 @@ func TestColIndexRowsOf(t *testing.T) {
 						want = append(want, int32(r))
 					}
 				}
-				got := ci.RowsOf(v)
+				got := ci.groupRows(ci.group(v))
 				if !slices.Equal(got, want) {
-					t.Fatalf("RowsOf(%d) = %v, want %v", v, got, want)
+					t.Fatalf("groupRows(group(%d)) = %v, want %v", v, got, want)
 				}
 				if n := ci.counts[ci.group(v)]; n != int64(len(want)) {
 					t.Fatalf("counts[group(%d)] = %d, want %d", v, n, len(want))

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/dataset"
@@ -25,28 +26,40 @@ type JoinSample struct {
 // ColRef names one dataset column.
 type ColRef struct{ Table, Col int }
 
+// maxJoinSlots caps the int32 row ids SampleJoin materializes (64 MiB per
+// tuple buffer). SampleJoin keeps at most maxRows tuples but builds the
+// whole join first, and the schema alone decides how large that is: a
+// table no FK reaches joins by cross product and a many-to-many FK
+// multiplies rows, so two unconnected 50k-row tables would ask for 5e9
+// slots (20 GB), an out-of-memory kill no panic fence catches. The largest
+// join any test, golden or labeling benchmark samples is under 7k slots,
+// and tenant-churn's largest arrival about 150k.
+const maxJoinSlots = 1 << 24
+
 // SampleJoin materializes (a reservoir sample of) the full PK-FK join of
 // all tables in d, projected to non-key columns. maxRows caps the sample
 // size; rng drives the reservoir. For a single-table dataset the "join" is
-// the table itself. Tables disconnected from the join graph contribute via
-// cross product, which matches the semantics of a query listing them with
-// no join edge; the synthetic generator always produces connected schemas.
+// the table itself, whatever FKs it declares. Tables disconnected from the
+// join graph contribute via cross product, which matches the semantics of
+// a query listing them with no join edge; the synthetic generator always
+// produces connected schemas.
 //
-// Unlike Cardinality, sampling genuinely needs rows, so this is the one
-// engine path that still materializes the join — into a flat slot-per-table
-// tuple buffer, with the build side of every hash join served by the
-// dataset's shared ColIndex.
-func SampleJoin(d *dataset.Dataset, maxRows int, rng *rand.Rand) *JoinSample {
-	allTables := make([]int, len(d.Tables))
-	for i := range allTables {
-		allTables[i] = i
+// Unlike Cardinality, sampling genuinely needs rows, so this runs the
+// evaluator's materializing join over every table unfiltered, on a fresh
+// evaluator whose buffers die with the call. A join that would pass
+// maxJoinSlots row ids fails with ErrJoinTooLarge, before it is built.
+func SampleJoin(d *dataset.Dataset, maxRows int, rng *rand.Rand) (*JoinSample, error) {
+	q := &Query{Tables: make([]int, len(d.Tables))}
+	for i := range q.Tables {
+		q.Tables[i] = i
 	}
-	q := &Query{Tables: allTables}
-	for _, fk := range d.FKs {
-		q.Joins = append(q.Joins, Join{
-			LeftTable: fk.FromTable, LeftCol: fk.FromCol,
-			RightTable: fk.ToTable, RightCol: fk.ToCol,
-		})
+	if len(d.Tables) > 1 {
+		for _, fk := range d.FKs {
+			q.Joins = append(q.Joins, Join{
+				LeftTable: fk.FromTable, LeftCol: fk.FromCol,
+				RightTable: fk.ToTable, RightCol: fk.ToCol,
+			})
+		}
 	}
 
 	js := &JoinSample{}
@@ -59,41 +72,29 @@ func SampleJoin(d *dataset.Dataset, maxRows int, rng *rand.Rand) *JoinSample {
 		}
 	}
 
-	if len(d.Tables) == 1 {
-		t := d.Tables[0]
-		js.FullJoinSize = int64(t.Rows())
-		idx := reservoirIndexes(t.Rows(), maxRows, rng)
-		for _, r := range idx {
-			row := make([]int64, len(js.Cols))
-			for j, cr := range js.Cols {
-				row[j] = t.Col(cr.Col).Data[r]
-			}
-			js.Rows = append(js.Rows, row)
-		}
-		return js
+	e := NewEvaluator(d)
+	for _, ti := range q.Tables {
+		e.filter(q, ti)
 	}
-
-	tuples, order := materializeJoin(d, q)
-	stride := len(order)
-	nTup := 0
-	if stride > 0 {
-		nTup = len(tuples) / stride
+	tuples, err := e.join(e.visit(q.Tables, q.Joins), q.Joins, maxJoinSlots)
+	if err != nil {
+		return nil, fmt.Errorf("engine: sampling the full join of %s: %w", d.Name, err)
 	}
+	stride := max(len(q.Tables), 1)
+	nTup := len(tuples) / stride
 	js.FullJoinSize = int64(nTup)
-	pos := map[int]int{}
-	for i, ti := range order {
-		pos[ti] = i
-	}
 	idx := reservoirIndexes(nTup, maxRows, rng)
-	for _, r := range idx {
+	nc := len(js.Cols)
+	vals := make([]int64, len(idx)*nc)
+	for i, r := range idx {
 		tp := tuples[r*stride : (r+1)*stride]
-		row := make([]int64, len(js.Cols))
+		row := vals[i*nc : (i+1)*nc : (i+1)*nc]
 		for j, cr := range js.Cols {
-			row[j] = d.Tables[cr.Table].Col(cr.Col).Data[tp[pos[cr.Table]]]
+			row[j] = d.Tables[cr.Table].Col(cr.Col).Data[tp[e.slot[cr.Table]]]
 		}
 		js.Rows = append(js.Rows, row)
 	}
-	return js
+	return js, nil
 }
 
 func isFKCol(d *dataset.Dataset, ti, ci int) bool {
@@ -125,148 +126,4 @@ func reservoirIndexes(n, k int, rng *rand.Rand) []int {
 		}
 	}
 	return res
-}
-
-// materializeJoin evaluates the unfiltered join of q and returns the raw
-// tuples as a flat buffer: one int32 row id per table of the returned
-// order, tuple i occupying tuples[i*len(order) : (i+1)*len(order)]. Join
-// build sides come from the dataset's cached ColIndex, so repeated
-// materializations against one dataset share the per-column grouping work.
-func materializeJoin(d *dataset.Dataset, q *Query) (tuples []int32, order []int) {
-	order = joinTableOrder(d, q)
-	stride := len(order)
-	if stride == 0 {
-		return nil, order
-	}
-	ix := IndexFor(d)
-	pos := map[int]int{}
-	for i, ti := range order {
-		pos[ti] = i
-	}
-
-	cur := make([]int32, 0, d.Tables[order[0]].Rows()*stride)
-	for r := 0; r < d.Tables[order[0]].Rows(); r++ {
-		cur = appendTuple(cur, stride, 0, int32(r))
-	}
-	joined := map[int]bool{order[0]: true}
-	used := make([]bool, len(q.Joins))
-	for _, ti := range order[1:] {
-		// Find a join edge connecting ti to the joined set.
-		found := false
-		for ji, j := range q.Joins {
-			if used[ji] {
-				continue
-			}
-			var inT, inC, newC int
-			switch {
-			case j.LeftTable == ti && joined[j.RightTable]:
-				inT, inC, newC = j.RightTable, j.RightCol, j.LeftCol
-			case j.RightTable == ti && joined[j.LeftTable]:
-				inT, inC, newC = j.LeftTable, j.LeftCol, j.RightCol
-			default:
-				continue
-			}
-			inData := d.Tables[inT].Col(inC).Data
-			inSlot, newSlot := pos[inT], pos[ti]
-			ci := ix.Col(ti, newC)
-			next := make([]int32, 0, len(cur))
-			for i := 0; i < len(cur); i += stride {
-				tp := cur[i : i+stride]
-				for _, r := range ci.RowsOf(inData[tp[inSlot]]) {
-					n := len(next)
-					next = append(next, tp...)
-					next[n+newSlot] = r
-				}
-			}
-			cur = next
-			joined[ti] = true
-			used[ji] = true
-			found = true
-			break
-		}
-		if !found {
-			// Cross product with a disconnected table.
-			n := d.Tables[ti].Rows()
-			slot := pos[ti]
-			next := make([]int32, 0, len(cur)*n)
-			for i := 0; i < len(cur); i += stride {
-				tp := cur[i : i+stride]
-				for r := 0; r < n; r++ {
-					k := len(next)
-					next = append(next, tp...)
-					next[k+slot] = int32(r)
-				}
-			}
-			cur = next
-			joined[ti] = true
-		}
-		if len(cur) == 0 {
-			return nil, order
-		}
-	}
-	// Apply any remaining cycle edges as filters.
-	for ji, j := range q.Joins {
-		if used[ji] || !joined[j.LeftTable] || !joined[j.RightTable] {
-			continue
-		}
-		lcol := d.Tables[j.LeftTable].Col(j.LeftCol).Data
-		rcol := d.Tables[j.RightTable].Col(j.RightCol).Data
-		ls, rs := pos[j.LeftTable], pos[j.RightTable]
-		out := 0
-		for i := 0; i < len(cur); i += stride {
-			tp := cur[i : i+stride]
-			if lcol[tp[ls]] == rcol[tp[rs]] {
-				copy(cur[out*stride:], tp)
-				out++
-			}
-		}
-		cur = cur[:out*stride]
-	}
-	return cur, order
-}
-
-// joinTableOrder returns q's tables in a connected visiting order (BFS over
-// the join edges from the first table), with disconnected tables appended.
-func joinTableOrder(d *dataset.Dataset, q *Query) []int {
-	if len(q.Tables) == 0 {
-		return nil
-	}
-	adj := map[int][]int{}
-	for _, j := range q.Joins {
-		adj[j.LeftTable] = append(adj[j.LeftTable], j.RightTable)
-		adj[j.RightTable] = append(adj[j.RightTable], j.LeftTable)
-	}
-	seen := map[int]bool{}
-	var order []int
-	bfs := func(start int) {
-		queue := []int{start}
-		seen[start] = true
-		for len(queue) > 0 {
-			ti := queue[0]
-			queue = queue[1:]
-			order = append(order, ti)
-			for _, nb := range adj[ti] {
-				if !seen[nb] && inQuery(q, nb) {
-					seen[nb] = true
-					queue = append(queue, nb)
-				}
-			}
-		}
-	}
-	bfs(q.Tables[0])
-	for _, ti := range q.Tables {
-		if !seen[ti] {
-			bfs(ti)
-		}
-	}
-	return order
-}
-
-func inQuery(q *Query, ti int) bool {
-	for _, t := range q.Tables {
-		if t == ti {
-			return true
-		}
-	}
-	return false
 }

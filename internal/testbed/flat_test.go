@@ -16,7 +16,10 @@ import (
 func trainedFLAT(t *testing.T, d *dataset.Dataset, seed int64) *flatModel {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	sample := engine.SampleJoin(d, 800, rng)
+	sample, err := engine.SampleJoin(d, 800, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := newFLAT(defaultFLATConfig())
 	if err := m.Fit(&ce.TrainInput{Dataset: d, Sample: sample}); err != nil {
 		t.Fatal(err)

@@ -261,7 +261,11 @@ func stageData(ctx context.Context, in *ce.TrainInput, cfg Config) error {
 	if err := context.Cause(ctx); err != nil {
 		return err
 	}
-	in.Sample = engine.SampleJoin(in.Dataset, cfg.SampleRows, rand.New(rand.NewSource(cfg.Seed+2)))
+	sample, err := engine.SampleJoin(in.Dataset, cfg.SampleRows, rand.New(rand.NewSource(cfg.Seed+2)))
+	if err != nil {
+		return err
+	}
+	in.Sample = sample
 	sizes, err := ce.ComputeSubsetSizesCtx(ctx, in.Dataset)
 	if err != nil {
 		return err
